@@ -21,6 +21,7 @@ from .config import ConfigError, load_config, section_for
 from .dynamics import Params
 from .exposure import compute_exposure, rank_exposure
 from .experiments import (
+    PRESETS,
     PhaseGridSpec,
     ScenarioSpec,
     child_seed,
@@ -39,7 +40,7 @@ from .ingest import (
     write_io_table,
 )
 from .operators import OperatorKind, build_operator, leakage_profile
-from .tail import TailError, ccdf, fit_alpha, select_xmin
+from .tail import TailError, ccdf, fit_at_xmin, select_xmin
 
 _CELL_RE = re.compile(r"^([A-Za-z0-9_-]+):([0-9.eE+-]+):([0-9.eE+-]+)$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -288,8 +289,7 @@ def cmd_exposure(args) -> int:
     return 0
 
 
-SCENARIO_HEADER = (
-    "scenario",
+GRID_HEADER = (
     "B_bar",
     "sigma_D",
     "mean_S",
@@ -304,12 +304,12 @@ SCENARIO_HEADER = (
     "max",
     "regime",
 )
+SCENARIO_HEADER = ("scenario", *GRID_HEADER)
 AVALANCHE_HEADER = ("replication", "period", "S", "B_realised", "relax_rounds")
 
 
-def _stats_row(name: str, stats) -> tuple:
+def _stats_row(stats) -> tuple:
     return (
-        name,
         float(stats.B_bar),
         float(stats.sigma_D),
         float(stats.mean_S),
@@ -354,13 +354,13 @@ def cmd_simulate(args) -> int:
         if not m:
             raise ValueError(f"bad --cell {cell!r}; expected NAME:B_BAR:SIGMA_D")
         name, b_bar, sigma_d = m.group(1), float(m.group(2)), float(m.group(3))
-        # custom cells sit after the four preset positions in the seed tree
+        # custom cells sit after the preset positions in the seed tree
         specs.append(
             ScenarioSpec(
                 name=name,
                 B_bar=b_bar,
                 sigma_D=sigma_d,
-                master_seed=child_seed(args.master_seed, 4 + k),
+                master_seed=child_seed(args.master_seed, len(PRESETS) + k),
                 T_burn=args.t_burn,
                 T_stat=args.t_stat,
                 replications=args.replications,
@@ -386,7 +386,7 @@ def cmd_simulate(args) -> int:
             keep_series=keep,
             threads=args.threads,
         )
-        rows.append(_stats_row(result.name, result.stats))
+        rows.append((result.name, *_stats_row(result.stats)))
         if keep:
             series_rows = []
             for rep, (S, B, rounds) in enumerate(
@@ -402,21 +402,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-GRID_HEADER = (
-    "B_bar",
-    "sigma_D",
-    "mean_S",
-    "se_mean_S",
-    "pr_nonzero",
-    "pr_ge5",
-    "pr_ge10",
-    "pr_ge20",
-    "p50",
-    "p95",
-    "p99",
-    "max",
-    "regime",
-)
 CONVERGENCE_HEADER = (
     "B_bar",
     "sigma_D",
@@ -454,24 +439,7 @@ def cmd_phase_grid(args) -> int:
     result = run_phase_grid(
         spec, substrate, params, sigma_b_ratio=args.sigma_b_ratio, threads=args.threads
     )
-    rows = [
-        (
-            float(c.B_bar),
-            float(c.sigma_D),
-            float(c.mean_S),
-            float(c.se_mean_S),
-            float(c.pr_nonzero),
-            float(c.pr_ge[5]),
-            float(c.pr_ge[10]),
-            float(c.pr_ge[20]),
-            float(c.p50),
-            float(c.p95),
-            float(c.p99),
-            int(c.s_max),
-            c.regime.value,
-        )
-        for c in result.cells
-    ]
+    rows = [_stats_row(c) for c in result.cells]
     out = _out_dir(args)
     path = _emit(out, "phase_grid.csv", GRID_HEADER, rows, args.json)
     if args.convergence:
@@ -516,9 +484,12 @@ def _read_sizes(path: Path) -> np.ndarray:
         values = []
         for k, row in enumerate(reader, start=2):
             try:
-                values.append(int(float(row["S"])))
+                value = float(row["S"])
+                if not value.is_integer():  # also rejects nan and inf
+                    raise ValueError
             except (TypeError, ValueError):
-                raise TailError(f"{path} row {k}: bad S value {row['S']!r}") from None
+                raise TailError(f"{path} row {k}: bad S value {row['S']!r}, not a finite integer") from None
+            values.append(int(value))
     if not values:
         raise TailError(f"{path}: no rows")
     return np.asarray(values, dtype=np.int64)
@@ -535,16 +506,11 @@ def cmd_tail_fit(args) -> int:
         if positive.size == 0:
             raise TailError(f"{path}: no positive cascade sizes to fit")
         if args.x_min is not None:
-            n_tail = int((positive >= args.x_min).sum())
-            distinct = np.unique(positive[positive >= args.x_min]).size
-            alpha = fit_alpha(positive, args.x_min)
-            informative = bool(
-                n_tail >= args.min_tail and distinct > 2 and np.isfinite(alpha) and alpha > 1.0
-            )
-            fit_row = (name, args.x_min, n_tail, float(alpha), float("nan"), informative)
+            fit = fit_at_xmin(positive, args.x_min, min_tail=args.min_tail)
         else:
             fit = select_xmin(positive, min_tail=args.min_tail)
-            fit_row = (
+        rows.append(
+            (
                 name,
                 int(fit.x_min),
                 int(fit.n_tail),
@@ -552,7 +518,7 @@ def cmd_tail_fit(args) -> int:
                 float(fit.ks_distance),
                 bool(fit.informative),
             )
-        rows.append(fit_row)
+        )
         _emit(
             out,
             f"ccdf_{name}.csv",

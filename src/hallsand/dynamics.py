@@ -90,11 +90,10 @@ class FieldModel:
 
 @dataclass(frozen=True)
 class AvalancheRecord:
-    """One period's outcome: cascade size, toppled set, rounds, realized field."""
+    """One period's outcome: cascade size, relaxation rounds, realized field."""
 
     period: int
     S: int
-    toppled_nodes: frozenset[int]
     relax_rounds: int
     B_realised: float
 
@@ -172,8 +171,6 @@ def init_state(
             RuntimeWarning,
             stacklevel=2,
         )
-    At = operator.matrix.T.tocsr()
-    At.sort_indices()
     max_rounds = params.max_relax_rounds if params.max_relax_rounds is not None else 10 * n
     return EngineState(
         s=np.zeros(n),
@@ -185,7 +182,7 @@ def init_state(
         sigma_D=sigma_D,
         theta=params.thresholds(n),
         max_rounds=max_rounds,
-        propagation_t=At,
+        propagation_t=operator.propagation_t,
     )
 
 
@@ -256,7 +253,6 @@ def step(state: EngineState, fieldmodel: FieldModel) -> AvalancheRecord:
     return AvalancheRecord(
         period=period,
         S=S,
-        toppled_nodes=frozenset(toppled),
         relax_rounds=rounds,
         B_realised=B_t,
     )

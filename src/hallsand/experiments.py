@@ -7,6 +7,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -245,9 +246,9 @@ def make_cell_stats(
 def _run_replication(
     substrate: Substrate,
     params: Params,
+    sigma_b_ratio: float,
     spec: ScenarioSpec,
     rep: int,
-    sigma_b_ratio: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     seed = child_seed(spec.master_seed, rep)
     state = init_state(
@@ -267,10 +268,18 @@ def _run_replication(
     return S, B, rounds
 
 
-def _replication_worker(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    substrate, params, spec, rep, ratio = args
-    S, B, rounds = _run_replication(substrate, params, spec, rep, ratio)
-    return rep, S, B, rounds
+# (substrate, params, sigma_b_ratio), set once in each pool worker by _init_worker,
+# so that a task carries only its spec and replication index.
+_worker_context: tuple = ()
+
+
+def _init_worker(*context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _worker_replication(spec: ScenarioSpec, rep: int):
+    return _run_replication(*_worker_context, spec, rep)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -291,6 +300,35 @@ def resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _run_cells(
+    specs: list[ScenarioSpec],
+    substrate: Substrate,
+    params: Params,
+    sigma_b_ratio: float,
+    threads: int | None,
+) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Run every replication of every spec; one result list per spec, by index.
+
+    With more than one worker, one process pool runs all (spec, replication)
+    tasks and receives the substrate once per worker through its initializer.
+    """
+    for spec in specs:
+        spec.validate()
+    params.validate(substrate.operator.n)
+    tasks = [(spec, rep) for spec in specs for rep in range(spec.replications)]
+    n_workers = min(resolve_threads(threads), len(tasks))
+    context = (substrate, params, sigma_b_ratio)
+    if n_workers > 1:
+        chunksize = -(-len(tasks) // (4 * n_workers))
+        substrate.operator.propagation_t  # build A^T once here; forked workers inherit it
+        with ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context) as pool:
+            results = list(pool.map(_worker_replication, *zip(*tasks), chunksize=chunksize))
+    else:
+        results = [_run_replication(*context, spec, rep) for spec, rep in tasks]
+    folded = iter(results)
+    return [list(islice(folded, spec.replications)) for spec in specs]
+
+
 def run_scenario(
     spec: ScenarioSpec,
     substrate: Substrate,
@@ -305,18 +343,7 @@ def run_scenario(
     so results are independent of execution order; the fold over
     replications is by index, making serial and parallel runs identical.
     """
-    spec.validate()
-    params.validate(substrate.operator.n)
-    n_workers = resolve_threads(threads)
-    reps = range(spec.replications)
-    if n_workers > 1 and spec.replications > 1:
-        payload = [(substrate, params, spec, r, sigma_b_ratio) for r in reps]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_replication_worker, payload))
-        results.sort(key=lambda item: item[0])
-        triples = [(S, B, rounds) for _, S, B, rounds in results]
-    else:
-        triples = [_run_replication(substrate, params, spec, r, sigma_b_ratio) for r in reps]
+    (triples,) = _run_cells([spec], substrate, params, sigma_b_ratio, threads)
     series = [t[0] for t in triples]
     stats = make_cell_stats(spec.B_bar, spec.sigma_D, series)
     if keep_series:
@@ -330,12 +357,6 @@ def run_scenario(
     return ScenarioResult(name=spec.name, stats=stats, series=None)
 
 
-def _cell_worker(args) -> tuple[int, CellStats]:
-    index, substrate, params, spec, ratio = args
-    result = run_scenario(spec, substrate, params, sigma_b_ratio=ratio, threads=1)
-    return index, result.stats
-
-
 def run_phase_grid(
     spec: PhaseGridSpec,
     substrate: Substrate,
@@ -347,7 +368,7 @@ def run_phase_grid(
 
     Cell (i, j) gets master seed child_seed(grid_seed, cell_index), so a
     single-cell grid reproduces run_scenario under the same derivation, and
-    cells can run in parallel with a deterministic index-ordered fold.
+    all replications of all cells share one pool with an index-ordered fold.
     """
     spec.validate()
     cells: list[ScenarioSpec] = []
@@ -365,18 +386,11 @@ def run_phase_grid(
                     replications=spec.replications,
                 )
             )
-    n_workers = resolve_threads(threads)
-    if n_workers > 1 and len(cells) > 1:
-        payload = [(k, substrate, params, cell, sigma_b_ratio) for k, cell in enumerate(cells)]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_cell_worker, payload))
-        results.sort(key=lambda item: item[0])
-        stats = tuple(s for _, s in results)
-    else:
-        stats = tuple(
-            run_scenario(cell, substrate, params, sigma_b_ratio=sigma_b_ratio, threads=1).stats
-            for cell in cells
-        )
+    per_cell = _run_cells(cells, substrate, params, sigma_b_ratio, threads)
+    stats = tuple(
+        make_cell_stats(cell.B_bar, cell.sigma_D, [t[0] for t in triples])
+        for cell, triples in zip(cells, per_cell)
+    )
     return PhaseGridResult(spec=spec, cells=stats)
 
 
@@ -391,11 +405,10 @@ def convergence_report(result: PhaseGridResult) -> list[CellDiagnostics]:
         se_pr = {
             k: math.sqrt(p * (1.0 - p) / stats.n_obs) for k, p in sorted(stats.pr_ge.items())
         }
+        ratio = stats.se_mean_S / stats.mean_S if stats.mean_S > 0 else None
         if stats.regime is RegimeLabel.ABSORPTION:
-            ratio = stats.se_mean_S / stats.mean_S if stats.mean_S > 0 else None
             ok = stats.se_mean_S < 0.02
         else:
-            ratio = stats.se_mean_S / stats.mean_S if stats.mean_S > 0 else None
             ok = ratio is not None and ratio < 0.05
         report.append(
             CellDiagnostics(

@@ -96,6 +96,29 @@ def fit_alpha(samples, x_min: int) -> float:
     return hill_alpha(tail.astype(np.float64), x_min - 0.5)
 
 
+def _informative(tail: np.ndarray, alpha: float, min_tail: int) -> bool:
+    return bool(
+        tail.size >= min_tail and np.unique(tail).size > 2 and np.isfinite(alpha) and alpha > 1.0
+    )
+
+
+def fit_at_xmin(samples, x_min: int, min_tail: int = DEFAULT_MIN_TAIL) -> TailFit:
+    """Fit at a fixed cutoff without a scan; the fit distance is not computed (nan).
+
+    Informative by the same rule as select_xmin.
+    """
+    alpha = fit_alpha(samples, x_min)
+    xs = _as_positive_ints(samples)
+    tail = xs[xs >= x_min]
+    return TailFit(
+        x_min=x_min,
+        n_tail=int(tail.size),
+        alpha=alpha,
+        ks_distance=float("nan"),
+        informative=_informative(tail, alpha, min_tail),
+    )
+
+
 def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailCandidate]:
     """Fit every admissible cutoff and report its tail-conditional fit distance.
 
@@ -147,8 +170,8 @@ def select_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> TailFit:
     distinct values, and yields a finite exponent above 1.
     """
     candidates = scan_xmin(samples, min_tail=min_tail)
+    xs = _as_positive_ints(samples)
     if not candidates:
-        xs = _as_positive_ints(samples)
         return TailFit(
             x_min=int(xs.max()), n_tail=int((xs == xs.max()).sum()),
             alpha=float("nan"), ks_distance=float("nan"), informative=False,
@@ -157,18 +180,10 @@ def select_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> TailFit:
     for cand in candidates[1:]:
         if cand.ks_distance < best.ks_distance:
             best = cand
-    xs = _as_positive_ints(samples)
-    tail_distinct = int(np.unique(xs[xs >= best.x_min]).size)
-    informative = (
-        best.n_tail >= min_tail
-        and tail_distinct > 2
-        and np.isfinite(best.alpha)
-        and best.alpha > 1.0
-    )
     return TailFit(
         x_min=best.x_min,
         n_tail=best.n_tail,
         alpha=best.alpha,
         ks_distance=best.ks_distance,
-        informative=informative,
+        informative=_informative(xs[xs >= best.x_min], best.alpha, min_tail),
     )

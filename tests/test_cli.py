@@ -278,6 +278,16 @@ def test_tail_fit_empty_exit_1(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["2.7", "nan", "inf"])
+def test_tail_fit_non_integer_size_exit_1(tmp_path, capsys, bad):
+    series = tmp_path / "avalanches_frac.csv"
+    series.write_text(f"replication,period,S,B_realised,relax_rounds\n0,0,3,1.0,1\n0,1,{bad},1.0,1\n")
+    assert main(["tail-fit", str(series), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "avalanches_frac.csv row 3" in err
+    assert repr(bad) in err
+
+
 def test_config_defaults_and_flag_precedence(substrate_dir, tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg_out = tmp_path / "fromcfg"

@@ -6,6 +6,7 @@ import pytest
 
 from hallsand.dynamics import Params
 from hallsand.experiments import (
+    SimulationError,
     PRESETS,
     CellStats,
     PhaseGridSpec,
@@ -23,6 +24,7 @@ from hallsand.experiments import (
     run_scenario,
 )
 from hallsand.ingest import synth_substrate
+from hallsand.operators import OperatorKind
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,30 @@ def test_run_phase_grid_parallel_matches_serial(small_substrate):
     serial = run_phase_grid(spec, small_substrate, Params(), threads=1)
     parallel = run_phase_grid(spec, small_substrate, Params(), threads=2)
     assert serial.cells == parallel.cells
+
+
+@pytest.mark.filterwarnings("ignore:contraction check failed")
+@pytest.mark.parametrize("grid", [False, True])
+def test_engine_failure_in_pool_names_scenario_replication_period(grid):
+    # full redistribution over the share operator cannot settle in 3 rounds
+    table = synth_substrate(60, 0.15, 7, mean_leakage=0.22)
+    hot = prepare_substrate(table, kind=OperatorKind.ROW_SHARE)
+    params = Params(max_relax_rounds=3, redistribution_fraction=1.0)
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(SimulationError) as exc:
+            if grid:
+                spec = PhaseGridSpec((6.0,), (2.0,), master_seed=5, T_burn=5, T_stat=20, replications=4)
+                run_phase_grid(spec, hot, params, threads=threads)
+            else:
+                spec = ScenarioSpec("hot", 6.0, 2.0, master_seed=5, T_burn=5, T_stat=20, replications=4)
+                run_scenario(spec, hot, params, threads=threads)
+        messages.append(str(exc.value))
+    serial, parallel = messages
+    name = "cell_0_0" if grid else "hot"
+    assert parallel.startswith(f"scenario {name!r} replication 0 period ")
+    assert "relaxation exceeded 3 rounds" in parallel
+    assert parallel == serial
 
 
 def test_resolve_threads_precedence(monkeypatch):

@@ -70,6 +70,6 @@ from .operators import (
     leakage_profile,
     spectral_radius,
 )
-from .tail import TailCandidate, TailError, TailFit, ccdf, fit_alpha, fit_at_xmin, hill_alpha, scan_xmin, select_xmin
+from .tail import TailCandidate, TailError, TailFit, ccdf, fit_alpha, hill_alpha, scan_xmin, select_xmin
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .ingest import (
     write_io_table,
 )
 from .operators import OperatorKind, build_operator, leakage_profile
-from .tail import TailError, ccdf, fit_at_xmin, select_xmin
+from .tail import TailError, _fit_at_xmin, ccdf, select_xmin
 
 _CELL_RE = re.compile(r"^([A-Za-z0-9_-]+):([0-9.eE+-]+):([0-9.eE+-]+)$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -485,10 +485,10 @@ def _read_sizes(path: Path) -> np.ndarray:
         for k, row in enumerate(reader, start=2):
             try:
                 value = float(row["S"])
-                if not value.is_integer():  # also rejects nan and inf
+                if not value.is_integer() or abs(value) >= 2**63:  # also rejects nan and inf
                     raise ValueError
             except (TypeError, ValueError):
-                raise TailError(f"{path} row {k}: bad S value {row['S']!r}, not a finite integer") from None
+                raise TailError(f"{path} row {k}: bad S value {row['S']!r}, not a 64-bit integer") from None
             values.append(int(value))
     if not values:
         raise TailError(f"{path}: no rows")
@@ -506,7 +506,7 @@ def cmd_tail_fit(args) -> int:
         if positive.size == 0:
             raise TailError(f"{path}: no positive cascade sizes to fit")
         if args.x_min is not None:
-            fit = fit_at_xmin(positive, args.x_min, min_tail=args.min_tail)
+            fit = _fit_at_xmin(positive, args.x_min, args.min_tail)
         else:
             fit = select_xmin(positive, min_tail=args.min_tail)
         rows.append(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -306,11 +308,13 @@ def _run_cells(
     params: Params,
     sigma_b_ratio: float,
     threads: int | None,
-) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Run every replication of every spec; one result list per spec, by index.
+) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Run every replication of every spec; yield one result list per spec, by index.
 
     With more than one worker, one process pool runs all (spec, replication)
     tasks and receives the substrate once per worker through its initializer.
+    Each spec's list is yielded as soon as its results are in, so a caller
+    can reduce cell by cell without holding every cell's series at once.
     """
     for spec in specs:
         spec.validate()
@@ -318,15 +322,19 @@ def _run_cells(
     tasks = [(spec, rep) for spec in specs for rep in range(spec.replications)]
     n_workers = min(resolve_threads(threads), len(tasks))
     context = (substrate, params, sigma_b_ratio)
-    if n_workers > 1:
-        chunksize = -(-len(tasks) // (4 * n_workers))
-        substrate.operator.propagation_t  # build A^T once here; forked workers inherit it
-        with ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context) as pool:
-            results = list(pool.map(_worker_replication, *zip(*tasks), chunksize=chunksize))
-    else:
-        results = [_run_replication(*context, spec, rep) for spec, rep in tasks]
-    folded = iter(results)
-    return [list(islice(folded, spec.replications)) for spec in specs]
+    with ExitStack() as stack:
+        if n_workers > 1:
+            substrate.operator.propagation_t  # build A^T once here; forked workers inherit it
+            pool = ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context)
+            stack.enter_context(pool)
+            # The parent holds one future (about 1 KB) per chunk from the start: at most
+            # 256 per worker, each chunk a small slice of that worker's share.
+            chunksize = -(-len(tasks) // (256 * n_workers))
+            results = pool.map(_worker_replication, *zip(*tasks), chunksize=chunksize)
+        else:
+            results = (_run_replication(*context, spec, rep) for spec, rep in tasks)
+        for spec in specs:
+            yield list(islice(results, spec.replications))
 
 
 def run_scenario(
@@ -386,10 +394,11 @@ def run_phase_grid(
                     replications=spec.replications,
                 )
             )
-    per_cell = _run_cells(cells, substrate, params, sigma_b_ratio, threads)
     stats = tuple(
         make_cell_stats(cell.B_bar, cell.sigma_D, [t[0] for t in triples])
-        for cell, triples in zip(cells, per_cell)
+        for cell, triples in zip(
+            cells, _run_cells(cells, substrate, params, sigma_b_ratio, threads), strict=True
+        )
     )
     return PhaseGridResult(spec=spec, cells=stats)
 

@@ -102,21 +102,11 @@ def _informative(tail: np.ndarray, alpha: float, min_tail: int) -> bool:
     )
 
 
-def fit_at_xmin(samples, x_min: int, min_tail: int = DEFAULT_MIN_TAIL) -> TailFit:
-    """Fit at a fixed cutoff without a scan; the fit distance is not computed (nan).
-
-    Informative by the same rule as select_xmin.
-    """
+def _fit_at_xmin(samples: np.ndarray, x_min: int, min_tail: int) -> TailFit:
+    """Fit positive integer samples at a fixed cutoff without a scan (no fit distance)."""
     alpha = fit_alpha(samples, x_min)
-    xs = _as_positive_ints(samples)
-    tail = xs[xs >= x_min]
-    return TailFit(
-        x_min=x_min,
-        n_tail=int(tail.size),
-        alpha=alpha,
-        ks_distance=float("nan"),
-        informative=_informative(tail, alpha, min_tail),
-    )
+    tail = samples[samples >= x_min]
+    return TailFit(x_min, int(tail.size), alpha, float("nan"), _informative(tail, alpha, min_tail))
 
 
 def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailCandidate]:

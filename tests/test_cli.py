@@ -278,7 +278,7 @@ def test_tail_fit_empty_exit_1(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["2.7", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["2.7", "nan", "inf", "1e19"])
 def test_tail_fit_non_integer_size_exit_1(tmp_path, capsys, bad):
     series = tmp_path / "avalanches_frac.csv"
     series.write_text(f"replication,period,S,B_realised,relax_rounds\n0,0,3,1.0,1\n0,1,{bad},1.0,1\n")

@@ -32,7 +32,6 @@ from .experiments import (
     SimulationError,
     Substrate,
     child_seed,
-    classify_regime,
     convergence_report,
     default_phase_grid,
     make_cell_stats,
@@ -40,6 +39,7 @@ from .experiments import (
     preset_scenarios,
     run_phase_grid,
     run_scenario,
+    run_scenarios,
 )
 from .exposure import (
     ExposureProfile,

@@ -29,7 +29,7 @@ from .experiments import (
     preset_scenarios,
     prepare_substrate,
     run_phase_grid,
-    run_scenario,
+    run_scenarios,
 )
 from .ingest import (
     DEFAULT_MEAN_LEAKAGE,
@@ -351,9 +351,12 @@ def cmd_simulate(args) -> int:
         )
     for k, cell in enumerate(args.cell or []):
         m = _CELL_RE.match(cell)
-        if not m:
-            raise ValueError(f"bad --cell {cell!r}; expected NAME:B_BAR:SIGMA_D")
-        name, b_bar, sigma_d = m.group(1), float(m.group(2)), float(m.group(3))
+        try:
+            if m is None:
+                raise ValueError
+            name, b_bar, sigma_d = m.group(1), float(m.group(2)), float(m.group(3))
+        except ValueError:  # also a malformed number such as 1.2.3
+            raise ValueError(f"bad --cell {cell!r}; expected NAME:B_BAR:SIGMA_D") from None
         # custom cells sit after the preset positions in the seed tree
         specs.append(
             ScenarioSpec(
@@ -377,15 +380,9 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     keep = not args.no_series
     rows = []
-    for spec in specs:
-        result = run_scenario(
-            spec,
-            substrate,
-            params,
-            sigma_b_ratio=args.sigma_b_ratio,
-            keep_series=keep,
-            threads=args.threads,
-        )
+    for result in run_scenarios(
+        specs, substrate, params, args.sigma_b_ratio, keep_series=keep, threads=args.threads
+    ):
         rows.append((result.name, *_stats_row(result.stats)))
         if keep:
             series_rows = []
@@ -670,9 +667,13 @@ def _apply_config(parser: argparse.ArgumentParser, config_path: str, command: st
         if key not in actions or key == "help":
             raise ConfigError(f"config option {key!r} is not a flag of {command!r}")
         action = actions[key]
-        if isinstance(value, str) and action.type is not None:
+        if action.nargs == 0:  # a switch such as --json takes only true or false
+            if value is not None and not isinstance(value, bool):
+                raise ConfigError(f"config option {key!r}: bad value {value!r}, expected true or false")
+        elif value is not None:
+            # the flag's own type parses the value's text, as it would on the command line
             try:
-                value = action.type(value)
+                value = (action.type or str)(str(value))
             except (TypeError, ValueError):
                 raise ConfigError(f"config option {key!r}: bad value {value!r}") from None
         defaults[key] = value

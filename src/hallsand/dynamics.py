@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,16 +46,16 @@ class Params:
     def validate(self, n: int | None = None) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        # each comparison is False for nan, and the upper bound rejects inf
         for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
-        if (theta <= 0).any():
-            raise ValueError("theta must be positive")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.sigma_x <= 0:
-            raise ValueError(f"sigma_x must be positive, got {self.sigma_x}")
+        if not ((theta > 0) & (theta < math.inf)).all():
+            raise ValueError("theta must be finite and positive")
+        for name in ("epsilon", "sigma_x"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0.0 <= self.redistribution_fraction <= 1.0:
             raise ValueError(
                 f"redistribution_fraction must be in [0, 1], got {self.redistribution_fraction}"

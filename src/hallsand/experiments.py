@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -69,10 +69,10 @@ class ScenarioSpec:
     replications: int = 100
 
     def validate(self) -> None:
-        if self.B_bar < 0:
-            raise ValueError(f"B_bar must be non-negative, got {self.B_bar}")
-        if self.sigma_D <= 0:
-            raise ValueError(f"sigma_D must be positive, got {self.sigma_D}")
+        if not 0.0 <= self.B_bar < math.inf:
+            raise ValueError(f"B_bar must be finite and non-negative, got {self.B_bar}")
+        if not 0.0 < self.sigma_D < math.inf:
+            raise ValueError(f"sigma_D must be finite and positive, got {self.sigma_D}")
         if self.T_burn < 0 or self.T_stat < 1:
             raise ValueError(f"bad protocol: T_burn={self.T_burn}, T_stat={self.T_stat}")
         if self.replications < 1:
@@ -121,6 +121,8 @@ class PhaseGridSpec:
         for name, axis in (("B_values", self.B_values), ("sigmaD_values", self.sigmaD_values)):
             if len(axis) == 0:
                 raise ValueError(f"{name} must be non-empty")
+            if not all(math.isfinite(v) for v in axis):
+                raise ValueError(f"{name} must be finite, got {list(axis)}")
             if list(axis) != sorted(set(axis)):
                 raise ValueError(f"{name} must be strictly ascending")
 
@@ -201,6 +203,7 @@ def prepare_substrate(
 
 
 def _classify(mean_S: float) -> RegimeLabel:
+    """Band a cell by mean cascade size; boundaries belong to the band above."""
     if mean_S < _ABSORPTION_MAX:
         return RegimeLabel.ABSORPTION
     if mean_S < _LATENT_MAX:
@@ -210,13 +213,8 @@ def _classify(mean_S: float) -> RegimeLabel:
     return RegimeLabel.AVALANCHE
 
 
-def classify_regime(stats: CellStats) -> RegimeLabel:
-    """Band the cell by mean cascade size; boundaries belong to the band above."""
-    return _classify(stats.mean_S)
-
-
 def make_cell_stats(
-    B_bar: float, sigma_D: float, series: list[np.ndarray]
+    B_bar: float, sigma_D: float, series: Sequence[np.ndarray]
 ) -> CellStats:
     """Pool per-replication series into one cell's statistics.
 
@@ -302,23 +300,29 @@ def resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _run_cells(
+def run_scenarios(
     specs: list[ScenarioSpec],
     substrate: Substrate,
     params: Params,
-    sigma_b_ratio: float,
-    threads: int | None,
-) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Run every replication of every spec; yield one result list per spec, by index.
+    sigma_b_ratio: float = DEFAULT_SIGMA_B_RATIO,
+    keep_series: bool = False,
+    threads: int | None = 1,
+) -> Iterator[ScenarioResult]:
+    """Run every replication of every spec; yield one result per spec, in spec order.
 
+    Replication r runs on its own stream seeded child_seed(master_seed, r),
+    so results are independent of execution order; the fold over
+    replications is by index, making serial and parallel runs identical.
     With more than one worker, one process pool runs all (spec, replication)
     tasks and receives the substrate once per worker through its initializer.
-    Each spec's list is yielded as soon as its results are in, so a caller
-    can reduce cell by cell without holding every cell's series at once.
+    Each spec's result is yielded as soon as its replications are in, so a
+    caller can write or reduce it before the next spec's series are held.
     """
     for spec in specs:
         spec.validate()
     params.validate(substrate.operator.n)
+    if not 0.0 <= sigma_b_ratio < math.inf:
+        raise ValueError(f"sigma_b_ratio must be finite and non-negative, got {sigma_b_ratio}")
     tasks = [(spec, rep) for spec in specs for rep in range(spec.replications)]
     n_workers = min(resolve_threads(threads), len(tasks))
     context = (substrate, params, sigma_b_ratio)
@@ -326,7 +330,8 @@ def _run_cells(
         if n_workers > 1:
             substrate.operator.propagation_t  # build A^T once here; forked workers inherit it
             pool = ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context)
-            stack.enter_context(pool)
+            # a caller that stops early (a failed write) does not wait for the queued tasks
+            stack.callback(pool.shutdown, cancel_futures=True)
             # The parent holds one future (about 1 KB) per chunk from the start: at most
             # 256 per worker, each chunk a small slice of that worker's share.
             chunksize = -(-len(tasks) // (256 * n_workers))
@@ -334,7 +339,12 @@ def _run_cells(
         else:
             results = (_run_replication(*context, spec, rep) for spec, rep in tasks)
         for spec in specs:
-            yield list(islice(results, spec.replications))
+            S, B, rounds = zip(*islice(results, spec.replications))
+            stats = make_cell_stats(spec.B_bar, spec.sigma_D, S)
+            if keep_series:
+                yield ScenarioResult(spec.name, stats, S, B_realised=B, relax_rounds=rounds)
+            else:
+                yield ScenarioResult(spec.name, stats, series=None)
 
 
 def run_scenario(
@@ -345,24 +355,9 @@ def run_scenario(
     keep_series: bool = False,
     threads: int | None = 1,
 ) -> ScenarioResult:
-    """Run one cell's replications and pool the post-burn statistics.
-
-    Replication r runs on its own stream seeded child_seed(master_seed, r),
-    so results are independent of execution order; the fold over
-    replications is by index, making serial and parallel runs identical.
-    """
-    (triples,) = _run_cells([spec], substrate, params, sigma_b_ratio, threads)
-    series = [t[0] for t in triples]
-    stats = make_cell_stats(spec.B_bar, spec.sigma_D, series)
-    if keep_series:
-        return ScenarioResult(
-            name=spec.name,
-            stats=stats,
-            series=tuple(series),
-            B_realised=tuple(t[1] for t in triples),
-            relax_rounds=tuple(t[2] for t in triples),
-        )
-    return ScenarioResult(name=spec.name, stats=stats, series=None)
+    """Run one cell's replications and pool the post-burn statistics."""
+    (result,) = run_scenarios([spec], substrate, params, sigma_b_ratio, keep_series, threads)
+    return result
 
 
 def run_phase_grid(
@@ -394,13 +389,8 @@ def run_phase_grid(
                     replications=spec.replications,
                 )
             )
-    stats = tuple(
-        make_cell_stats(cell.B_bar, cell.sigma_D, [t[0] for t in triples])
-        for cell, triples in zip(
-            cells, _run_cells(cells, substrate, params, sigma_b_ratio, threads), strict=True
-        )
-    )
-    return PhaseGridResult(spec=spec, cells=stats)
+    results = run_scenarios(cells, substrate, params, sigma_b_ratio, threads=threads)
+    return PhaseGridResult(spec=spec, cells=tuple(r.stats for r in results))
 
 
 def convergence_report(result: PhaseGridResult) -> list[CellDiagnostics]:

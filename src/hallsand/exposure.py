@@ -108,8 +108,8 @@ def hall_stress(B: float, profile: ExposureProfile) -> tuple[np.ndarray, np.ndar
 
     H_rel is all zeros when the loadings themselves are all zero (B = 0).
     """
-    if B < 0:
-        raise ValueError(f"field intensity must be non-negative, got {B}")
+    if not 0.0 <= B < np.inf:
+        raise ValueError(f"field intensity B must be finite and non-negative, got {B}")
     H = B * profile.I / (profile.D * profile.C + profile.epsilon)
     total = H.sum()
     H_rel = H / total if total > 0 else np.zeros_like(H)
@@ -124,8 +124,8 @@ def compute_exposure(
     epsilon: float = DEFAULT_EPSILON,
 ) -> ExposureProfile:
     """Assemble the full exposure profile for a table at field intensity B."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     I = flow_share(table)
     HHI_out, _ = _squared_share_sums(table, axis=1)
     HHI_in, _ = _squared_share_sums(table, axis=0)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from hallsand import experiments
 from hallsand.cli import main
 
 from conftest import powerlaw_samples
@@ -142,6 +143,22 @@ def test_simulate_parallel_bytes_match_serial(substrate_dir, tmp_path):
     )
 
 
+def test_simulate_runs_all_scenarios_in_one_pool(substrate_dir, tmp_path, monkeypatch):
+    built = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    args = simulate_args(substrate_dir, tmp_path / "pooled")
+    args[args.index("--threads") + 1] = "2"
+    assert main(args) == 0
+    assert len(read_rows(tmp_path / "pooled" / "scenarios.csv")) == 4
+    assert len(built) == 1
+
+
 def test_simulate_dead_substrate_all_zero(substrate_dir, tmp_path):
     out = tmp_path / "dead"
     code = main(
@@ -178,11 +195,50 @@ def test_simulate_engine_failure_exit_2(substrate_dir, tmp_path, capsys):
     assert "relaxation" in capsys.readouterr().err
 
 
-def test_simulate_bad_cell_spec_exit_1(substrate_dir, tmp_path):
+@pytest.mark.parametrize("cell", ["nocolons", "x:1.2.3:1.0"])
+def test_simulate_bad_cell_spec_exit_1(substrate_dir, tmp_path, capsys, cell):
     code = main(
-        simulate_args(substrate_dir, tmp_path / "x", extra=["--cell", "nocolons"])
+        simulate_args(substrate_dir, tmp_path / "x", extra=["--cell", cell])
     )
     assert code == 1
+    err = capsys.readouterr().err
+    assert "--cell" in err and repr(cell) in err
+
+
+@pytest.mark.parametrize(
+    "command,extra,name",
+    [
+        ("simulate", ["--alpha", "nan"], "alpha"),
+        ("simulate", ["--gamma", "nan"], "gamma"),
+        ("simulate", ["--sigma-x", "nan"], "sigma_x"),
+        ("simulate", ["--epsilon", "nan"], "epsilon"),
+        ("simulate", ["--beta", "inf"], "beta"),
+        ("simulate", ["--sigma-b-ratio", "nan"], "sigma_b_ratio"),
+        ("simulate", ["--presets", "none", "--cell", "x:1.0:1e999"], "sigma_D"),
+        ("phase-grid", ["--b-max", "nan", "--b-steps", "2", "--sigma-steps", "2"], "B_values"),
+        ("exposure", ["--field", "nan"], "field intensity B"),
+        ("exposure", ["--exposure-epsilon", "nan"], "epsilon"),
+    ],
+    ids=[
+        "alpha", "gamma", "sigma_x", "epsilon", "beta", "sigma_b_ratio",
+        "cell", "b_max", "field", "exposure_epsilon",
+    ],
+)
+def test_non_finite_value_exit_1(substrate_dir, tmp_path, capsys, command, extra, name):
+    out = tmp_path / "out"
+    argv = [
+        command,
+        "--flows", str(substrate_dir / "flows.csv"),
+        "--year", "2014",
+        "--out-dir", str(out),
+        *extra,
+    ]
+    if command != "exposure":
+        argv += ["--replications", "2", "--t-burn", "1", "--t-stat", "2", "--threads", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "finite" in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_phase_grid_shape_and_timing(substrate_dir, tmp_path):
@@ -335,6 +391,20 @@ def test_config_unknown_key_exit_1(substrate_dir, tmp_path, capsys):
     code = main(["--config", str(cfg), "simulate", "--synth-nodes", "10"])
     assert code == 1
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry,key",
+    [("replications: 2.5", "replications"), ("json: 1", "json"), ("no_series: 'false'", "no_series")],
+    ids=["float-for-int", "int-for-switch", "string-for-switch"],
+)
+def test_config_wrongly_typed_value_exit_1(substrate_dir, tmp_path, capsys, entry, key):
+    cfg = tmp_path / "typed.yaml"
+    cfg.write_text(f"simulate:\n  {entry}\n")
+    # the config is checked whole before any flag overrides it
+    assert main(["--config", str(cfg), *simulate_args(substrate_dir, tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config option") and repr(key) in err
 
 
 def test_config_unknown_section_exit_1(substrate_dir, tmp_path):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from hallsand import experiments
 from hallsand.dynamics import Params
 from hallsand.experiments import (
     SimulationError,
@@ -13,7 +14,6 @@ from hallsand.experiments import (
     RegimeLabel,
     ScenarioSpec,
     child_seed,
-    classify_regime,
     convergence_report,
     default_phase_grid,
     make_cell_stats,
@@ -22,6 +22,7 @@ from hallsand.experiments import (
     resolve_threads,
     run_phase_grid,
     run_scenario,
+    run_scenarios,
 )
 from hallsand.ingest import synth_substrate
 from hallsand.operators import OperatorKind
@@ -75,7 +76,6 @@ def test_preset_scenarios_position_stable_seeds():
 def test_classify_bands(mean_S, label):
     stats = make_cell_stats(1.0, 1.0, [np.array([mean_S, mean_S])])
     assert stats.regime is label
-    assert classify_regime(stats) is label
 
 
 def test_scenario_spec_validation():
@@ -85,6 +85,11 @@ def test_scenario_spec_validation():
         ScenarioSpec("x", -0.1, 1.0, 5).validate()
     with pytest.raises(ValueError):
         ScenarioSpec("x", 1.0, 0.0, 5).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="B_bar"):
+            ScenarioSpec("x", bad, 1.0, 5).validate()
+        with pytest.raises(ValueError, match="sigma_D"):
+            ScenarioSpec("x", 1.0, bad, 5).validate()
     with pytest.raises(ValueError):
         ScenarioSpec("x", 1.0, 1.0, 5, T_stat=0).validate()
     with pytest.raises(ValueError):
@@ -99,6 +104,10 @@ def test_phase_grid_spec_validation():
         PhaseGridSpec((0.5, 0.5), (0.5, 1.0), 1).validate()
     with pytest.raises(ValueError):
         PhaseGridSpec((), (0.5,), 1).validate()
+    with pytest.raises(ValueError, match="B_values"):
+        PhaseGridSpec((0.5, math.inf), (0.5, 1.0), 1).validate()
+    with pytest.raises(ValueError, match="sigmaD_values"):
+        PhaseGridSpec((0.5, 1.0), (0.5, math.nan), 1).validate()
 
 
 def test_default_phase_grid_shape():
@@ -157,6 +166,38 @@ def test_run_scenario_parallel_matches_serial(small_substrate):
     assert serial.stats == parallel.stats
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_scenarios_equals_run_scenario_per_spec(small_substrate, threads):
+    specs = preset_scenarios(17, T_burn=5, T_stat=15, replications=3, names=["latent", "avalanche"])
+    specs.append(ScenarioSpec("extra", 1.1, 1.9, master_seed=23, T_burn=2, T_stat=10, replications=2))
+    together = list(run_scenarios(specs, small_substrate, Params(), keep_series=True, threads=threads))
+    assert [r.name for r in together] == [s.name for s in specs]
+    for spec, got in zip(specs, together):
+        want = run_scenario(spec, small_substrate, Params(), keep_series=True, threads=1)
+        assert got.stats == want.stats
+        for field in ("series", "B_realised", "relax_rounds"):
+            assert len(getattr(got, field)) == spec.replications
+            for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_run_scenarios_closed_early_cancels_queued_tasks(small_substrate, monkeypatch):
+    shutdowns = []
+
+    class SpyPool(experiments.ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+    quick = ScenarioSpec("quick", 0.5, 1.0, 1, T_burn=0, T_stat=2, replications=2)
+    slow = ScenarioSpec("slow", 1.35, 2.3, 2, T_burn=20, T_stat=80, replications=50)
+    results = run_scenarios([quick, slow], small_substrate, Params(), threads=2)
+    assert next(results).name == "quick"
+    results.close()  # as when writing the first result fails
+    assert shutdowns == [True]
+
+
 def test_run_phase_grid_layout(small_substrate):
     spec = PhaseGridSpec((0.5, 1.5), (0.8, 1.6, 2.4), master_seed=7, T_burn=5, T_stat=15, replications=2)
     res = run_phase_grid(spec, small_substrate, Params())
@@ -188,20 +229,26 @@ def test_run_phase_grid_parallel_matches_serial(small_substrate):
 
 
 @pytest.mark.filterwarnings("ignore:contraction check failed")
-@pytest.mark.parametrize("grid", [False, True])
-def test_engine_failure_in_pool_names_scenario_replication_period(grid):
-    # full redistribution over the share operator cannot settle in 3 rounds
+@pytest.mark.parametrize(
+    "grid,calm_first", [(False, False), (True, False), (False, True)], ids=["False", "True", "second"]
+)
+def test_engine_failure_in_pool_names_scenario_replication_period(grid, calm_first):
+    # full redistribution over the share operator cannot settle in 3 rounds;
+    # calm_first runs a calm scenario (no field, one period) ahead of the failing one
     table = synth_substrate(60, 0.15, 7, mean_leakage=0.22)
     hot = prepare_substrate(table, kind=OperatorKind.ROW_SHARE)
     params = Params(max_relax_rounds=3, redistribution_fraction=1.0)
+    spec = ScenarioSpec("hot", 6.0, 2.0, master_seed=5, T_burn=5, T_stat=20, replications=4)
     messages = []
     for threads in (1, 2):
         with pytest.raises(SimulationError) as exc:
             if grid:
-                spec = PhaseGridSpec((6.0,), (2.0,), master_seed=5, T_burn=5, T_stat=20, replications=4)
-                run_phase_grid(spec, hot, params, threads=threads)
+                cells = PhaseGridSpec((6.0,), (2.0,), master_seed=5, T_burn=5, T_stat=20, replications=4)
+                run_phase_grid(cells, hot, params, threads=threads)
+            elif calm_first:
+                calm = ScenarioSpec("calm", 0.0, 1.0, master_seed=4, T_burn=0, T_stat=1, replications=2)
+                list(run_scenarios([calm, spec], hot, params, threads=threads))
             else:
-                spec = ScenarioSpec("hot", 6.0, 2.0, master_seed=5, T_burn=5, T_stat=20, replications=4)
                 run_scenario(spec, hot, params, threads=threads)
         messages.append(str(exc.value))
     serial, parallel = messages

@@ -671,11 +671,17 @@ def _apply_config(parser: argparse.ArgumentParser, config_path: str, command: st
             if value is not None and not isinstance(value, bool):
                 raise ConfigError(f"config option {key!r}: bad value {value!r}, expected true or false")
         elif value is not None:
-            # the flag's own type parses the value's text, as it would on the command line
+            # the flag's own type parses each value's text, as on the command line;
+            # a repeatable flag such as --cell takes a list, or one value as a list of one
+            repeatable = isinstance(action, argparse._AppendAction)
+            if isinstance(value, list) and not repeatable:
+                raise ConfigError(f"config option {key!r}: bad value {value!r}, expected one value")
+            items = value if isinstance(value, list) else [value]
             try:
-                value = (action.type or str)(str(value))
+                items = [(action.type or str)(str(item)) for item in items]
             except (TypeError, ValueError):
                 raise ConfigError(f"config option {key!r}: bad value {value!r}") from None
+            value = items if repeatable else items[0]
         defaults[key] = value
     sub.set_defaults(**defaults)
 

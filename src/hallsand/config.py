@@ -19,7 +19,8 @@ def load_config(path: str | Path) -> dict[str, dict]:
 
     The file maps section names (command names, plus an optional "common"
     section applied to every command) to flat mappings of option values.
-    Values must be scalars; nesting beyond one section level is rejected.
+    Values must be scalars, or lists of scalars for repeatable flags;
+    nesting beyond that is rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -44,9 +45,11 @@ def load_config(path: str | Path) -> dict[str, dict]:
         for key, value in body.items():
             if not isinstance(key, str):
                 raise ConfigError(f"{path}: option names must be strings, got {key!r}")
-            if value is not None and not isinstance(value, _SCALAR):
+            items = value if isinstance(value, list) else [value]
+            if not all(item is None or isinstance(item, _SCALAR) for item in items):
                 raise ConfigError(
-                    f"{path}: option {section}.{key} must be a scalar, got {type(value).__name__}"
+                    f"{path}: option {section}.{key} must be a scalar or a list of scalars,"
+                    f" got {type(value).__name__}"
                 )
         config[section] = dict(body)
     return config

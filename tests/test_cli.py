@@ -395,8 +395,13 @@ def test_config_unknown_key_exit_1(substrate_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "entry,key",
-    [("replications: 2.5", "replications"), ("json: 1", "json"), ("no_series: 'false'", "no_series")],
-    ids=["float-for-int", "int-for-switch", "string-for-switch"],
+    [
+        ("replications: 2.5", "replications"),
+        ("json: 1", "json"),
+        ("no_series: 'false'", "no_series"),
+        ("presets: [stable, latent]", "presets"),
+    ],
+    ids=["float-for-int", "int-for-switch", "string-for-switch", "list-for-single"],
 )
 def test_config_wrongly_typed_value_exit_1(substrate_dir, tmp_path, capsys, entry, key):
     cfg = tmp_path / "typed.yaml"
@@ -405,6 +410,21 @@ def test_config_wrongly_typed_value_exit_1(substrate_dir, tmp_path, capsys, entr
     assert main(["--config", str(cfg), *simulate_args(substrate_dir, tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config option") and repr(key) in err
+
+
+@pytest.mark.parametrize("cell", ['["mine:0.9:1.7"]', '"mine:0.9:1.7"'], ids=["list", "one-string"])
+def test_config_cell_runs(substrate_dir, tmp_path, cell):
+    cfg = tmp_path / "cells.yaml"
+    cfg.write_text(f"simulate:\n  cell: {cell}\n  presets: none\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), *simulate_args(substrate_dir, out)]) == 0
+    assert [r["scenario"] for r in read_rows(out / "scenarios.csv")] == ["mine"]
+    assert len(read_rows(out / "avalanches_mine.csv")) == 4 * 20
+
+    # a --cell on the command line is added to the config's cells
+    out = tmp_path / "both"
+    assert main(["--config", str(cfg), *simulate_args(substrate_dir, out, ["--cell", "yours:0.5:1.0"])]) == 0
+    assert [r["scenario"] for r in read_rows(out / "scenarios.csv")] == ["mine", "yours"]
 
 
 def test_config_unknown_section_exit_1(substrate_dir, tmp_path):

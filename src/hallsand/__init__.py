@@ -18,6 +18,7 @@ from .dynamics import (
     init_state,
     relax,
     run,
+    run_batch,
     step,
 )
 from .experiments import (

@@ -81,12 +81,13 @@ class FieldModel:
     sigma_B: float | None = None
 
     def __post_init__(self):
-        if self.B_bar < 0:
-            raise ValueError(f"B_bar must be non-negative, got {self.B_bar}")
+        # each comparison is False for nan, and the upper bound rejects inf
+        if not 0.0 <= self.B_bar < math.inf:
+            raise ValueError(f"B_bar must be finite and non-negative, got {self.B_bar}")
         if self.sigma_B is None:
             object.__setattr__(self, "sigma_B", 0.10 * self.B_bar)
-        if self.sigma_B < 0:
-            raise ValueError(f"sigma_B must be non-negative, got {self.sigma_B}")
+        if not 0.0 <= self.sigma_B < math.inf:
+            raise ValueError(f"sigma_B must be finite and non-negative, got {self.sigma_B}")
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,12 @@ class ContractionCheck:
 class RelaxationBudgetError(RuntimeError):
     """A within-period cascade failed to settle inside the round budget."""
 
-    def __init__(self, rounds: int, still_over: int):
+    def __init__(self, rounds: int, still_over: int, column: int = 0, period: int = 0):
         self.rounds = rounds
         self.still_over = still_over
+        # the column of the batch and the period in which it happened (see run_batch)
+        self.column = column
+        self.period = period
         super().__init__(
             f"relaxation exceeded {rounds} rounds with {still_over} node(s) still over threshold"
         )
@@ -147,6 +151,31 @@ def contraction_check(params: Params, rho_leak: float) -> ContractionCheck:
     return ContractionCheck(passed=params.beta < bound, bound=bound, margin=bound - params.beta)
 
 
+def _warn_contraction(params: Params, rho_leak: float, stacklevel: int) -> None:
+    check = contraction_check(params, rho_leak)
+    if not check.passed:
+        warnings.warn(
+            f"contraction check failed: beta={params.beta} >= bound={check.bound:.4g}; "
+            "stress feedback may not be stable",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
+def _validate_run(
+    operator: PropagationOperator, exposure: ExposureProfile, params: Params, sigma_D
+) -> int:
+    """Check the inputs of a run (one sigma_D or several) and resolve its round budget."""
+    for value in np.atleast_1d(sigma_D):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"sigma_D must be finite and positive, got {value}")
+    n = operator.n
+    if exposure.n != n:
+        raise ValueError(f"operator has {n} nodes but exposure has {exposure.n}")
+    params.validate(n)
+    return params.max_relax_rounds if params.max_relax_rounds is not None else 10 * n
+
+
 def init_state(
     operator: PropagationOperator,
     exposure: ExposureProfile,
@@ -158,21 +187,9 @@ def init_state(
 
     Warns (does not block) when the contraction check fails for the operator.
     """
-    if sigma_D <= 0:
-        raise ValueError(f"sigma_D must be positive, got {sigma_D}")
+    max_rounds = _validate_run(operator, exposure, params, sigma_D)
+    _warn_contraction(params, operator.spectral_radius, stacklevel=2)
     n = operator.n
-    if exposure.n != n:
-        raise ValueError(f"operator has {n} nodes but exposure has {exposure.n}")
-    params.validate(n)
-    check = contraction_check(params, operator.spectral_radius)
-    if not check.passed:
-        warnings.warn(
-            f"contraction check failed: beta={params.beta} >= bound={check.bound:.4g}; "
-            "stress feedback may not be stable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    max_rounds = params.max_relax_rounds if params.max_relax_rounds is not None else 10 * n
     return EngineState(
         s=np.zeros(n),
         period=0,
@@ -192,44 +209,123 @@ def draw_shocks(state: EngineState) -> np.ndarray:
     return np.abs(state.rng.normal(0.0, state.params.sigma_x, state.s.shape[0]))
 
 
+def _hall_denominator(exposure: ExposureProfile, sigma_D, epsilon: float) -> np.ndarray:
+    """(D / sigma_D) * C + epsilon as an n x k block, one column per value of sigma_D."""
+    return (exposure.D[:, None] / sigma_D) * exposure.C[:, None] + epsilon
+
+
 def effective_hall(state: EngineState, B_t: float) -> np.ndarray:
     """Stress loading under redundancy dispersion: B_t * I / ((D/sigma_D) * C + eps).
 
     With sigma_D = 1 this coincides with the static exposure loading.
     """
-    e = state.exposure
-    denom = (e.D / state.sigma_D) * e.C + state.params.epsilon
-    return B_t * e.I / denom
+    denom = _hall_denominator(state.exposure, state.sigma_D, state.params.epsilon)
+    return B_t * state.exposure.I / denom[:, 0]
+
+
+def _update(
+    S: np.ndarray,
+    rngs: list[np.random.Generator],
+    B_bar,
+    sigma_B,
+    At: sparse.csr_matrix,
+    I: np.ndarray,
+    denom: np.ndarray,
+    p: Params,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stress update of one period, for every column of the n x k block S.
+
+    Column c has field level B_bar[c], field volatility sigma_B[c] (scalars
+    serve every column) and loading denominators denom[:, c]. It draws from
+    rngs[c]: one field innovation, then n shocks, as one run of n + 1
+    standard normals. normal(0, sd) is 0 + sd * z, so these are the values of
+    normal(0, sigma_B) followed by normal(0, sigma_x, n). Returns the new
+    stress block and each column's realised field.
+    """
+    n, k = S.shape
+    Z = np.empty((k, n + 1))
+    for z, rng in zip(Z, rngs):
+        rng.standard_normal(out=z)
+    B = B_bar + (0.0 + sigma_B * Z[:, 0])
+    B_t = np.where(B > 0.0, B, 0.0)  # max(0.0, B), as Python's max picks it
+    H = I[:, None] * B_t / denom
+    x = np.abs(p.sigma_x * Z[:, 1:]).T
+    S_new = (1.0 - p.delta) * S + p.alpha * x + p.beta * (At @ S) + p.gamma * H
+    np.maximum(S_new, 0.0, out=S_new)
+    return S_new, B_t
+
+
+def _relax_block(
+    S: np.ndarray,
+    At: sparse.csr_matrix,
+    theta: np.ndarray,
+    p: Params,
+    max_rounds: int,
+    toppled: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Cascade settlement of every column of the n x k block S, in place.
+
+    Rounds of simultaneous toppling: each over-threshold node resets to
+    theta_reset and pushes redistribution_fraction of its excess to its
+    out-neighbors through the propagation operator; the rest dissipates. A
+    column that has settled stays settled, so each round makes one product
+    with the columns still over threshold. Returns per-column toppling events
+    and rounds, and, when the round budget runs out, the columns still
+    unsettled with their counts of nodes over threshold (else None). Marks
+    each toppled node in the boolean block toppled, when given.
+    """
+    k = S.shape[1]
+    events = np.zeros(k, dtype=np.int64)
+    rounds = np.zeros(k, dtype=np.int64)
+    theta = theta[:, None]
+    active = np.arange(k)  # the columns of S that block holds
+    block = S
+    n_round = 0
+    while True:
+        over = block >= theta
+        if not over.any():
+            failed = None
+            break
+        n_over = np.add.reduce(over, axis=0)
+        busy = n_over > 0
+        if not busy.all():
+            if block is not S:
+                S[:, active] = block
+            rounds[active[~busy]] = n_round
+            active, over, n_over = active[busy], over[:, busy], n_over[busy]
+            block = S[:, active]
+        if n_round >= max_rounds:
+            failed = (active, n_over)
+            break
+        excess = np.where(over, block - p.theta_reset, 0.0)
+        block[over] = p.theta_reset
+        block += At @ (p.redistribution_fraction * excess)
+        events[active] += n_over
+        if toppled is not None:
+            toppled[:, active] |= over
+        n_round += 1
+    if block is not S:
+        S[:, active] = block
+    if failed is None:
+        rounds[active] = n_round
+    return events, rounds, failed
 
 
 def relax(state: EngineState) -> tuple[int, set[int], int]:
     """Cascade settlement: simultaneous toppling rounds until all below threshold.
 
-    Each over-threshold node resets to theta_reset and pushes
-    redistribution_fraction of its excess to its out-neighbors through the
-    propagation operator; the rest dissipates. Returns (toppling events,
-    toppled node set, rounds). Raises RelaxationBudgetError when the round
-    budget is exhausted with nodes still over threshold.
+    The one-column case of the block rule. Returns (toppling events, toppled
+    node set, rounds). Raises RelaxationBudgetError when the round budget is
+    exhausted with nodes still over threshold.
     """
-    p = state.params
-    s = state.s
-    events = 0
-    toppled: set[int] = set()
-    rounds = 0
-    while True:
-        over = s >= state.theta
-        n_over = int(np.count_nonzero(over))
-        if n_over == 0:
-            return events, toppled, rounds
-        if rounds >= state.max_rounds:
-            raise RelaxationBudgetError(rounds, n_over)
-        excess = np.where(over, s - p.theta_reset, 0.0)
-        s[over] = p.theta_reset
-        send = p.redistribution_fraction * excess
-        s += state.propagation_t @ send
-        events += n_over
-        toppled.update(np.flatnonzero(over).tolist())
-        rounds += 1
+    S = state.s[:, None]
+    toppled = np.zeros(S.shape, dtype=bool)
+    events, rounds, failed = _relax_block(
+        S, state.propagation_t, state.theta, state.params, state.max_rounds, toppled
+    )
+    if failed is not None:
+        raise RelaxationBudgetError(state.max_rounds, int(failed[1][0]))
+    return int(events[0]), set(np.flatnonzero(toppled).tolist()), int(rounds[0])
 
 
 def step(state: EngineState, fieldmodel: FieldModel) -> AvalancheRecord:
@@ -239,23 +335,26 @@ def step(state: EngineState, fieldmodel: FieldModel) -> AvalancheRecord:
     draws), which makes runs bit-reproducible for a given seed.
     """
     p = state.params
-    xi = state.rng.normal(0.0, fieldmodel.sigma_B)
-    B_t = max(0.0, fieldmodel.B_bar + xi)
-    H = effective_hall(state, B_t)
-    x = draw_shocks(state)
-    prop = state.propagation_t @ state.s
-    s_new = (1.0 - p.delta) * state.s + p.alpha * x + p.beta * prop + p.gamma * H
-    np.maximum(s_new, 0.0, out=s_new)
-    state.s = s_new
+    denom = _hall_denominator(state.exposure, state.sigma_D, p.epsilon)
+    S, B_t = _update(
+        state.s[:, None],
+        [state.rng],
+        fieldmodel.B_bar,
+        fieldmodel.sigma_B,
+        state.propagation_t,
+        state.exposure.I,
+        denom,
+        p,
+    )
+    state.s = S[:, 0]
     period = state.period
     events, toppled, rounds = relax(state)
     state.period = period + 1
-    S = len(toppled) if p.count_unique else events
     return AvalancheRecord(
         period=period,
-        S=S,
+        S=len(toppled) if p.count_unique else events,
         relax_rounds=rounds,
-        B_realised=B_t,
+        B_realised=float(B_t[0]),
     )
 
 
@@ -264,6 +363,70 @@ def run(state: EngineState, fieldmodel: FieldModel, periods: int) -> list[Avalan
     if periods < 0:
         raise ValueError(f"periods must be non-negative, got {periods}")
     return [step(state, fieldmodel) for _ in range(periods)]
+
+
+def run_batch(
+    operator: PropagationOperator,
+    exposure: ExposureProfile,
+    params: Params,
+    columns: list[tuple[FieldModel, float, int]],
+    periods: int,
+    keep_from: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one replication per (fieldmodel, sigma_D, seed) column, as one n x k stress block.
+
+    Column c is, bit for bit, init_state(..., sigma_D, seed) followed by
+    run(state, fieldmodel, periods): it draws from its own generator in the
+    same order and goes through the same update and relaxation rules, while
+    each period and each relaxation round makes one sparse product for all
+    the columns. Returns the cascade sizes, realised fields and relaxation
+    rounds of periods keep_from onward, one row per column.
+
+    When columns exhaust the round budget, raises the RelaxationBudgetError
+    of the lowest-indexed one, as running them one by one in column order
+    would; its column and period say which and when. Does not run the
+    contraction check (init_state warns on it).
+    """
+    sigma_D = np.array([sigma_D for _, sigma_D, _ in columns], dtype=float)
+    max_rounds = _validate_run(operator, exposure, params, sigma_D)
+    if not 0 <= keep_from <= periods:
+        raise ValueError(f"need 0 <= keep_from <= periods, got {keep_from} and {periods}")
+    p = params
+    n, k = operator.n, len(columns)
+    At = operator.propagation_t
+    theta = p.thresholds(n)
+    B_bar = np.array([fieldmodel.B_bar for fieldmodel, _, _ in columns], dtype=float)
+    sigma_B = np.array([fieldmodel.sigma_B for fieldmodel, _, _ in columns], dtype=float)
+    denom = _hall_denominator(exposure, sigma_D, p.epsilon)
+    rngs = [np.random.default_rng(seed) for _, _, seed in columns]
+    sizes = np.zeros((k, periods - keep_from), dtype=np.int64)
+    fields = np.zeros((k, periods - keep_from))
+    rounds = np.zeros((k, periods - keep_from), dtype=np.int64)
+    S = np.zeros((n, k))
+    live = np.arange(k)  # the column each column of S runs
+    failure = None
+    for t in range(periods):
+        S, B_t = _update(S, rngs, B_bar, sigma_B, At, exposure.I, denom, p)
+        toppled = np.zeros(S.shape, dtype=bool) if p.count_unique else None
+        events, n_rounds, failed = _relax_block(S, At, theta, p, max_rounds, toppled)
+        if failure is None and t >= keep_from:
+            sizes[:, t - keep_from] = events if toppled is None else np.add.reduce(toppled, axis=0)
+            fields[:, t - keep_from] = B_t
+            rounds[:, t - keep_from] = n_rounds
+        if failed is not None:
+            # the run now ends in an error, raised for the lowest failing column;
+            # only the columns below this failure can still fail lower
+            unsettled, n_over = failed
+            failure = RelaxationBudgetError(max_rounds, int(n_over[0]), int(live[unsettled[0]]), t)
+            keep = live < failure.column
+            if not keep.any():
+                raise failure
+            S, denom, live = S[:, keep], denom[:, keep], live[keep]
+            B_bar, sigma_B = B_bar[keep], sigma_B[keep]
+            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+    if failure is not None:
+        raise failure
+    return sizes, fields, rounds
 
 
 def hall_adjusted_threshold(theta, gamma: float, H):

@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import FieldModel, Params, RelaxationBudgetError, init_state, run
+from .dynamics import FieldModel, Params, RelaxationBudgetError, _warn_contraction, run_batch
 from .exposure import ExposureProfile, compute_exposure
 from .ingest import IOTable
 from .operators import OperatorKind, PropagationOperator, build_operator
@@ -243,33 +243,90 @@ def make_cell_stats(
     )
 
 
-def _run_replication(
-    substrate: Substrate,
-    params: Params,
-    sigma_b_ratio: float,
-    spec: ScenarioSpec,
-    rep: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    seed = child_seed(spec.master_seed, rep)
-    state = init_state(
-        substrate.operator, substrate.exposure, params, sigma_D=spec.sigma_D, seed=seed
-    )
-    fieldmodel = FieldModel(spec.B_bar, sigma_b_ratio * spec.B_bar)
+# A block is a contiguous range of one spec's replications: (spec, lo, hi).
+Block = tuple[ScenarioSpec, int, int]
+
+# Blocks share a batch with their neighbours up to this many columns.
+_PACK_COLUMNS = 32
+# The widest batch, in stress values (columns x nodes): 8 MB per n x k array.
+_MAX_BATCH_VALUES = 1 << 20
+
+
+def _plan(specs: list[ScenarioSpec], n_workers: int, n: int) -> tuple[list[list[Block]], list[int]]:
+    """Group the specs' replications into tasks, each run as one batch.
+
+    Each spec is one block, or several contiguous blocks when there are fewer
+    specs than workers or it is wider than the widest batch. Consecutive
+    blocks with the same protocol share a task up to _PACK_COLUMNS columns,
+    and to no more than an even share of the columns per worker, since a
+    batch of a few columns is little faster than its columns run apart.
+    Returns the tasks, in spec order, and the number of blocks of each spec.
+    """
+    widest = max(1, _MAX_BATCH_VALUES // n)
+    parts = -(-n_workers // len(specs))
+    blocks: list[Block] = []
+    counts = []
+    for spec in specs:
+        k = max(parts, -(-spec.replications // widest))
+        bounds = sorted({spec.replications * i // k for i in range(k + 1)})
+        blocks += [(spec, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        counts.append(len(bounds) - 1)
+    total = sum(hi - lo for _, lo, hi in blocks)
+    pack = min(_PACK_COLUMNS, widest, -(-total // n_workers))  # every worker gets a task
+    tasks: list[list[Block]] = []
+    width = 0
+    for block in blocks:
+        spec, lo, hi = block
+        last = tasks[-1][-1][0] if tasks else None
+        same = last is not None and (last.T_burn, last.T_stat) == (spec.T_burn, spec.T_stat)
+        if same and width + hi - lo <= pack:
+            tasks[-1].append(block)
+            width += hi - lo
+        else:
+            tasks.append([block])
+            width = hi - lo
+    return tasks, counts
+
+
+def _run_task(
+    substrate: Substrate, params: Params, sigma_b_ratio: float, task: list[Block]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run a task's blocks as one batch; per block, post-burn S, B_t and rounds, one row each."""
+    owners = [(spec, rep) for spec, lo, hi in task for rep in range(lo, hi)]
+    columns = [
+        (
+            FieldModel(spec.B_bar, sigma_b_ratio * spec.B_bar),
+            spec.sigma_D,
+            child_seed(spec.master_seed, rep),
+        )
+        for spec, rep in owners
+    ]
+    protocol = task[0][0]  # every block of a task has the same T_burn and T_stat
     try:
-        records = run(state, fieldmodel, spec.T_burn + spec.T_stat)
+        S, B, rounds = run_batch(
+            substrate.operator,
+            substrate.exposure,
+            params,
+            columns,
+            protocol.T_burn + protocol.T_stat,
+            keep_from=protocol.T_burn,
+        )
     except RelaxationBudgetError as err:
+        spec, rep = owners[err.column]
         raise SimulationError(
-            f"scenario {spec.name!r} replication {rep} period {state.period}: {err}"
+            f"scenario {spec.name!r} replication {rep} period {err.period}: {err}"
         ) from err
-    kept = records[spec.T_burn:]
-    S = np.array([r.S for r in kept], dtype=np.int64)
-    B = np.array([r.B_realised for r in kept])
-    rounds = np.array([r.relax_rounds for r in kept], dtype=np.int64)
-    return S, B, rounds
+    out = []
+    start = 0
+    for _, lo, hi in task:
+        rows = slice(start, start + hi - lo)
+        out.append((S[rows], B[rows], rounds[rows]))
+        start += hi - lo
+    return out
 
 
 # (substrate, params, sigma_b_ratio), set once in each pool worker by _init_worker,
-# so that a task carries only its spec and replication index.
+# so that a task carries only its blocks.
 _worker_context: tuple = ()
 
 
@@ -278,8 +335,8 @@ def _init_worker(*context) -> None:
     _worker_context = context
 
 
-def _worker_replication(spec: ScenarioSpec, rep: int):
-    return _run_replication(*_worker_context, spec, rep)
+def _worker_task(task: list[Block]):
+    return _run_task(*_worker_context, task)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -313,33 +370,41 @@ def run_scenarios(
     Replication r runs on its own stream seeded child_seed(master_seed, r),
     so results are independent of execution order; the fold over
     replications is by index, making serial and parallel runs identical.
-    With more than one worker, one process pool runs all (spec, replication)
-    tasks and receives the substrate once per worker through its initializer.
-    Each spec's result is yielded as soon as its replications are in, so a
-    caller can write or reduce it before the next spec's series are held.
+    Each task runs its replications together as one batch (see run_batch):
+    a spec, a block of a spec's replications when there are fewer specs than
+    workers, or a run of narrow specs with the same protocol (see _plan).
+    With more than one worker, one process pool runs the tasks and receives
+    the substrate once per worker through its initializer. Each spec's
+    result is yielded as soon as its task is done, so a caller can write or
+    reduce it before later specs' series are held; a failing task raises
+    before any of its specs is yielded. The contraction check runs once per
+    call, here, not in the workers.
     """
     for spec in specs:
         spec.validate()
     params.validate(substrate.operator.n)
     if not 0.0 <= sigma_b_ratio < math.inf:
         raise ValueError(f"sigma_b_ratio must be finite and non-negative, got {sigma_b_ratio}")
-    tasks = [(spec, rep) for spec in specs for rep in range(spec.replications)]
-    n_workers = min(resolve_threads(threads), len(tasks))
+    if not specs:
+        return
+    n_workers = resolve_threads(threads)
+    tasks, counts = _plan(specs, n_workers, substrate.operator.n)
+    n_workers = min(n_workers, len(tasks))
     context = (substrate, params, sigma_b_ratio)
+    _warn_contraction(params, substrate.operator.spectral_radius, stacklevel=2)
     with ExitStack() as stack:
         if n_workers > 1:
             substrate.operator.propagation_t  # build A^T once here; forked workers inherit it
             pool = ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context)
             # a caller that stops early (a failed write) does not wait for the queued tasks
             stack.callback(pool.shutdown, cancel_futures=True)
-            # The parent holds one future (about 1 KB) per chunk from the start: at most
-            # 256 per worker, each chunk a small slice of that worker's share.
-            chunksize = -(-len(tasks) // (256 * n_workers))
-            results = pool.map(_worker_replication, *zip(*tasks), chunksize=chunksize)
+            results = pool.map(_worker_task, tasks)
         else:
-            results = (_run_replication(*context, spec, rep) for spec, rep in tasks)
-        for spec in specs:
-            S, B, rounds = zip(*islice(results, spec.replications))
+            results = (_run_task(*context, task) for task in tasks)
+        blocks = (block for task_result in results for block in task_result)
+        for spec, count in zip(specs, counts):
+            done = list(islice(blocks, count))
+            S, B, rounds = (tuple(row for block in done for row in block[k]) for k in range(3))
             stats = make_cell_stats(spec.B_bar, spec.sigma_D, S)
             if keep_series:
                 yield ScenarioResult(spec.name, stats, S, B_realised=B, relax_rounds=rounds)

@@ -7,6 +7,15 @@ from scipy import sparse
 
 from hallsand.ingest import IOTable, NodeId
 
+try:
+    from hypothesis import settings
+except ImportError:  # the generated-input tests skip themselves
+    pass
+else:
+    # the same examples on every run, and no example database left behind
+    settings.register_profile("hallsand", derandomize=True, database=None, deadline=None)
+    settings.load_profile("hallsand")
+
 
 def table_from_dense(dense, year=2014, row_use=None):
     """Wrap a dense flow matrix as an IOTable for direct unit testing.

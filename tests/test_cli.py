@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hallsand
 from hallsand import experiments
 from hallsand.cli import main
 
@@ -157,6 +162,26 @@ def test_simulate_runs_all_scenarios_in_one_pool(substrate_dir, tmp_path, monkey
     assert main(args) == 0
     assert len(read_rows(tmp_path / "pooled" / "scenarios.csv")) == 4
     assert len(built) == 1
+
+
+def test_simulate_warns_once_per_run_on_failed_contraction(substrate_dir, tmp_path):
+    # the row-share operator has radius 1, so beta = 0.4 is over the bound delta / 1;
+    # a fresh interpreter shows each warning as the command line would
+    args = simulate_args(substrate_dir, tmp_path / "share", extra=["--operator", "share"])
+    args[args.index("--threads") + 1] = "2"
+    env = {**os.environ, "PYTHONPATH": str(Path(hallsand.__file__).parent.parent)}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from hallsand.cli import main; sys.exit(main(sys.argv[1:]))", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_rows(tmp_path / "share" / "scenarios.csv")) == 4
+    warned = [line for line in proc.stderr.splitlines() if "contraction check failed" in line]
+    assert len(warned) == 1, proc.stderr
 
 
 def test_simulate_dead_substrate_all_zero(substrate_dir, tmp_path):

@@ -74,6 +74,22 @@ def test_fieldmodel_default_volatility():
     assert FieldModel(B_bar=1.0, sigma_B=0.3).sigma_B == 0.3
 
 
+@pytest.mark.parametrize(
+    "B_bar,sigma_B,name",
+    [
+        (float("nan"), None, "B_bar"),
+        (float("inf"), None, "B_bar"),
+        (-0.5, None, "B_bar"),
+        (1.0, float("nan"), "sigma_B"),
+        (1.0, float("inf"), "sigma_B"),
+        (1.0, -0.1, "sigma_B"),
+    ],
+)
+def test_fieldmodel_rejects_non_finite_or_negative(B_bar, sigma_B, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+        FieldModel(B_bar, sigma_B)
+
+
 def test_contraction_check_cases():
     p = Params()
     ok = contraction_check(p, 0.334)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hallsand import experiments
-from hallsand.dynamics import Params
+from hallsand.dynamics import FieldModel, Params, RelaxationBudgetError, init_state, run
 from hallsand.experiments import (
+    DEFAULT_SIGMA_B_RATIO,
     SimulationError,
     PRESETS,
     CellStats,
@@ -256,6 +257,30 @@ def test_engine_failure_in_pool_names_scenario_replication_period(grid, calm_fir
     assert parallel.startswith(f"scenario {name!r} replication 0 period ")
     assert "relaxation exceeded 3 rounds" in parallel
     assert parallel == serial
+
+
+@pytest.mark.filterwarnings("ignore:contraction check failed")
+def test_budget_error_names_lowest_failing_replication_not_earliest_period():
+    # replication 1 exhausts the round budget at an earlier period than replication 0;
+    # run one by one in index order, replication 0 fails first, so its error is raised
+    hot = prepare_substrate(synth_substrate(30, 0.2, 7, mean_leakage=0.22), kind=OperatorKind.ROW_SHARE)
+    params = Params(max_relax_rounds=6, redistribution_fraction=0.7)
+    spec = ScenarioSpec("late", 0.2, 1.5, master_seed=16, T_burn=0, T_stat=30, replications=2)
+    fieldmodel = FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar)
+    periods, errors = [], []
+    for rep in range(spec.replications):
+        seed = child_seed(spec.master_seed, rep)
+        state = init_state(hot.operator, hot.exposure, params, sigma_D=spec.sigma_D, seed=seed)
+        with pytest.raises(RelaxationBudgetError) as exc:
+            run(state, fieldmodel, spec.T_burn + spec.T_stat)
+        periods.append(state.period)
+        errors.append(exc.value)
+    assert periods[1] < periods[0]
+    want = f"scenario 'late' replication 0 period {periods[0]}: {errors[0]}"
+    for threads in (1, 2):
+        with pytest.raises(SimulationError) as exc:
+            run_scenario(spec, hot, params, threads=threads)
+        assert str(exc.value) == want
 
 
 def test_resolve_threads_precedence(monkeypatch):

@@ -13,17 +13,22 @@ import csv
 import json
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, load_config, section_for
 from .dynamics import Params
-from .exposure import compute_exposure, rank_exposure
+from .exposure import DEFAULT_EPSILON, DEFAULT_FIELD, DEFAULT_FLOOR, compute_exposure, rank_exposure
 from .experiments import (
+    DEFAULT_B_AXIS,
+    DEFAULT_SIGMA_B_RATIO,
+    DEFAULT_SIGMA_D_AXIS,
     PRESETS,
     PhaseGridSpec,
     ScenarioSpec,
+    Substrate,
     child_seed,
     convergence_report,
     preset_scenarios,
@@ -40,7 +45,7 @@ from .ingest import (
     write_io_table,
 )
 from .operators import OperatorKind, build_operator, leakage_profile
-from .tail import TailError, _fit_at_xmin, ccdf, select_xmin
+from .tail import DEFAULT_MIN_TAIL, TailError, _fit_at_xmin, ccdf, select_xmin
 
 _CELL_RE = re.compile(r"^([A-Za-z0-9_-]+):([0-9.eE+-]+):([0-9.eE+-]+)$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -70,10 +75,7 @@ def _emit(out_dir: Path, name: str, header: tuple[str, ...], rows, as_json: bool
     path = out_dir / name
     _write_csv(path, header, rows)
     if as_json:
-        payload = [
-            {k: (v.value if hasattr(v, "value") else v) for k, v in zip(header, row)}
-            for row in rows
-        ]
+        payload = [dict(zip(header, row)) for row in rows]
         jpath = path.with_suffix(".json")
         with open(jpath, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -101,10 +103,11 @@ def _add_substrate_args(p: argparse.ArgumentParser) -> None:
         default=DEFAULT_MEAN_LEAKAGE,
         help="mean leak share of the synthetic substrate (calibrated default)",
     )
-    g.add_argument("--synth-year", type=int, default=2014, help="year stamp for the synthetic substrate")
 
 
 def _load_table(args):
+    if args.flows and args.synth_nodes is not None:
+        raise TableError("--flows and --synth-nodes are exclusive: pass one of them")
     if args.flows:
         if args.year is None:
             raise TableError("--year is required with --flows")
@@ -114,54 +117,72 @@ def _load_table(args):
             args.synth_nodes,
             args.synth_density,
             args.synth_seed,
-            year=args.synth_year,
             mean_leakage=args.synth_mean_leakage,
         )
     raise TableError("no substrate given: pass --flows with --year, or --synth-nodes")
 
 
+def _load_substrate(args) -> Substrate:
+    return prepare_substrate(
+        _load_table(args),
+        kind=OperatorKind.from_string(args.operator),
+        d_floor=args.d_floor,
+        c_floor=args.c_floor,
+    )
+
+
 def _add_param_args(p: argparse.ArgumentParser) -> None:
+    d = Params()
     g = p.add_argument_group("engine parameters (calibrated defaults)")
-    g.add_argument("--delta", type=float, default=0.20, help="per-period stress decay rate")
-    g.add_argument("--alpha", type=float, default=0.30, help="idiosyncratic shock weight")
-    g.add_argument("--beta", type=float, default=0.40, help="network propagation weight")
-    g.add_argument("--gamma", type=float, default=0.50, help="stress-loading weight")
-    g.add_argument("--theta", type=float, default=1.00, help="toppling threshold")
-    g.add_argument("--epsilon", type=float, default=1e-6, help="denominator regularizer")
-    g.add_argument("--sigma-x", type=float, default=0.20, help="shock scale (half-normal)")
+    g.add_argument("--delta", type=float, default=d.delta, help="per-period stress decay rate")
+    g.add_argument("--alpha", type=float, default=d.alpha, help="idiosyncratic shock weight")
+    g.add_argument("--beta", type=float, default=d.beta, help="network propagation weight")
+    g.add_argument("--gamma", type=float, default=d.gamma, help="stress-loading weight")
+    g.add_argument("--theta", type=float, default=d.theta, help="toppling threshold")
+    g.add_argument("--epsilon", type=float, default=d.epsilon, help="denominator regularizer")
+    g.add_argument("--sigma-x", type=float, default=d.sigma_x, help="shock scale (half-normal)")
     g.add_argument(
         "--redistribution-fraction",
         type=float,
-        default=0.5,
+        default=d.redistribution_fraction,
         help="share of toppled excess pushed to out-neighbors; the rest dissipates",
     )
-    g.add_argument("--theta-reset", type=float, default=0.0, help="post-topple stress level")
+    g.add_argument("--theta-reset", type=float, default=d.theta_reset, help="post-topple stress level")
     g.add_argument("--count-unique", action="store_true", help="count unique toppled nodes per period instead of toppling events")
-    g.add_argument("--max-relax-rounds", type=int, default=None, help="cascade round budget (default: 10n)")
+    g.add_argument("--max-relax-rounds", type=int, default=d.max_relax_rounds, help="cascade round budget (default: 10n)")
 
 
 def _params_from(args) -> Params:
-    return Params(
-        delta=args.delta,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        theta=args.theta,
-        epsilon=args.epsilon,
-        sigma_x=args.sigma_x,
-        redistribution_fraction=args.redistribution_fraction,
-        theta_reset=args.theta_reset,
-        count_unique=args.count_unique,
-        max_relax_rounds=args.max_relax_rounds,
-    )
+    return Params(**{f.name: getattr(args, f.name) for f in fields(Params)})
 
 
-def _add_exposure_args(p: argparse.ArgumentParser) -> None:
+def _add_exposure_args(p: argparse.ArgumentParser, *, field: bool = False, epsilon: bool = False) -> None:
+    # the engine reads only I, D and C of a profile, so the field and the
+    # loading's regularizer go only to the commands whose outputs they move
     g = p.add_argument_group("exposure")
-    g.add_argument("--field", type=float, default=1.0, help="field intensity B for static stress loading")
-    g.add_argument("--d-floor", type=float, default=0.05, help="redundancy floor")
-    g.add_argument("--c-floor", type=float, default=0.05, help="capacity floor")
-    g.add_argument("--exposure-epsilon", type=float, default=1e-6, help="stress-loading denominator regularizer")
+    if field:
+        g.add_argument("--field", type=float, default=DEFAULT_FIELD, help="field intensity B for static stress loading")
+    g.add_argument("--d-floor", type=float, default=DEFAULT_FLOOR, help="redundancy floor")
+    g.add_argument("--c-floor", type=float, default=DEFAULT_FLOOR, help="capacity floor")
+    if epsilon:
+        g.add_argument("--exposure-epsilon", type=float, default=DEFAULT_EPSILON, help="stress-loading denominator regularizer")
+
+
+def _add_protocol_args(p: argparse.ArgumentParser, spec: type, unit: str) -> None:
+    """The run protocol of simulate and phase-grid, with spec's defaults."""
+    d = {f.name: f.default for f in fields(spec)}
+    g = p.add_argument_group("run protocol")
+    g.add_argument("--replications", type=int, default=d["replications"], help=f"replications per {unit}")
+    g.add_argument("--t-burn", type=int, default=d["T_burn"], help="burn-in periods")
+    g.add_argument("--t-stat", type=int, default=d["T_stat"], help="post-burn periods kept")
+    g.add_argument("--master-seed", type=int, default=0, help="root of the seed tree")
+    g.add_argument("--sigma-b-ratio", type=float, default=DEFAULT_SIGMA_B_RATIO, help="field volatility as a share of B_bar")
+    g.add_argument("--threads", type=int, default=None, help="worker processes (default: HALLSAND_THREADS or CPU count)")
+
+
+def _add_output_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out-dir", default=".", help="output directory")
+    p.add_argument("--json", action="store_true", help="also write JSON mirrors")
 
 
 def _add_operator_arg(p: argparse.ArgumentParser) -> None:
@@ -180,8 +201,7 @@ def cmd_ingest(args) -> int:
         f"total {table.total_flow():.6g}, mean leakage {leak.mean_leakage:.4f}"
     )
     if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args)
         write_io_table(table, out / "flows.csv", out / "row_use.csv")
         print(f"wrote normalized copy to {out}")
     return 0
@@ -217,12 +237,9 @@ def cmd_network_panel(args) -> int:
         leak_op = build_operator(table, OperatorKind.LEAKAGE_ADJUSTED)
         max_op = build_operator(table, OperatorKind.MAX_ROW)
         leak = leakage_profile(table)
+        # H_rel does not depend on the scale of B, so the panel keeps the default field
         prof = compute_exposure(
-            table,
-            B=args.field,
-            d_floor=args.d_floor,
-            c_floor=args.c_floor,
-            epsilon=args.exposure_epsilon,
+            table, d_floor=args.d_floor, c_floor=args.c_floor, epsilon=args.exposure_epsilon
         )
         rows.append(
             (
@@ -254,20 +271,10 @@ def cmd_exposure(args) -> int:
         c_floor=args.c_floor,
         epsilon=args.exposure_epsilon,
     )
+    # the header's array columns are ExposureProfile's attribute names
+    columns = [getattr(prof, name) for name in EXPOSURE_HEADER[3:]]
     rows = [
-        (
-            nd.index,
-            nd.country,
-            nd.sector,
-            float(prof.I[nd.index]),
-            float(prof.HHI_out[nd.index]),
-            float(prof.HHI_in[nd.index]),
-            float(prof.D[nd.index]),
-            float(prof.C[nd.index]),
-            float(prof.R[nd.index]),
-            float(prof.H[nd.index]),
-            float(prof.H_rel[nd.index]),
-        )
+        (nd.index, nd.country, nd.sector, *(float(c[nd.index]) for c in columns))
         for nd in table.nodes
     ]
     out = _out_dir(args)
@@ -327,14 +334,7 @@ def _stats_row(stats) -> tuple:
 
 
 def cmd_simulate(args) -> int:
-    table = _load_table(args)
-    substrate = prepare_substrate(
-        table,
-        kind=OperatorKind.from_string(args.operator),
-        d_floor=args.d_floor,
-        c_floor=args.c_floor,
-        epsilon=args.exposure_epsilon,
-    )
+    substrate = _load_substrate(args)
     params = _params_from(args)
 
     specs: list[ScenarioSpec] = []
@@ -414,14 +414,7 @@ CONVERGENCE_HEADER = (
 
 
 def cmd_phase_grid(args) -> int:
-    table = _load_table(args)
-    substrate = prepare_substrate(
-        table,
-        kind=OperatorKind.from_string(args.operator),
-        d_floor=args.d_floor,
-        c_floor=args.c_floor,
-        epsilon=args.exposure_epsilon,
-    )
+    substrate = _load_substrate(args)
     params = _params_from(args)
     spec = PhaseGridSpec(
         B_values=tuple(float(b) for b in np.linspace(args.b_min, args.b_max, args.b_steps)),
@@ -565,69 +558,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", required=True, help="long-format flows CSV")
     p.add_argument("--row-use", help="companion gross row-use CSV")
     p.add_argument("--years", help="comma-separated years (default: all in the file)")
-    _add_exposure_args(p)
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--json", action="store_true", help="also write JSON mirrors")
+    _add_exposure_args(p, epsilon=True)
+    _add_output_args(p)
 
     p = add("exposure", cmd_exposure, "per-node stress exposure table and top-loaded nodes")
     _add_substrate_args(p)
-    _add_exposure_args(p)
+    _add_exposure_args(p, field=True, epsilon=True)
     p.add_argument("--top", type=int, default=10, help="rows in top_nodes.csv")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--json", action="store_true", help="also write JSON mirrors")
+    _add_output_args(p)
 
     p = add("simulate", cmd_simulate, "run preset or custom scenario cells")
     _add_substrate_args(p)
     _add_exposure_args(p)
     _add_param_args(p)
     _add_operator_arg(p)
-    p.add_argument(
-        "--presets",
-        default="stable,latent,critical,avalanche",
-        help="comma-separated preset names, or 'none'",
-    )
+    p.add_argument("--presets", default=",".join(PRESETS), help="comma-separated preset names, or 'none'")
     p.add_argument(
         "--cell",
         action="append",
         help="extra scenario NAME:B_BAR:SIGMA_D (repeatable)",
     )
-    p.add_argument("--replications", type=int, default=100, help="replications per scenario")
-    p.add_argument("--t-burn", type=int, default=50, help="burn-in periods")
-    p.add_argument("--t-stat", type=int, default=150, help="post-burn periods kept")
-    p.add_argument("--master-seed", type=int, default=0, help="root of the seed tree")
-    p.add_argument("--sigma-b-ratio", type=float, default=0.1, help="field volatility as a share of B_bar")
-    p.add_argument("--threads", type=int, default=None, help="worker processes (default: HALLSAND_THREADS or CPU count)")
+    _add_protocol_args(p, ScenarioSpec, "scenario")
     p.add_argument("--no-series", action="store_true", help="skip the per-period avalanche files")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--json", action="store_true", help="also write JSON mirrors")
+    _add_output_args(p)
 
     p = add("phase-grid", cmd_phase_grid, "sweep field intensity by dispersion and classify regimes")
     _add_substrate_args(p)
     _add_exposure_args(p)
     _add_param_args(p)
     _add_operator_arg(p)
-    p.add_argument("--b-min", type=float, default=0.25, help="lowest field level")
-    p.add_argument("--b-max", type=float, default=2.0, help="highest field level")
-    p.add_argument("--b-steps", type=int, default=10, help="field levels")
-    p.add_argument("--sigma-min", type=float, default=0.5, help="lowest dispersion")
-    p.add_argument("--sigma-max", type=float, default=2.5, help="highest dispersion")
-    p.add_argument("--sigma-steps", type=int, default=9, help="dispersion values")
-    p.add_argument("--replications", type=int, default=50, help="replications per cell")
-    p.add_argument("--t-burn", type=int, default=50, help="burn-in periods")
-    p.add_argument("--t-stat", type=int, default=150, help="post-burn periods kept")
-    p.add_argument("--master-seed", type=int, default=0, help="root of the seed tree")
-    p.add_argument("--sigma-b-ratio", type=float, default=0.1, help="field volatility as a share of B_bar")
-    p.add_argument("--threads", type=int, default=None, help="worker processes (default: HALLSAND_THREADS or CPU count)")
+    b_min, b_max, b_steps = DEFAULT_B_AXIS
+    sigma_min, sigma_max, sigma_steps = DEFAULT_SIGMA_D_AXIS
+    p.add_argument("--b-min", type=float, default=b_min, help="lowest field level")
+    p.add_argument("--b-max", type=float, default=b_max, help="highest field level")
+    p.add_argument("--b-steps", type=int, default=b_steps, help="field levels")
+    p.add_argument("--sigma-min", type=float, default=sigma_min, help="lowest dispersion")
+    p.add_argument("--sigma-max", type=float, default=sigma_max, help="highest dispersion")
+    p.add_argument("--sigma-steps", type=int, default=sigma_steps, help="dispersion values")
+    _add_protocol_args(p, PhaseGridSpec, "cell")
     p.add_argument("--convergence", action="store_true", help="also write convergence.csv diagnostics")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--json", action="store_true", help="also write JSON mirrors")
+    _add_output_args(p)
 
     p = add("tail-fit", cmd_tail_fit, "fit cascade-size tail exponents from avalanche series files")
     p.add_argument("series", nargs="+", help="avalanche CSV files with an S column")
     p.add_argument("--x-min", type=int, default=None, help="fixed tail cutoff (default: scan)")
-    p.add_argument("--min-tail", type=int, default=50, help="minimum tail samples for an informative fit")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--json", action="store_true", help="also write JSON mirrors")
+    p.add_argument("--min-tail", type=int, default=DEFAULT_MIN_TAIL, help="minimum tail samples for an informative fit")
+    _add_output_args(p)
 
     parser._command_map = command_map  # type: ignore[attr-defined]
     return parser

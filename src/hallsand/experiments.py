@@ -14,7 +14,7 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import FieldModel, Params, RelaxationBudgetError, _warn_contraction, run_batch
-from .exposure import ExposureProfile, compute_exposure
+from .exposure import DEFAULT_EPSILON, DEFAULT_FLOOR, ExposureProfile, compute_exposure
 from .ingest import IOTable
 from .operators import OperatorKind, PropagationOperator, build_operator
 
@@ -27,6 +27,10 @@ PRESETS: dict[str, tuple[float, float]] = {
 }
 
 DEFAULT_SIGMA_B_RATIO = 0.10
+
+# The default phase grid's axes, as np.linspace (low, high, steps).
+DEFAULT_B_AXIS = (0.25, 2.0, 10)
+DEFAULT_SIGMA_D_AXIS = (0.5, 2.5, 9)
 
 # Regime bands on mean cascade size; each boundary belongs to the band above it.
 _ABSORPTION_MAX = 0.30
@@ -182,8 +186,8 @@ def default_phase_grid(master_seed: int, replications: int = 50) -> PhaseGridSpe
     """The 90-cell sweep: 10 field levels on [0.25, 2.0] by 9 dispersion
     values on [0.5, 2.5]."""
     return PhaseGridSpec(
-        B_values=tuple(float(b) for b in np.linspace(0.25, 2.0, 10)),
-        sigmaD_values=tuple(float(s) for s in np.linspace(0.5, 2.5, 9)),
+        B_values=tuple(float(b) for b in np.linspace(*DEFAULT_B_AXIS)),
+        sigmaD_values=tuple(float(s) for s in np.linspace(*DEFAULT_SIGMA_D_AXIS)),
         master_seed=master_seed,
         replications=replications,
     )
@@ -192,9 +196,9 @@ def default_phase_grid(master_seed: int, replications: int = 50) -> PhaseGridSpe
 def prepare_substrate(
     table: IOTable,
     kind: OperatorKind = OperatorKind.LEAKAGE_ADJUSTED,
-    d_floor: float = 0.05,
-    c_floor: float = 0.05,
-    epsilon: float = 1e-6,
+    d_floor: float = DEFAULT_FLOOR,
+    c_floor: float = DEFAULT_FLOOR,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> Substrate:
     """Build the operator and exposure profile once for reuse across cells."""
     operator = build_operator(table, kind)

@@ -8,6 +8,7 @@ import numpy as np
 
 from .ingest import IOTable, TableError
 
+DEFAULT_FIELD = 1.0
 DEFAULT_FLOOR = 0.05
 DEFAULT_EPSILON = 1e-6
 
@@ -118,7 +119,7 @@ def hall_stress(B: float, profile: ExposureProfile) -> tuple[np.ndarray, np.ndar
 
 def compute_exposure(
     table: IOTable,
-    B: float = 1.0,
+    B: float = DEFAULT_FIELD,
     d_floor: float = DEFAULT_FLOOR,
     c_floor: float = DEFAULT_FLOOR,
     epsilon: float = DEFAULT_EPSILON,

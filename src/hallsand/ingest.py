@@ -271,8 +271,15 @@ def write_io_table(
     """Write a table back to flows/row-use CSVs, round-trip exact.
 
     Floats are written with repr so re-parsing reproduces the sparse
-    structure bit for bit.
+    structure bit for bit. The flows format names a node only through its
+    flows, so a node without any raises TableError before either file is
+    opened.
     """
+    has_flow = np.diff(table.Z.indptr) > 0
+    has_flow[table.Z.indices] = True
+    if not has_flow.all():
+        node = table.nodes[int(np.argmin(has_flow))]
+        raise TableError(f"node {node.label} has no flows; the flows format cannot carry it")
     flows_path = Path(flows_path)
     coo = table.Z.tocoo()
     order = np.lexsort((coo.col, coo.row))

@@ -4,14 +4,19 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hallsand
-from hallsand import experiments
-from hallsand.cli import main
+from hallsand import cli, experiments
+from hallsand.cli import build_parser, main
+from hallsand.dynamics import Params
+from hallsand.experiments import DEFAULT_SIGMA_B_RATIO, PhaseGridSpec, ScenarioSpec
+from hallsand.exposure import DEFAULT_EPSILON, DEFAULT_FLOOR
+from hallsand.tail import DEFAULT_MIN_TAIL
 
 from conftest import powerlaw_samples
 
@@ -456,3 +461,91 @@ def test_config_unknown_section_exit_1(substrate_dir, tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("nosuchcmd:\n  x: 1\n")
     assert main(["--config", str(cfg), "simulate", "--synth-nodes", "10"]) == 1
+
+
+def test_synth_node_without_flows_exit_1(tmp_path, capsys):
+    # 10 of these 30 nodes have no flows, which the flows format cannot carry
+    out = tmp_path / "sparse"
+    assert main(["synth", "--nodes", "30", "--density", "0.02", "--seed", "1", "--out-dir", str(out)]) == 1
+    assert "AAA_ALL" in capsys.readouterr().err
+    assert not (out / "flows.csv").exists()
+    assert not (out / "row_use.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("exposure", []),
+        ("simulate", ["--presets", "stable", "--replications", "1", "--threads", "1"]),
+        ("phase-grid", ["--b-steps", "1", "--sigma-steps", "1", "--replications", "1", "--threads", "1"]),
+    ],
+    ids=["exposure", "simulate", "phase-grid"],
+)
+def test_flows_with_synth_nodes_exit_1(substrate_dir, tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    argv = [
+        command,
+        "--flows", str(substrate_dir / "flows.csv"),
+        "--year", "2014",
+        "--synth-nodes", "10",
+        "--out-dir", str(out),
+        *extra,
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--flows" in err and "--synth-nodes" in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("simulate", "--field"),
+        ("simulate", "--exposure-epsilon"),
+        ("simulate", "--synth-year"),
+        ("phase-grid", "--field"),
+        ("phase-grid", "--exposure-epsilon"),
+        ("phase-grid", "--synth-year"),
+        ("exposure", "--synth-year"),
+        ("network-panel", "--field"),
+    ],
+)
+def test_flag_that_reaches_no_output_is_rejected(substrate_dir, tmp_path, capsys, command, flag):
+    argv = [command, "--flows", str(substrate_dir / "flows.csv"), "--out-dir", str(tmp_path)]
+    if command != "network-panel":
+        argv += ["--year", "2014"]
+    assert main([*argv, flag, "1999"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_parser_defaults_are_the_library_defaults():
+    commands = build_parser()._command_map
+    for command, spec in (("simulate", ScenarioSpec), ("phase-grid", PhaseGridSpec)):
+        p = commands[command]
+        for f in fields(Params):
+            assert p.get_default(f.name) == f.default, (command, f.name)
+        protocol = {f.name: f.default for f in fields(spec)}
+        assert p.get_default("replications") == protocol["replications"]
+        assert p.get_default("t_burn") == protocol["T_burn"]
+        assert p.get_default("t_stat") == protocol["T_stat"]
+        assert p.get_default("sigma_b_ratio") == DEFAULT_SIGMA_B_RATIO
+    for command in ("network-panel", "exposure", "simulate", "phase-grid"):
+        assert commands[command].get_default("d_floor") == DEFAULT_FLOOR
+        assert commands[command].get_default("c_floor") == DEFAULT_FLOOR
+    for command in ("network-panel", "exposure"):
+        assert commands[command].get_default("exposure_epsilon") == DEFAULT_EPSILON
+    assert commands["tail-fit"].get_default("min_tail") == DEFAULT_MIN_TAIL
+
+
+def test_phase_grid_default_axes_are_the_default_grid(monkeypatch):
+    class Captured(Exception):
+        pass
+
+    def capture(spec, *args, **kwargs):
+        raise Captured(spec)
+
+    monkeypatch.setattr(cli, "run_phase_grid", capture)
+    with pytest.raises(Captured) as caught:
+        main(["phase-grid", "--synth-nodes", "10", "--master-seed", "9"])
+    assert caught.value.args[0] == experiments.default_phase_grid(9)

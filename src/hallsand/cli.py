@@ -38,6 +38,7 @@ from .experiments import (
 )
 from .ingest import (
     DEFAULT_MEAN_LEAKAGE,
+    DEFAULT_SYNTH_DENSITY,
     TableError,
     list_years,
     parse_io_table,
@@ -95,30 +96,43 @@ def _add_substrate_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--year", type=int, help="year to select from the flows file")
     g.add_argument("--row-use", help="companion gross row-use CSV (default: sibling row_use.csv)")
     g.add_argument("--synth-nodes", type=int, help="generate a synthetic substrate with this many nodes")
-    g.add_argument("--synth-density", type=float, default=0.1, help="edge probability for the synthetic substrate")
-    g.add_argument("--synth-seed", type=int, default=0, help="seed for the synthetic substrate")
+    g.add_argument(
+        "--synth-density",
+        type=float,
+        help=f"edge probability of a --synth-nodes substrate, {DEFAULT_SYNTH_DENSITY} if not given",
+    )
+    g.add_argument("--synth-seed", type=int, help="seed of a --synth-nodes substrate, 0 if not given")
     g.add_argument(
         "--synth-mean-leakage",
         type=float,
-        default=DEFAULT_MEAN_LEAKAGE,
-        help="mean leak share of the synthetic substrate (calibrated default)",
+        help=f"mean leak share of a --synth-nodes substrate, {DEFAULT_MEAN_LEAKAGE} if not given",
     )
+
+
+# the substrate flags that apply to only one kind of substrate, by dest; the
+# synthetic ones default to None, so a given flag can be told from an absent one
+_FLOWS_ONLY = ("year", "row_use")
+_SYNTH_ONLY = {"synth_density": "density", "synth_seed": "seed", "synth_mean_leakage": "mean_leakage"}
+
+
+def _refuse_given(args, dests, substrate: str) -> None:
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise TableError(f"--{dest.replace('_', '-')} does not apply to a {substrate} substrate")
 
 
 def _load_table(args):
     if args.flows and args.synth_nodes is not None:
         raise TableError("--flows and --synth-nodes are exclusive: pass one of them")
     if args.flows:
+        _refuse_given(args, _SYNTH_ONLY, "--flows")
         if args.year is None:
             raise TableError("--year is required with --flows")
         return parse_io_table(args.flows, args.year, row_use_path=args.row_use)
     if args.synth_nodes:
-        return synth_substrate(
-            args.synth_nodes,
-            args.synth_density,
-            args.synth_seed,
-            mean_leakage=args.synth_mean_leakage,
-        )
+        _refuse_given(args, _FLOWS_ONLY, "--synth-nodes")
+        given = {name: getattr(args, dest) for dest, name in _SYNTH_ONLY.items()}
+        return synth_substrate(args.synth_nodes, **{k: v for k, v in given.items() if v is not None})
     raise TableError("no substrate given: pass --flows with --year, or --synth-nodes")
 
 
@@ -546,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("synth", cmd_synth, "generate a synthetic substrate and write it to CSV")
     p.add_argument("--nodes", type=int, default=200, help="node count")
-    p.add_argument("--density", type=float, default=0.1, help="edge probability")
+    p.add_argument("--density", type=float, default=DEFAULT_SYNTH_DENSITY, help="edge probability")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument(
         "--mean-leakage", type=float, default=DEFAULT_MEAN_LEAKAGE, help="mean leak share (calibrated default)"

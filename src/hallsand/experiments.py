@@ -398,7 +398,6 @@ def run_scenarios(
     _warn_contraction(params, substrate.operator.spectral_radius, stacklevel=2)
     with ExitStack() as stack:
         if n_workers > 1:
-            substrate.operator.propagation_t  # build A^T once here; forked workers inherit it
             pool = ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context)
             # a caller that stops early (a failed write) does not wait for the queued tasks
             stack.callback(pool.shutdown, cancel_futures=True)

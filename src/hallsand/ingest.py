@@ -14,6 +14,7 @@ FLOWS_COLUMNS = ("year", "src_country", "src_sector", "dst_country", "dst_sector
 ROW_USE_COLUMNS = ("year", "country", "sector", "gross_use")
 
 DEFAULT_MEAN_LEAKAGE = 0.373
+DEFAULT_SYNTH_DENSITY = 0.1
 # Concentration of the Beta draw for per-node leak shares in synth_substrate.
 _LEAKAGE_KAPPA = 60.0
 _WEIGHT_SIGMA = 2.0
@@ -218,8 +219,8 @@ def _synthetic_label(i: int) -> tuple[str, str]:
 
 def synth_substrate(
     n: int,
-    density: float,
-    seed: int,
+    density: float = DEFAULT_SYNTH_DENSITY,
+    seed: int = 0,
     year: int = 2014,
     mean_leakage: float = DEFAULT_MEAN_LEAKAGE,
 ) -> IOTable:
@@ -232,8 +233,8 @@ def synth_substrate(
 
     Args:
         n: node count, 2 <= n <= 17576.
-        density: edge probability in (0, 1].
-        seed: RNG seed; same arguments always give a bit-identical table.
+        density: edge probability in (0, 1] (default 0.1).
+        seed: RNG seed (default 0); same arguments always give a bit-identical table.
     """
     if not 2 <= n <= 26**3:
         raise ValueError(f"n must be in [2, {26**3}], got {n}")

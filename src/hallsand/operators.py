@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -62,13 +61,6 @@ class PropagationOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def propagation_t(self) -> sparse.csr_matrix:
-        """The transpose A^T in CSR with sorted indices, built on first use."""
-        At = self.matrix.T.tocsr()
-        At.sort_indices()
-        return At
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from hallsand.cli import build_parser, main
 from hallsand.dynamics import Params
 from hallsand.experiments import DEFAULT_SIGMA_B_RATIO, PhaseGridSpec, ScenarioSpec
 from hallsand.exposure import DEFAULT_EPSILON, DEFAULT_FLOOR
+from hallsand.ingest import DEFAULT_MEAN_LEAKAGE, DEFAULT_SYNTH_DENSITY
 from hallsand.tail import DEFAULT_MIN_TAIL
 
 from conftest import powerlaw_samples
@@ -495,6 +496,37 @@ def test_flows_with_synth_nodes_exit_1(substrate_dir, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "--flows" in err and "--synth-nodes" in err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "flag,value,substrate",
+    [
+        ("--year", "1999", "--synth-nodes"),
+        ("--row-use", "nope.csv", "--synth-nodes"),
+        ("--synth-density", "0.9", "--flows"),
+        ("--synth-seed", "3", "--flows"),
+        ("--synth-mean-leakage", "0.2", "--flows"),
+    ],
+)
+def test_substrate_flag_of_the_other_substrate_exit_1(substrate_dir, tmp_path, capsys, flag, value, substrate):
+    if substrate == "--flows":
+        argv = ["--flows", str(substrate_dir / "flows.csv"), "--year", "2014"]
+    else:
+        argv = ["--synth-nodes", "20"]
+    assert main(["exposure", *argv, flag, value, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} does not apply to a {substrate} substrate\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_synth_flags_left_out_take_the_library_defaults(tmp_path):
+    given = tmp_path / "given"
+    argv = ["exposure", "--synth-nodes", "20"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    library = ["--synth-density", str(DEFAULT_SYNTH_DENSITY), "--synth-seed", "0",
+               "--synth-mean-leakage", str(DEFAULT_MEAN_LEAKAGE)]
+    assert main([*argv, *library, "--out-dir", str(given)]) == 0
+    for name in ("exposure.csv", "top_nodes.csv"):
+        assert (tmp_path / name).read_bytes() == (given / name).read_bytes()
 
 
 @pytest.mark.parametrize(

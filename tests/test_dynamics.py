@@ -5,6 +5,7 @@ from hallsand.dynamics import (
     FieldModel,
     Params,
     RelaxationBudgetError,
+    _relax_block,
     activation_gap,
     contraction_check,
     draw_shocks,
@@ -15,18 +16,50 @@ from hallsand.dynamics import (
     init_state,
     relax,
     run,
+    run_batch,
     step,
 )
 from hallsand.exposure import compute_exposure
 from hallsand.ingest import synth_substrate
 from hallsand.operators import OperatorKind, build_operator
 
-from conftest import table_from_dense
+from conftest import FORCE_FULL, FORCE_SLICED, relaxation_products, table_from_dense
 from scalar_oracle import ScalarLoopEngine
 
 
 def make_pair(table, kind=OperatorKind.LEAKAGE_ADJUSTED):
     return build_operator(table, kind), compute_exposure(table)
+
+
+@pytest.mark.parametrize("count_unique", [False, True])
+@pytest.mark.parametrize("kind", [OperatorKind.LEAKAGE_ADJUSTED, OperatorKind.ROW_SHARE])
+def test_both_relaxation_products_give_the_same_bytes(kind, count_unique):
+    # a dense 300-node operator whose rounds topple few of its rows, so the
+    # product over the toppled rows skips most of A; theta_reset > 0 leaves
+    # the toppled rows' stress nonzero
+    operator, exposure = make_pair(synth_substrate(300, 0.5, 6), kind)
+    params = Params(theta_reset=0.2, redistribution_fraction=0.9, count_unique=count_unique)
+    columns = [(FieldModel(1.2), 1.0, 11), (FieldModel(1.6), 2.0, 12), (FieldModel(0.9), 0.6, 13)]
+    runs = []
+    for threshold in (FORCE_SLICED, FORCE_FULL):
+        with relaxation_products(threshold):
+            runs.append(run_batch(operator, exposure, params, columns, 12, keep_from=2))
+    sliced, full = runs
+    for got, want in zip(sliced, full, strict=True):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    sizes, _, rounds = full
+    assert sizes.max() > 0 and rounds.max() > 1  # cascades that spread over rounds
+    # the settled stress itself, from a block with about half its nodes over
+    # threshold, whose products add many terms per entry
+    S = np.random.default_rng(3).uniform(0.0, 2.0, (operator.n, 2))
+    settled = []
+    for threshold in (FORCE_SLICED, FORCE_FULL):
+        block = S.copy()
+        with relaxation_products(threshold):
+            _relax_block(block, operator.matrix, operator.matrix.T, params.thresholds(operator.n), params, 3000)
+        settled.append(block.tobytes())
+    assert settled[0] == settled[1]
 
 
 def test_params_defaults_match_calibration():

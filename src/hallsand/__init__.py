@@ -54,6 +54,7 @@ from .exposure import (
     with_field,
 )
 from .ingest import (
+    FlowPanel,
     IOTable,
     NodeId,
     TableError,

@@ -39,8 +39,8 @@ from .experiments import (
 from .ingest import (
     DEFAULT_MEAN_LEAKAGE,
     DEFAULT_SYNTH_DENSITY,
+    FlowPanel,
     TableError,
-    list_years,
     parse_io_table,
     synth_substrate,
     write_io_table,
@@ -241,12 +241,12 @@ PANEL_HEADER = ("year", "rho_share", "rho_leak", "rho_max", "mean_leakage", "mea
 def cmd_network_panel(args) -> int:
     if args.flows is None:
         raise TableError("--flows is required")
-    years = (
-        [int(y) for y in args.years.split(",")] if args.years else list_years(args.flows)
-    )
+    given = [int(y) for y in args.years.split(",")] if args.years else None
+    # one read of flows.csv and row_use.csv serves every year
+    panel = FlowPanel(args.flows, row_use_path=args.row_use)
     rows = []
-    for year in years:
-        table = parse_io_table(args.flows, year, row_use_path=args.row_use)
+    for year in panel.years() if given is None else given:
+        table = panel.table(year)
         share = build_operator(table, OperatorKind.ROW_SHARE)
         leak_op = build_operator(table, OperatorKind.LEAKAGE_ADJUSTED)
         max_op = build_operator(table, OperatorKind.MAX_ROW)

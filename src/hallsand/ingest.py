@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,13 @@ _LEAKAGE_KAPPA = 60.0
 _WEIGHT_SIGMA = 2.0
 
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+# Rows per chunk when reading or writing a CSV, and per block of
+# synth_substrate's random draws; bounds what one step holds in memory.
+_CHUNK_ROWS = 1 << 14
+_SYNTH_BLOCK_ROWS = 256
+# Columns whose cells are numbers; the others repeat from row to row.
+_VALUE_COLUMNS = ("value", "gross_use")
 
 
 class TableError(ValueError):
@@ -73,45 +82,253 @@ class IOTable:
         return float(self.Z.sum())
 
 
-def _read_rows(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
-    """Read a CSV into (line_number, row) pairs, checking the header."""
+class _Rows:
+    """The required columns of one CSV, read once: an object array of cells each.
+
+    A row is what csv.DictReader yields for it: blank lines are skipped, a
+    short row reads None in its missing cells, extra cells are dropped, and
+    of repeated header names the last one counts.
+    """
+
+    def __init__(self, path: Path, columns: dict[str, np.ndarray]):
+        self.path = path
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, column: str) -> np.ndarray:
+        return self.columns[column]
+
+    def line(self, row: int) -> int:
+        """The line number csv.DictReader reports for data row `row`.
+
+        Only error messages need it, so the file is read again then, by the
+        reader whose count the messages have always named (after blank lines
+        it names the first of them).
+        """
+        with open(self.path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            for _ in islice(reader, row + 1):
+                pass
+            return reader.line_num
+
+
+def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
+    """Read the required columns of a CSV in one pass, checking the header."""
     if not path.exists():
         raise TableError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise TableError(f"{path}: empty file, expected header {','.join(required)}")
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in required if c not in header]
         if missing:
             raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            rows.append((reader.line_num, row))
-    return rows
+        at = {name: k for k, name in enumerate(header)}
+        width = len(header)
+        cells: dict[str, list] = {c: [] for c in required}
+        # years and labels repeat from row to row: keep one str per distinct cell
+        distinct = {c: {} for c in required if c not in _VALUE_COLUMNS}
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            if set(map(len, chunk)) != {width}:
+                chunk = [row + [None] * (width - len(row)) for row in chunk if row]
+            columns = list(zip(*chunk))
+            for c, out in cells.items():
+                column = columns[at[c]] if columns else ()
+                seen = distinct.get(c)
+                out.extend(column if seen is None else map(seen.setdefault, column, column))
+    arrays = {}
+    for c in required:
+        arrays[c] = np.array(cells.pop(c), dtype=object)
+    return _Rows(path, arrays)
 
 
-def _parse_value(raw: str, path: Path, line: int, column: str) -> float:
+def _value_error(raw, path: Path, line: int, column: str) -> TableError:
+    """The error for a value cell that float() refuses, or that is non-finite or negative."""
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise TableError(f"{path} row {line}: non-numeric {column} {raw!r}") from None
+        return TableError(f"{path} row {line}: non-numeric {column} {raw!r}")
     if not math.isfinite(value):
-        raise TableError(f"{path} row {line}: non-finite {column} {raw!r}")
-    if value < 0:
-        raise TableError(f"{path} row {line}: negative {column} {value}")
-    return value
+        return TableError(f"{path} row {line}: non-finite {column} {raw!r}")
+    return TableError(f"{path} row {line}: negative {column} {value}")
+
+
+def _floats(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells as floats, and where each one fails the value checks.
+
+    A cell float() refuses reads NaN, so it fails them too; _value_error
+    tells the three failures apart for the message.
+    """
+    cells = cells.tolist()
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except (TypeError, ValueError):
+        values = np.array([_float_or_nan(c) for c in cells], dtype=np.float64)
+    return values, ~(np.isfinite(values) & (values >= 0))
+
+
+def _float_or_nan(cell) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _int_or_none(cell) -> int | None:
+    try:
+        return int(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+class _Years:
+    """A year column, converted with int() once per distinct cell."""
+
+    def __init__(self, cells: np.ndarray):
+        cells = cells.tolist()
+        distinct = list(dict.fromkeys(cells))
+        position = {cell: k for k, cell in enumerate(distinct)}
+        self._codes = np.fromiter(map(position.__getitem__, cells), np.intp, len(cells))
+        self.values = [_int_or_none(cell) for cell in distinct]
+        bad = np.flatnonzero(self._of([v is None for v in self.values]))
+        # the first row whose year int() refuses, len(cells) if none
+        self.first_bad = int(bad[0]) if bad.size else len(cells)
+
+    def _of(self, per_distinct: list[bool]) -> np.ndarray:
+        return np.array(per_distinct, dtype=bool)[self._codes]
+
+    def rows(self, year: int) -> np.ndarray:
+        """The rows of one year, ascending."""
+        return np.flatnonzero(self._of([v is not None and v == year for v in self.values]))
+
+
+def _first_failure(rows: np.ndarray, bad: np.ndarray, first_bad_year: int) -> int:
+    """The first row that fails a check: one of rows flagged in bad, or the first bad year."""
+    if bad.any():
+        return min(int(rows[np.argmax(bad)]), first_bad_year)
+    return first_bad_year
+
+
+class FlowPanel:
+    """A flows CSV and its row-use companion, each read at most once.
+
+    Every year's IOTable comes from that one read, with the checks, error
+    messages and row numbers of parsing the year on its own. The row-use
+    file is read when the first table is built. When row_use_path is None, a
+    sibling row_use.csv is used if present.
+    """
+
+    def __init__(self, path: str | Path, row_use_path: str | Path | None = None):
+        self._given = path  # list_years names the path as it was given
+        self.path = Path(path)
+        self._flows = _read_rows(self.path, FLOWS_COLUMNS)
+        self._years = _Years(self._flows["year"])
+        if row_use_path is None:
+            sibling = self.path.with_name("row_use.csv")
+            row_use_path = sibling if sibling.exists() else None
+        self.row_use_path = None if row_use_path is None else Path(row_use_path)
+        self._row_use: tuple[_Rows, _Years] | None = None
+
+    def years(self) -> list[int]:
+        """Distinct years present, ascending."""
+        first, flows = self._years.first_bad, self._flows
+        if first < len(flows):
+            raise TableError(f"{self._given} row {flows.line(first)}: bad year {flows['year'][first]!r}")
+        return sorted(set(self._years.values))
+
+    def table(self, year: int) -> IOTable:
+        """One year as an IOTable; raises TableError as parse_io_table documents."""
+        path, flows = self.path, self._flows
+        rows = self._years.rows(year)
+        values, bad = _floats(flows["value"][rows])
+        # a bad year fails on any row, a bad value only on a row of this year
+        first = _first_failure(rows, bad, self._years.first_bad)
+        if first < len(flows):
+            line = flows.line(first)
+            if first == self._years.first_bad:
+                raise TableError(f"{path} row {line}: bad year {flows['year'][first]!r}")
+            raise _value_error(flows["value"][first], path, line, "value")
+        if not rows.size:
+            raise TableError(f"{path}: no edges for year {year}")
+
+        src = list(zip(flows["src_country"][rows].tolist(), flows["src_sector"][rows].tolist()))
+        dst = list(zip(flows["dst_country"][rows].tolist(), flows["dst_sector"][rows].tolist()))
+        labels = sorted(set(src) | set(dst))
+        index = {label: i for i, label in enumerate(labels)}
+        n = len(labels)
+        i = np.fromiter(map(index.__getitem__, src), np.int64, len(src))
+        j = np.fromiter(map(index.__getitem__, dst), np.int64, len(dst))
+        duplicate = _repeats(i * n + j)
+        if duplicate.any():
+            k = int(np.argmax(duplicate))
+            (sc, ss), (dc, ds) = src[k], dst[k]
+            raise TableError(
+                f"{path} row {flows.line(int(rows[k]))}: duplicate flow {sc}_{ss} -> {dc}_{ds} "
+                f"for year {year}"
+            )
+
+        Z = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
+        Z.sort_indices()
+        outflows = np.asarray(Z.sum(axis=1)).ravel()
+        if self.row_use_path is None:
+            row_use = outflows.copy()
+        else:
+            row_use = self._row_use_totals(year, index, outflows)
+        nodes = tuple(NodeId(c, s, k) for k, (c, s) in enumerate(labels))
+        return IOTable(year=year, n=n, Z=Z, row_use_total=row_use, nodes=nodes)
+
+    def _row_use_totals(self, year: int, index: dict, outflows: np.ndarray) -> np.ndarray:
+        """Gross row use per node from the row-use file; nodes it leaves out keep their outflows."""
+        if self._row_use is None:
+            table = _read_rows(self.row_use_path, ROW_USE_COLUMNS)
+            self._row_use = (table, _Years(table["year"]))
+        table, years = self._row_use
+        path = self.row_use_path
+        rows = years.rows(year)
+        keys = list(zip(table["country"][rows].tolist(), table["sector"][rows].tolist()))
+        node = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
+        unknown = node < 0
+        duplicate = _repeats(node) & ~unknown
+        gross, bad_value = _floats(table["gross_use"][rows])
+        out = outflows[np.maximum(node, 0)]
+        # Gross row use bounds intermediate outflows from above; allow float fuzz.
+        below = gross < out * (1.0 - 1e-12) - 1e-12
+        first = _first_failure(rows, unknown | duplicate | bad_value | below, years.first_bad)
+        if first < len(table):
+            line = table.line(first)
+            if first == years.first_bad:
+                raise TableError(f"{path} row {line}: bad year {table['year'][first]!r}")
+            k = int(np.searchsorted(rows, first))
+            c, s = keys[k]
+            if unknown[k]:
+                raise TableError(f"{path} row {line}: unknown node {c}_{s} for year {year}")
+            if duplicate[k]:
+                raise TableError(f"{path} row {line}: duplicate row-use entry for {c}_{s}")
+            if bad_value[k]:
+                raise _value_error(table["gross_use"][first], path, line, "gross_use")
+            raise TableError(
+                f"{path} row {line}: gross_use {float(gross[k])} below outflow total "
+                f"{outflows[node[k]]} for {c}_{s}"
+            )
+        row_use = outflows.copy()
+        # max(gross, outflow), keeping gross on a tie
+        row_use[node] = np.where(out > gross, out, gross)
+        return row_use
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Where a key equals one earlier in the array."""
+    later = np.ones(len(keys), dtype=bool)
+    later[np.unique(keys, return_index=True)[1]] = False
+    return later
 
 
 def list_years(path: str | Path) -> list[int]:
     """Distinct years present in a flows CSV, ascending."""
-    rows = _read_rows(Path(path), FLOWS_COLUMNS)
-    years = set()
-    for line, row in rows:
-        try:
-            years.add(int(row["year"]))
-        except (TypeError, ValueError):
-            raise TableError(f"{path} row {line}: bad year {row['year']!r}") from None
-    return sorted(years)
+    return FlowPanel(path).years()
 
 
 def parse_io_table(
@@ -127,88 +344,12 @@ def parse_io_table(
 
     Raises TableError on negative or non-numeric values (naming the row),
     duplicate (src, dst) pairs within the year, unknown nodes in the row-use
-    file, row-use below the node's outflow sum, or an empty year.
+    file, row-use below the node's outflow sum, or an empty year. The first
+    offending row is named: a bad year on any row, a bad value on a row of
+    this year, then an empty year, then duplicates, then the row-use rows in
+    their file order.
     """
-    path = Path(path)
-    rows = _read_rows(path, FLOWS_COLUMNS)
-
-    edges: list[tuple[str, str, str, str, float, int]] = []
-    for line, row in rows:
-        try:
-            row_year = int(row["year"])
-        except (TypeError, ValueError):
-            raise TableError(f"{path} row {line}: bad year {row['year']!r}") from None
-        if row_year != year:
-            continue
-        value = _parse_value(row["value"], path, line, "value")
-        edges.append(
-            (row["src_country"], row["src_sector"], row["dst_country"], row["dst_sector"], value, line)
-        )
-    if not edges:
-        raise TableError(f"{path}: no edges for year {year}")
-
-    labels = sorted(
-        {(c, s) for c, s, _, _, _, _ in edges} | {(c, s) for _, _, c, s, _, _ in edges}
-    )
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-
-    seen: set[tuple[int, int]] = set()
-    src_idx, dst_idx, values = [], [], []
-    for sc, ss, dc, ds, value, line in edges:
-        i, j = index[(sc, ss)], index[(dc, ds)]
-        if (i, j) in seen:
-            raise TableError(
-                f"{path} row {line}: duplicate flow {sc}_{ss} -> {dc}_{ds} for year {year}"
-            )
-        seen.add((i, j))
-        src_idx.append(i)
-        dst_idx.append(j)
-        values.append(value)
-
-    Z = sparse.coo_matrix(
-        (np.asarray(values, dtype=np.float64), (src_idx, dst_idx)), shape=(n, n)
-    ).tocsr()
-    Z.sort_indices()
-
-    outflows = np.asarray(Z.sum(axis=1)).ravel()
-    row_use = outflows.copy()
-
-    if row_use_path is None:
-        sibling = path.with_name("row_use.csv")
-        row_use_path = sibling if sibling.exists() else None
-    if row_use_path is not None:
-        row_use_path = Path(row_use_path)
-        seen_nodes: set[int] = set()
-        for line, row in _read_rows(row_use_path, ROW_USE_COLUMNS):
-            try:
-                row_year = int(row["year"])
-            except (TypeError, ValueError):
-                raise TableError(f"{row_use_path} row {line}: bad year {row['year']!r}") from None
-            if row_year != year:
-                continue
-            key = (row["country"], row["sector"])
-            if key not in index:
-                raise TableError(
-                    f"{row_use_path} row {line}: unknown node {key[0]}_{key[1]} for year {year}"
-                )
-            i = index[key]
-            if i in seen_nodes:
-                raise TableError(
-                    f"{row_use_path} row {line}: duplicate row-use entry for {key[0]}_{key[1]}"
-                )
-            seen_nodes.add(i)
-            gross = _parse_value(row["gross_use"], row_use_path, line, "gross_use")
-            # Gross row use bounds intermediate outflows from above; allow float fuzz.
-            if gross < outflows[i] * (1.0 - 1e-12) - 1e-12:
-                raise TableError(
-                    f"{row_use_path} row {line}: gross_use {gross} below outflow total "
-                    f"{outflows[i]} for {key[0]}_{key[1]}"
-                )
-            row_use[i] = max(gross, outflows[i])
-
-    nodes = tuple(NodeId(c, s, i) for i, (c, s) in enumerate(labels))
-    return IOTable(year=year, n=n, Z=Z, row_use_total=row_use, nodes=nodes)
+    return FlowPanel(path, row_use_path).table(year)
 
 
 def _synthetic_label(i: int) -> tuple[str, str]:
@@ -244,18 +385,33 @@ def synth_substrate(
         raise ValueError(f"mean_leakage must be in (0, 1), got {mean_leakage}")
 
     rng = np.random.default_rng(seed)
-    mask = rng.random((n, n)) < density
+    # Row blocks draw the stream of one n x n draw in the same order, so no
+    # dense n x n float array is ever held: the uniforms become the edge
+    # mask, and of each block of weights only the masked entries are kept.
+    blocks = [slice(lo, min(lo + _SYNTH_BLOCK_ROWS, n)) for lo in range(0, n, _SYNTH_BLOCK_ROWS)]
+    mask = np.empty((n, n), dtype=bool)
+    for rows in blocks:
+        np.less(rng.random((rows.stop - rows.start, n)), density, out=mask[rows])
     np.fill_diagonal(mask, False)
-    weights = rng.lognormal(mean=0.0, sigma=_WEIGHT_SIGMA, size=(n, n))
-    dense = np.where(mask, weights, 0.0)
-    if not mask.any():
-        dense[0, 1] = 1.0  # keep the table non-empty at extreme sparsity
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=np.float64)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for rows in blocks:
+        weights = rng.lognormal(mean=0.0, sigma=_WEIGHT_SIGMA, size=(rows.stop - rows.start, n))
+        part = slice(indptr[rows.start], indptr[rows.stop])
+        data[part] = weights[mask[rows]]
+        indices[part] = np.nonzero(mask[rows])[1]
+    if not data.size:
+        # keep the table non-empty at extreme sparsity
+        data, indices = np.array([1.0]), np.array([1])
+        indptr[1:] = 1
 
     a = mean_leakage * _LEAKAGE_KAPPA
     b = (1.0 - mean_leakage) * _LEAKAGE_KAPPA
     leak = rng.beta(a, b, size=n)
 
-    Z = sparse.csr_matrix(dense)
+    Z = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     Z.sort_indices()
     outflows = np.asarray(Z.sum(axis=1)).ravel()
     row_use = np.where(outflows > 0, outflows / leak, 0.0)
@@ -281,23 +437,37 @@ def write_io_table(
     if not has_flow.all():
         node = table.nodes[int(np.argmin(has_flow))]
         raise TableError(f"node {node.label} has no flows; the flows format cannot carry it")
-    flows_path = Path(flows_path)
+    # each node's country,sector cells go through csv.writer once, so quoting
+    # stays exact; floats are written with repr
+    year = _csv_lines([(table.year,)])[0]
+    cells = _csv_lines((nd.country, nd.sector) for nd in table.nodes)
     coo = table.Z.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(flows_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FLOWS_COLUMNS)
-        for k in order:
-            src = table.nodes[coo.row[k]]
-            dst = table.nodes[coo.col[k]]
-            writer.writerow(
-                [table.year, src.country, src.sector, dst.country, dst.sector, repr(float(coo.data[k]))]
-            )
+    flows = zip(
+        coo.row[order].tolist(),
+        coo.col[order].tolist(),
+        np.asarray(coo.data[order], dtype=np.float64).tolist(),
+    )
+    with open(Path(flows_path), "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(FLOWS_COLUMNS) + "\n")
+        while chunk := list(islice(flows, _CHUNK_ROWS)):
+            fh.write("".join([f"{year},{cells[i]},{cells[j]},{v!r}\n" for i, j, v in chunk]))
     if row_use_path is not None:
+        at = [nd.index for nd in table.nodes]
+        totals = np.asarray(table.row_use_total, dtype=np.float64)[at].tolist()
         with open(Path(row_use_path), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(ROW_USE_COLUMNS)
-            for nd in table.nodes:
-                writer.writerow(
-                    [table.year, nd.country, nd.sector, repr(float(table.row_use_total[nd.index]))]
-                )
+            fh.write(",".join(ROW_USE_COLUMNS) + "\n")
+            fh.write("".join([f"{year},{c},{v!r}\n" for c, v in zip(cells, totals)]))
+
+
+def _csv_lines(rows) -> list[str]:
+    """Each row as csv.writer writes it, without the line end."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    lines = []
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-1])
+    return lines

@@ -89,19 +89,22 @@ def leakage_profile(table: IOTable) -> LeakageProfile:
     return LeakageProfile(values=values, mean_leakage=float(values.mean()))
 
 
-def _structure_has_cycle(matrix: sparse.csr_matrix) -> bool:
-    if matrix.nnz == 0:
-        return False
+def _cyclic_components(matrix: sparse.csr_matrix) -> list[np.ndarray]:
+    """Nodes of each strongly connected component whose edges close a cycle.
+
+    A component closes one when it has two or more nodes, or one node with
+    a self-loop. Zero-weight edges carry nothing and are dropped first.
+    """
     struct = matrix
     if (matrix.data == 0).any():
         struct = matrix.copy()
-        struct.eliminate_zeros()  # zero-weight edges carry nothing
-        if struct.nnz == 0:
-            return False
-    if struct.diagonal().any():
-        return True
-    n_comp, _ = csgraph.connected_components(struct, directed=True, connection="strong")
-    return n_comp < struct.shape[0]
+        struct.eliminate_zeros()
+    if struct.nnz == 0:
+        return []
+    n_comp, labels = csgraph.connected_components(struct, directed=True, connection="strong")
+    loops = np.bincount(labels, weights=struct.diagonal() != 0, minlength=n_comp)
+    cyclic = (np.bincount(labels, minlength=n_comp) > 1) | (loops > 0)
+    return [np.flatnonzero(labels == c) for c in np.flatnonzero(cyclic)]
 
 
 def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> float:
@@ -114,7 +117,9 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
     residual ||(A + shift)v - est*v||_inf <= tol * max(1, est), which a
     transient dip in the estimate sequence cannot fake. A nonzero matrix
     whose edge structure has no cycle has radius exactly 0 and
-    short-circuits, avoiding the slow defective-eigenvalue tail.
+    short-circuits, avoiding the slow defective-eigenvalue tail. A matrix
+    with cycles in two or more strongly connected components gets the
+    largest radius among those components, each iterated on its own.
 
     Raises SpectralConvergenceError (carrying the last two estimates) if the
     budget runs out.
@@ -140,9 +145,19 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
     if max_row == 0.0:
         return 0.0
     sp = mat if sparse.issparse(mat) else sparse.csr_matrix(mat)
-    if not _structure_has_cycle(sp):
+    components = _cyclic_components(sp)
+    if not components:
         return 0.0
+    if len(components) > 1:
+        # Each component's dominant root is simple. On the whole matrix, two
+        # components that share the largest root form a Jordan block, where
+        # power iteration closes in like 1/k and never meets tol.
+        return max(spectral_radius(sp[nodes][:, nodes], tol, max_iter) for nodes in components)
+    return _power_iteration(mat, max_row, tol, max_iter)
 
+
+def _power_iteration(mat, max_row: float, tol: float, max_iter: int) -> float:
+    n = mat.shape[0]
     shift = 0.5 * max_row
     v = np.full(n, 1.0 / n)
     eps = float(np.finfo(np.float64).eps)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hallsand
-from hallsand import cli, experiments
+from hallsand import cli, experiments, ingest
 from hallsand.cli import build_parser, main
 from hallsand.dynamics import Params
 from hallsand.experiments import DEFAULT_SIGMA_B_RATIO, PhaseGridSpec, ScenarioSpec
@@ -581,3 +581,30 @@ def test_phase_grid_default_axes_are_the_default_grid(monkeypatch):
     with pytest.raises(Captured) as caught:
         main(["phase-grid", "--synth-nodes", "10", "--master-seed", "9"])
     assert caught.value.args[0] == experiments.default_phase_grid(9)
+
+
+def test_network_panel_reads_each_input_once(tmp_path, monkeypatch):
+    data = tmp_path / "two-years"
+    data.mkdir()
+    for year in (2013, 2014):
+        table = ingest.synth_substrate(30, 0.2, year, year=year)
+        ingest.write_io_table(table, data / f"flows-{year}.csv", data / f"row_use-{year}.csv")
+    for name in ("flows", "row_use"):
+        first, second = (
+            (data / f"{name}-{year}.csv").read_text().splitlines(keepends=True) for year in (2013, 2014)
+        )
+        (data / f"{name}.csv").write_text("".join(first + second[1:]))
+
+    opened = {}
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened[Path(file).name] = opened.get(Path(file).name, 0) + 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+    out = tmp_path / "panel"
+    code = main(["network-panel", "--flows", str(data / "flows.csv"), "--out-dir", str(out)])
+    assert code == 0
+    assert [row["year"] for row in read_rows(out / "panel.csv")] == ["2013", "2014"]
+    assert opened == {"flows.csv": 1, "row_use.csv": 1}

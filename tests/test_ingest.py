@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hallsand.ingest import (
+    _LEAKAGE_KAPPA,
+    _SYNTH_BLOCK_ROWS,
+    _WEIGHT_SIGMA,
     DEFAULT_MEAN_LEAKAGE,
     TableError,
     list_years,
@@ -178,3 +182,39 @@ def test_synth_rejects_bad_args():
         synth_substrate(10, 0.0, 0)
     with pytest.raises(ValueError):
         synth_substrate(10, 0.5, 0, mean_leakage=1.0)
+
+
+def _dense_synth(n, density, seed, mean_leakage=DEFAULT_MEAN_LEAKAGE):
+    """synth_substrate's former formula, with every n x n draw held at once."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    np.fill_diagonal(mask, False)
+    weights = rng.lognormal(mean=0.0, sigma=_WEIGHT_SIGMA, size=(n, n))
+    dense = np.where(mask, weights, 0.0)
+    if not mask.any():
+        dense[0, 1] = 1.0
+    leak = rng.beta(mean_leakage * _LEAKAGE_KAPPA, (1.0 - mean_leakage) * _LEAKAGE_KAPPA, size=n)
+    Z = sparse.csr_matrix(dense)
+    Z.sort_indices()
+    outflows = np.asarray(Z.sum(axis=1)).ravel()
+    return Z, np.where(outflows > 0, outflows / leak, 0.0)
+
+
+@pytest.mark.parametrize(
+    "n, density, seed",
+    [
+        (_SYNTH_BLOCK_ROWS + 44, 0.3, 3),  # a last block shorter than the others
+        (2 * _SYNTH_BLOCK_ROWS, 0.05, 4),
+        (300, 1.0, 5),
+        (9, 1.0, 6),
+        (2, 1e-12, 0),  # an empty mask: the table keeps one unit flow
+        (40, 1e-12, 1),
+    ],
+)
+def test_synth_blocks_match_the_dense_formula(n, density, seed):
+    table = synth_substrate(n, density, seed)
+    Z, row_use = _dense_synth(n, density, seed)
+    for got, want in ((table.Z.indptr, Z.indptr), (table.Z.indices, Z.indices), (table.Z.data, Z.data)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert table.row_use_total.tobytes() == row_use.tobytes()

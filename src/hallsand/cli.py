@@ -52,31 +52,29 @@ _CELL_RE = re.compile(r"^([A-Za-z0-9_-]+):([0-9.eE+-]+):([0-9.eE+-]+)$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
-def _fmt(value) -> str:
-    # repr keeps float cells round-trip exact, so reruns are byte-identical
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+# Cell text by value type: repr keeps float cells round-trip exact, so
+# reruns are byte-identical.
+_TEXT = {float: repr, int: str, str: str, bool: lambda v: "true" if v else "false"}
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+def _cells(values: list) -> list[str]:
+    kinds = set(map(type, values))
+    if len(kinds) == 1:  # one formatter for the column
+        return list(map(_TEXT[kinds.pop()], values))
+    return [_TEXT[type(v)](v) for v in values]  # e.g. a float column with empty cells
+
+
+def _emit(out_dir: Path, name: str, header: tuple[str, ...], columns: list, as_json: bool) -> Path:
+    """Write a table, given as one array or sequence per header name, as CSV,
+    and with as_json as a JSON list of row objects beside it."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    path = out_dir / name
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _emit(out_dir: Path, name: str, header: tuple[str, ...], rows, as_json: bool) -> Path:
-    rows = list(rows)
-    path = out_dir / name
-    _write_csv(path, header, rows)
+        writer.writerows(zip(*map(_cells, values), strict=True))
     if as_json:
-        payload = [dict(zip(header, row)) for row in rows]
+        payload = [dict(zip(header, row)) for row in zip(*values)]
         jpath = path.with_suffix(".json")
         with open(jpath, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -267,7 +265,7 @@ def cmd_network_panel(args) -> int:
             )
         )
     out = _out_dir(args)
-    path = _emit(out, "panel.csv", PANEL_HEADER, rows, args.json)
+    path = _emit(out, "panel.csv", PANEL_HEADER, list(zip(*rows)), args.json)
     print(f"wrote {path} ({len(rows)} year(s))")
     return 0
 
@@ -285,14 +283,16 @@ def cmd_exposure(args) -> int:
         c_floor=args.c_floor,
         epsilon=args.exposure_epsilon,
     )
+    index = np.array([nd.index for nd in table.nodes], dtype=np.int64)
     # the header's array columns are ExposureProfile's attribute names
-    columns = [getattr(prof, name) for name in EXPOSURE_HEADER[3:]]
-    rows = [
-        (nd.index, nd.country, nd.sector, *(float(c[nd.index]) for c in columns))
-        for nd in table.nodes
+    columns = [
+        index,
+        [nd.country for nd in table.nodes],
+        [nd.sector for nd in table.nodes],
+        *(getattr(prof, name)[index] for name in EXPOSURE_HEADER[3:]),
     ]
     out = _out_dir(args)
-    path = _emit(out, "exposure.csv", EXPOSURE_HEADER, rows, args.json)
+    path = _emit(out, "exposure.csv", EXPOSURE_HEADER, columns, args.json)
     top = [
         (
             rank,
@@ -305,7 +305,7 @@ def cmd_exposure(args) -> int:
         )
         for rank, r in enumerate(rank_exposure(prof, args.top), start=1)
     ]
-    _emit(out, "top_nodes.csv", TOP_HEADER, top, args.json)
+    _emit(out, "top_nodes.csv", TOP_HEADER, list(zip(*top)), args.json)
     print(f"wrote {path} and top_nodes.csv (top {len(top)})")
     return 0
 
@@ -399,16 +399,14 @@ def cmd_simulate(args) -> int:
     ):
         rows.append((result.name, *_stats_row(result.stats)))
         if keep:
-            series_rows = []
-            for rep, (S, B, rounds) in enumerate(
-                zip(result.series, result.B_realised, result.relax_rounds)
-            ):
-                for t in range(S.size):
-                    series_rows.append(
-                        (rep, args.t_burn + t, int(S[t]), float(B[t]), int(rounds[t]))
-                    )
-            _emit(out, f"avalanches_{result.name}.csv", AVALANCHE_HEADER, series_rows, args.json)
-    path = _emit(out, "scenarios.csv", SCENARIO_HEADER, rows, args.json)
+            sizes = [S.size for S in result.series]
+            series = [
+                np.repeat(np.arange(len(sizes)), sizes),
+                np.concatenate([np.arange(args.t_burn, args.t_burn + size) for size in sizes]),
+                *map(np.concatenate, (result.series, result.B_realised, result.relax_rounds)),
+            ]
+            _emit(out, f"avalanches_{result.name}.csv", AVALANCHE_HEADER, series, args.json)
+    path = _emit(out, "scenarios.csv", SCENARIO_HEADER, list(zip(*rows)), args.json)
     print(f"wrote {path} ({len(rows)} scenario(s))")
     return 0
 
@@ -445,7 +443,7 @@ def cmd_phase_grid(args) -> int:
     )
     rows = [_stats_row(c) for c in result.cells]
     out = _out_dir(args)
-    path = _emit(out, "phase_grid.csv", GRID_HEADER, rows, args.json)
+    path = _emit(out, "phase_grid.csv", GRID_HEADER, list(zip(*rows)), args.json)
     if args.convergence:
         diag_rows = [
             (
@@ -462,7 +460,7 @@ def cmd_phase_grid(args) -> int:
             )
             for d in convergence_report(result)
         ]
-        _emit(out, "convergence.csv", CONVERGENCE_HEADER, diag_rows, args.json)
+        _emit(out, "convergence.csv", CONVERGENCE_HEADER, list(zip(*diag_rows)), args.json)
     print(f"wrote {path} ({len(rows)} cells)")
     return 0
 
@@ -482,17 +480,22 @@ def _read_sizes(path: Path) -> np.ndarray:
     if not path.exists():
         raise TailError(f"series file not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "S" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or "S" not in header:
             raise TailError(f"{path}: missing S column")
+        # of repeated header names the last counts, and rows are numbered
+        # with blank lines skipped, as csv.DictReader reads them
+        col = len(header) - 1 - header[::-1].index("S")
         values = []
-        for k, row in enumerate(reader, start=2):
+        for k, row in enumerate(filter(None, reader), start=2):
+            text = row[col] if col < len(row) else None  # a short row reads None
             try:
-                value = float(row["S"])
+                value = float(text)
                 if not value.is_integer() or abs(value) >= 2**63:  # also rejects nan and inf
                     raise ValueError
             except (TypeError, ValueError):
-                raise TailError(f"{path} row {k}: bad S value {row['S']!r}, not a 64-bit integer") from None
+                raise TailError(f"{path} row {k}: bad S value {text!r}, not a 64-bit integer") from None
             values.append(int(value))
     if not values:
         raise TailError(f"{path}: no rows")
@@ -523,14 +526,8 @@ def cmd_tail_fit(args) -> int:
                 bool(fit.informative),
             )
         )
-        _emit(
-            out,
-            f"ccdf_{name}.csv",
-            ("x", "prob"),
-            [(int(x), float(p)) for x, p in ccdf(positive)],
-            args.json,
-        )
-    path = _emit(out, "tail_fits.csv", TAIL_HEADER, rows, args.json)
+        _emit(out, f"ccdf_{name}.csv", ("x", "prob"), list(zip(*ccdf(positive))), args.json)
+    path = _emit(out, "tail_fits.csv", TAIL_HEADER, list(zip(*rows)), args.json)
     print(f"wrote {path} ({len(rows)} fit(s))")
     return 0
 

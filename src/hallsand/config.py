@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import yaml
-
 
 class ConfigError(ValueError):
     """Malformed or inapplicable run-config file."""
@@ -22,6 +20,8 @@ def load_config(path: str | Path) -> dict[str, dict]:
     Values must be scalars, or lists of scalars for repeatable flags;
     nesting beyond that is rejected.
     """
+    import yaml  # only --config runs pay for the import
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")

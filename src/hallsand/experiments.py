@@ -250,9 +250,10 @@ def make_cell_stats(
 # A block is a contiguous range of one spec's replications: (spec, lo, hi).
 Block = tuple[ScenarioSpec, int, int]
 
-# Blocks share a batch with their neighbours up to this many columns.
-_PACK_COLUMNS = 32
-# The widest batch, in stress values (columns x nodes): 8 MB per n x k array.
+# Blocks share a batch with their neighbours up to this many stress values
+# (columns x nodes): 512 KB per n x k array, so a batch's arrays stay in cache.
+_PACK_VALUES = 1 << 16
+# The widest batch, in stress values: 8 MB per n x k array.
 _MAX_BATCH_VALUES = 1 << 20
 
 
@@ -261,10 +262,11 @@ def _plan(specs: list[ScenarioSpec], n_workers: int, n: int) -> tuple[list[list[
 
     Each spec is one block, or several contiguous blocks when there are fewer
     specs than workers or it is wider than the widest batch. Consecutive
-    blocks with the same protocol share a task up to _PACK_COLUMNS columns,
-    and to no more than an even share of the columns per worker, since a
-    batch of a few columns is little faster than its columns run apart.
-    Returns the tasks, in spec order, and the number of blocks of each spec.
+    blocks with the same protocol share a task up to _PACK_VALUES stress
+    values, and to no more than an even share of the columns per worker,
+    since a batch's cost per column falls with its width until its arrays
+    outgrow the cache. Returns the tasks, in spec order, and the number of
+    blocks of each spec.
     """
     widest = max(1, _MAX_BATCH_VALUES // n)
     parts = -(-n_workers // len(specs))
@@ -276,7 +278,7 @@ def _plan(specs: list[ScenarioSpec], n_workers: int, n: int) -> tuple[list[list[
         blocks += [(spec, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         counts.append(len(bounds) - 1)
     total = sum(hi - lo for _, lo, hi in blocks)
-    pack = min(_PACK_COLUMNS, widest, -(-total // n_workers))  # every worker gets a task
+    pack = min(max(1, _PACK_VALUES // n), -(-total // n_workers))  # every worker gets a task
     tasks: list[list[Block]] = []
     width = 0
     for block in blocks:

@@ -60,10 +60,11 @@ def flow_share(table: IOTable) -> np.ndarray:
     return (table.outflow_totals() + table.inflow_totals()) / (2.0 * total)
 
 
-def _squared_share_sums(table: IOTable, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    # axis=1 -> row HHI (destinations); axis=0 -> column HHI (sources)
+def _squared_share_sums(table: IOTable, squares, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    # axis=1 -> row HHI (destinations); axis=0 -> column HHI (sources);
+    # squares is Z.multiply(Z), which the callers square once for both axes
     totals = np.asarray(table.Z.sum(axis=axis)).ravel()
-    sq = np.asarray(table.Z.multiply(table.Z).sum(axis=axis)).ravel()
+    sq = np.asarray(squares.sum(axis=axis)).ravel()
     hhi = np.zeros(table.n)
     pos = totals > 0
     hhi[pos] = sq[pos] / (totals[pos] * totals[pos])
@@ -78,10 +79,13 @@ def redundancy(table: IOTable, floor: float = DEFAULT_FLOOR) -> np.ndarray:
     floor and are excluded from the scaling statistics; if all remaining
     D_raw are equal the map degenerates and everyone gets the floor.
     """
+    return _redundancy(*_squared_share_sums(table, table.Z.multiply(table.Z), axis=1), floor)
+
+
+def _redundancy(hhi: np.ndarray, pos: np.ndarray, floor: float) -> np.ndarray:
     if not 0.0 < floor < 1.0:
         raise ValueError(f"floor must be in (0, 1), got {floor}")
-    hhi, pos = _squared_share_sums(table, axis=1)
-    D = np.full(table.n, floor)
+    D = np.full(hhi.size, floor)
     if not pos.any():
         return D
     raw = (1.0 - hhi[pos]) / hhi[pos]
@@ -96,10 +100,13 @@ def capacity(table: IOTable, floor: float = DEFAULT_FLOOR) -> np.ndarray:
 
     Nodes without inflows sit at the floor.
     """
+    return _capacity(*_squared_share_sums(table, table.Z.multiply(table.Z), axis=0), floor)
+
+
+def _capacity(hhi: np.ndarray, pos: np.ndarray, floor: float) -> np.ndarray:
     if not 0.0 < floor < 1.0:
         raise ValueError(f"floor must be in (0, 1), got {floor}")
-    hhi, pos = _squared_share_sums(table, axis=0)
-    C = np.full(table.n, floor)
+    C = np.full(hhi.size, floor)
     C[pos] = np.maximum(floor, 1.0 - hhi[pos])
     return C
 
@@ -128,10 +135,11 @@ def compute_exposure(
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     I = flow_share(table)
-    HHI_out, _ = _squared_share_sums(table, axis=1)
-    HHI_in, _ = _squared_share_sums(table, axis=0)
-    D = redundancy(table, floor=d_floor)
-    C = capacity(table, floor=c_floor)
+    squares = table.Z.multiply(table.Z)
+    HHI_out, has_out = _squared_share_sums(table, squares, axis=1)
+    HHI_in, has_in = _squared_share_sums(table, squares, axis=0)
+    D = _redundancy(HHI_out, has_out, d_floor)
+    C = _capacity(HHI_in, has_in, c_floor)
     R = 1.0 / (D * C + epsilon)
     draft = ExposureProfile(
         I=I, HHI_out=HHI_out, HHI_in=HHI_in, D=D, C=C, R=R,

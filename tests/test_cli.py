@@ -375,6 +375,19 @@ def test_tail_fit_non_integer_size_exit_1(tmp_path, capsys, bad):
     assert repr(bad) in err
 
 
+@pytest.mark.parametrize(
+    "body,bad",
+    [("0,0,3,1.0,1\n\n0,1,2,1.0,1\n\n0,2\n", "None"), ("0,0,3,1.0,1\n\n\n0,1,2,1.0,1\n0,2,nan,1,1\n", "'nan'")],
+    ids=["short-row", "nan"],
+)
+def test_tail_fit_row_number_skips_blank_lines(tmp_path, capsys, body, bad):
+    # a BOM, blank lines between rows, and a short row whose S cell is missing
+    series = tmp_path / "avalanches_gappy.csv"
+    series.write_text("\ufeffreplication,period,S,B_realised,relax_rounds\n" + body, encoding="utf-8")
+    assert main(["tail-fit", str(series), "--out-dir", str(tmp_path)]) == 1
+    assert f"avalanches_gappy.csv row 4: bad S value {bad}, not a 64-bit integer" in capsys.readouterr().err
+
+
 def test_config_defaults_and_flag_precedence(substrate_dir, tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg_out = tmp_path / "fromcfg"
@@ -608,3 +621,85 @@ def test_network_panel_reads_each_input_once(tmp_path, monkeypatch):
     assert code == 0
     assert [row["year"] for row in read_rows(out / "panel.csv")] == ["2013", "2014"]
     assert opened == {"flows.csv": 1, "row_use.csv": 1}
+
+
+def old_fmt(value) -> str:
+    """The per-value cell formatter the column-wise writer replaced, kept as its reference."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def old_emit(path, header, rows, as_json):
+    """The row-by-row CSV and JSON writer, kept as the column-wise writer's reference."""
+    rows = list(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([old_fmt(v) for v in row])
+    if as_json:
+        with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
+            fh.write("\n")
+
+
+def test_column_writer_matches_row_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    sizes = [5, 0, 7]  # a replication may keep no periods
+    S = [rng.integers(0, 40, k) for k in sizes]
+    B = [rng.random(k) * 10.0 ** rng.integers(-300, 300, k) for k in sizes]
+    rounds = [rng.integers(0, 9, k) for k in sizes]
+    series_rows = [
+        (rep, 4 + t, int(s[t]), float(b[t]), int(r[t]))
+        for rep, (s, b, r) in enumerate(zip(S, B, rounds))
+        for t in range(s.size)
+    ]
+    series_columns = [
+        np.repeat(np.arange(len(sizes)), sizes),
+        np.concatenate([np.arange(4, 4 + k) for k in sizes]),
+        *map(np.concatenate, (S, B, rounds)),
+    ]
+    labels = ["plain", "a,b", 'say "x"', "two\nlines", ""]
+    exposure_rows = [(k, label, "s1", float(k) / 3, -0.0, 1e-310) for k, label in enumerate(labels)]
+    exposure_columns = [
+        np.arange(len(labels)),
+        labels,
+        ["s1"] * len(labels),
+        np.arange(len(labels)) / 3,
+        np.full(len(labels), -0.0),
+        [1e-310] * len(labels),
+    ]
+    # convergence.csv: an empty se_over_mean cell, text and switch columns
+    diag_rows = [(0.25, "absorption", "", True), (1.5, "avalanche", 0.031, False), (2.0, "latent", float("nan"), False)]
+    tables = {
+        "avalanches_x.csv": (cli.AVALANCHE_HEADER, series_rows, series_columns),
+        "exposure.csv": (("node", "country", "sector", "I", "H", "R"), exposure_rows, exposure_columns),
+        "convergence.csv": (("B_bar", "regime", "se_over_mean", "ok"), diag_rows, list(zip(*diag_rows))),
+        "empty.csv": (("x", "prob"), [], []),
+    }
+    for as_json in (False, True):
+        for name, (header, rows, columns) in tables.items():
+            want, got = tmp_path / f"want{as_json}", tmp_path / f"got{as_json}"
+            want.mkdir(exist_ok=True)
+            got.mkdir(exist_ok=True)
+            old_emit(want / name, header, rows, as_json)
+            assert cli._emit(got, name, header, columns, as_json) == got / name
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+            mirror = Path(name).with_suffix(".json")
+            assert (got / mirror).exists() == as_json
+            if as_json:
+                assert (got / mirror).read_bytes() == (want / mirror).read_bytes(), name
+
+
+def test_import_leaves_yaml_out():
+    # only --config runs import yaml; the engine modules, scipy among them, load eagerly
+    env = {**os.environ, "PYTHONPATH": str(Path(hallsand.__file__).parent.parent)}
+    code = "import sys, hallsand.cli; print('yaml' in sys.modules, 'scipy.sparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

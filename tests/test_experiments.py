@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -312,3 +313,77 @@ def test_convergence_report_flags(small_substrate):
             assert diag.within_bounds == (
                 diag.se_over_mean is not None and diag.se_over_mean < 0.05
             )
+
+
+def plan_widths(specs, n_workers, n):
+    tasks, counts = experiments._plan(specs, n_workers, n)
+    # every replication of every spec runs once, in spec and replication order
+    flat = [(spec.name, rep) for task in tasks for spec, lo, hi in task for rep in range(lo, hi)]
+    assert flat == [(spec.name, rep) for spec in specs for rep in range(spec.replications)]
+    assert sum(counts) == sum(len(task) for task in tasks)
+    return [sum(hi - lo for _, lo, hi in task) for task in tasks]
+
+
+def grid_cells(count, replications):
+    return [ScenarioSpec(f"cell_{k}", 1.0, 1.5, k, replications=replications) for k in range(count)]
+
+
+@pytest.mark.parametrize(
+    "specs,n_workers,n,widths",
+    [
+        (preset_scenarios(0, replications=25), 1, 200, [100]),
+        (preset_scenarios(0, replications=25), 2, 200, [50, 50]),
+        (grid_cells(90, 2), 2, 200, [90, 90]),
+        (preset_scenarios(0, replications=4), 2, 2464, [8, 8]),
+        (preset_scenarios(0, replications=100), 2, 2464, [100] * 4),  # the paper protocol
+    ],
+    ids=["n200-serial", "n200-two-workers", "grid", "n2464", "paper"],
+)
+def test_plan_packs_blocks_up_to_the_value_bound(specs, n_workers, n, widths):
+    assert plan_widths(specs, n_workers, n) == widths
+
+
+def test_plan_keeps_every_task_within_the_bounds():
+    for n, n_workers, replications in itertools.product(
+        (5, 200, 700, 2464, 70_000), (1, 2, 3), (1, 2, 25, 100, 700)
+    ):
+        specs = grid_cells(6, replications)
+        tasks, _ = experiments._plan(specs, n_workers, n)
+        for task, width in zip(tasks, plan_widths(specs, n_workers, n)):
+            if len(task) > 1:  # packed blocks stay within the cache-sized bound
+                assert width * n <= experiments._PACK_VALUES
+            assert width == 1 or width * n <= experiments._MAX_BATCH_VALUES
+
+
+@pytest.mark.filterwarnings("ignore:contraction check failed")
+@pytest.mark.parametrize("hot", [False, True], ids=["runs", "budget-failure"])
+def test_packing_bound_changes_no_output(monkeypatch, hot):
+    # one task per block against the default packing: the same bytes, or the same
+    # error; hot, "early" fails at an earlier period of the batch it shares with "late"
+    table = synth_substrate(30, 0.2, 7, mean_leakage=0.22)
+    if hot:
+        sub = prepare_substrate(table, kind=OperatorKind.ROW_SHARE)
+        params = Params(max_relax_rounds=6, redistribution_fraction=0.7)
+    else:
+        sub, params = prepare_substrate(table), Params()
+    specs = [
+        ScenarioSpec("late", 0.2, 1.5, master_seed=16, T_burn=0, T_stat=30, replications=2),
+        ScenarioSpec("early", 3.0, 2.0, master_seed=4, T_burn=0, T_stat=30, replications=3),
+        ScenarioSpec("wide", 1.2, 2.0, master_seed=9, T_burn=2, T_stat=20, replications=4),
+    ]
+
+    def outcome():
+        try:
+            return [
+                (r.stats, [a.tobytes() for a in (*r.series, *r.B_realised, *r.relax_rounds)])
+                for r in run_scenarios(specs, sub, params, keep_series=True, threads=1)
+            ]
+        except SimulationError as err:
+            return str(err)
+
+    packed = outcome()
+    assert len(experiments._plan(specs, 1, sub.operator.n)[0]) == 2
+    monkeypatch.setattr(experiments, "_PACK_VALUES", 1)
+    assert len(experiments._plan(specs, 1, sub.operator.n)[0]) == len(specs)
+    assert outcome() == packed
+    assert packed.startswith("scenario 'late' replication 0 ") if hot else len(packed) == 3

@@ -143,6 +143,9 @@ def test_compute_exposure_custom_floors():
     assert prof.C.min() >= 0.20 - 1e-15
     assert prof.d_floor == 0.10
     assert prof.c_floor == 0.20
+    # the profile squares Z once for both axes; the lone functions give the same bytes
+    assert prof.D.tobytes() == redundancy(table, floor=0.10).tobytes()
+    assert prof.C.tobytes() == capacity(table, floor=0.20).tobytes()
 
 
 def test_rank_exposure_order_and_ties():

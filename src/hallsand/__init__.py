@@ -2,24 +2,16 @@
 
 from .config import ConfigError, load_config, section_for
 from .dynamics import (
-    AvalancheRecord,
     ContractionCheck,
-    EngineState,
     FieldModel,
     Params,
     RelaxationBudgetError,
     activation_gap,
     contraction_check,
-    draw_shocks,
-    effective_hall,
     gap_field_sensitivity,
     gap_redundancy_sensitivity,
     hall_adjusted_threshold,
-    init_state,
-    relax,
-    run,
     run_batch,
-    step,
 )
 from .experiments import (
     PRESETS,

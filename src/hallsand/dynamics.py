@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +25,7 @@ class Params:
     """Dynamics parameters. Defaults are the calibrated baseline.
 
     theta may be a scalar (uniform thresholds) or a per-node array.
-    max_relax_rounds of None resolves to 10 * n at engine construction.
+    max_relax_rounds of None resolves to 10 * n when a run starts.
     count_unique switches the per-period cascade size from counting
     toppling events to counting distinct toppled nodes.
     """
@@ -99,16 +98,6 @@ class FieldModel:
 
 
 @dataclass(frozen=True)
-class AvalancheRecord:
-    """One period's outcome: cascade size, relaxation rounds, realized field."""
-
-    period: int
-    S: int
-    relax_rounds: int
-    B_realised: float
-
-
-@dataclass(frozen=True)
 class ContractionCheck:
     passed: bool
     bound: float
@@ -129,22 +118,6 @@ class RelaxationBudgetError(RuntimeError):
         )
 
 
-@dataclass
-class EngineState:
-    """Mutable simulation state bound to one operator/exposure pair."""
-
-    s: np.ndarray
-    period: int
-    rng: np.random.Generator
-    params: Params
-    operator: PropagationOperator
-    exposure: ExposureProfile
-    sigma_D: float
-    theta: np.ndarray
-    max_rounds: int
-    propagation_t: sparse.csc_matrix = field(repr=False, default=None)  # A.T, a view of A
-
-
 def contraction_check(params: Params, rho_leak: float) -> ContractionCheck:
     """Stability condition beta < delta / rho for the linearized dynamics.
 
@@ -157,17 +130,6 @@ def contraction_check(params: Params, rho_leak: float) -> ContractionCheck:
         return ContractionCheck(passed=True, bound=float("inf"), margin=float("inf"))
     bound = params.delta / rho_leak
     return ContractionCheck(passed=params.beta < bound, bound=bound, margin=bound - params.beta)
-
-
-def _warn_contraction(params: Params, rho_leak: float, stacklevel: int) -> None:
-    check = contraction_check(params, rho_leak)
-    if not check.passed:
-        warnings.warn(
-            f"contraction check failed: beta={params.beta} >= bound={check.bound:.4g}; "
-            "stress feedback may not be stable",
-            RuntimeWarning,
-            stacklevel=stacklevel + 1,
-        )
 
 
 def _validate_run(
@@ -184,51 +146,9 @@ def _validate_run(
     return params.max_relax_rounds if params.max_relax_rounds is not None else 10 * n
 
 
-def init_state(
-    operator: PropagationOperator,
-    exposure: ExposureProfile,
-    params: Params,
-    sigma_D: float = 1.0,
-    seed: int = 0,
-) -> EngineState:
-    """Fresh engine state: zero stress, period 0, seeded RNG.
-
-    Warns (does not block) when the contraction check fails for the operator.
-    """
-    max_rounds = _validate_run(operator, exposure, params, sigma_D)
-    _warn_contraction(params, operator.spectral_radius, stacklevel=2)
-    n = operator.n
-    return EngineState(
-        s=np.zeros(n),
-        period=0,
-        rng=np.random.default_rng(seed),
-        params=params,
-        operator=operator,
-        exposure=exposure,
-        sigma_D=sigma_D,
-        theta=params.thresholds(n),
-        max_rounds=max_rounds,
-        propagation_t=operator.matrix.T,
-    )
-
-
-def draw_shocks(state: EngineState) -> np.ndarray:
-    """Per-node idiosyncratic shocks: |N(0, sigma_x^2)|, one per node."""
-    return np.abs(state.rng.normal(0.0, state.params.sigma_x, state.s.shape[0]))
-
-
 def _hall_denominator(exposure: ExposureProfile, sigma_D, epsilon: float) -> np.ndarray:
     """(D / sigma_D) * C + epsilon as an n x k block, one column per value of sigma_D."""
     return (exposure.D[:, None] / sigma_D) * exposure.C[:, None] + epsilon
-
-
-def effective_hall(state: EngineState, B_t: float) -> np.ndarray:
-    """Stress loading under redundancy dispersion: B_t * I / ((D/sigma_D) * C + eps).
-
-    With sigma_D = 1 this coincides with the static exposure loading.
-    """
-    denom = _hall_denominator(state.exposure, state.sigma_D, state.params.epsilon)
-    return B_t * state.exposure.I / denom[:, 0]
 
 
 def _update(
@@ -339,61 +259,6 @@ def _relax_block(
     return events, rounds, failed
 
 
-def relax(state: EngineState) -> tuple[int, set[int], int]:
-    """Cascade settlement: simultaneous toppling rounds until all below threshold.
-
-    The one-column case of the block rule. Returns (toppling events, toppled
-    node set, rounds). Raises RelaxationBudgetError when the round budget is
-    exhausted with nodes still over threshold.
-    """
-    S = state.s[:, None]
-    toppled = np.zeros(S.shape, dtype=bool)
-    A, At = state.operator.matrix, state.propagation_t
-    events, rounds, failed = _relax_block(
-        S, A, At, state.theta, state.params, state.max_rounds, toppled
-    )
-    if failed is not None:
-        raise RelaxationBudgetError(state.max_rounds, int(failed[1][0]))
-    return int(events[0]), set(np.flatnonzero(toppled).tolist()), int(rounds[0])
-
-
-def step(state: EngineState, fieldmodel: FieldModel) -> AvalancheRecord:
-    """Advance one period: field draw, stress update, cascade settlement.
-
-    Draw order per period is fixed (one field innovation, then n shock
-    draws), which makes runs bit-reproducible for a given seed.
-    """
-    p = state.params
-    denom = _hall_denominator(state.exposure, state.sigma_D, p.epsilon)
-    S, B_t = _update(
-        state.s[:, None],
-        [state.rng],
-        fieldmodel.B_bar,
-        fieldmodel.sigma_B,
-        state.propagation_t,
-        state.exposure.I,
-        denom,
-        p,
-    )
-    state.s = S[:, 0]
-    period = state.period
-    events, toppled, rounds = relax(state)
-    state.period = period + 1
-    return AvalancheRecord(
-        period=period,
-        S=len(toppled) if p.count_unique else events,
-        relax_rounds=rounds,
-        B_realised=float(B_t[0]),
-    )
-
-
-def run(state: EngineState, fieldmodel: FieldModel, periods: int) -> list[AvalancheRecord]:
-    """Run the engine for a number of periods, collecting one record each."""
-    if periods < 0:
-        raise ValueError(f"periods must be non-negative, got {periods}")
-    return [step(state, fieldmodel) for _ in range(periods)]
-
-
 def run_batch(
     operator: PropagationOperator,
     exposure: ExposureProfile,
@@ -404,17 +269,17 @@ def run_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run one replication per (fieldmodel, sigma_D, seed) column, as one n x k stress block.
 
-    Column c is, bit for bit, init_state(..., sigma_D, seed) followed by
-    run(state, fieldmodel, periods): it draws from its own generator in the
-    same order and goes through the same update and relaxation rules, while
-    each period and each relaxation round makes one sparse product for all
-    the columns. Returns the cascade sizes, realised fields and relaxation
-    rounds of periods keep_from onward, one row per column.
+    Every column starts from zero stress. Column c gives, bit for bit, what
+    it gives alone in a one-column call: it draws from its own generator in
+    the same order and goes through the same update and relaxation rules,
+    while each period and each relaxation round makes one sparse product for
+    all the columns. Returns the cascade sizes, realised fields and
+    relaxation rounds of periods keep_from onward, one row per column.
 
     When columns exhaust the round budget, raises the RelaxationBudgetError
     of the lowest-indexed one, as running them one by one in column order
     would; its column and period say which and when. Does not run the
-    contraction check (init_state warns on it).
+    contraction check and does not warn; run_scenarios warns once per call.
     """
     sigma_D = np.array([sigma_D for _, sigma_D, _ in columns], dtype=float)
     max_rounds = _validate_run(operator, exposure, params, sigma_D)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -13,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import FieldModel, Params, RelaxationBudgetError, _warn_contraction, run_batch
+from .dynamics import FieldModel, Params, RelaxationBudgetError, contraction_check, run_batch
 from .exposure import DEFAULT_EPSILON, DEFAULT_FLOOR, ExposureProfile, compute_exposure
 from .ingest import IOTable
 from .operators import OperatorKind, PropagationOperator, build_operator
@@ -41,7 +42,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class SimulationError(RuntimeError):
-    """An engine failure wrapped with scenario/replication context."""
+    """An engine failure wrapped with its scenario, replication, period and seed."""
 
 
 class RegimeLabel(str, Enum):
@@ -321,6 +322,7 @@ def _run_task(
         spec, rep = owners[err.column]
         raise SimulationError(
             f"scenario {spec.name!r} replication {rep} period {err.period}: {err}"
+            f" (seed {columns[err.column][2]})"
         ) from err
     out = []
     start = 0
@@ -397,7 +399,14 @@ def run_scenarios(
     tasks, counts = _plan(specs, n_workers, substrate.operator.n)
     n_workers = min(n_workers, len(tasks))
     context = (substrate, params, sigma_b_ratio)
-    _warn_contraction(params, substrate.operator.spectral_radius, stacklevel=2)
+    check = contraction_check(params, substrate.operator.spectral_radius)
+    if not check.passed:
+        warnings.warn(
+            f"contraction check failed: beta={params.beta} >= bound={check.bound:.4g}; "
+            "stress feedback may not be stable",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     with ExitStack() as stack:
         if n_workers > 1:
             pool = ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context)

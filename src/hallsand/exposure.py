@@ -54,18 +54,23 @@ def flow_share(table: IOTable) -> np.ndarray:
     Normalized so the shares sum to one. An all-zero table has no shares and
     raises TableError.
     """
+    return _flow_share(table, table.outflow_totals(), table.inflow_totals())
+
+
+def _flow_share(table: IOTable, outflows: np.ndarray, inflows: np.ndarray) -> np.ndarray:
+    # the callers sum Z along each axis once, for the shares and the HHIs
     total = table.total_flow()
     if total <= 0:
         raise TableError("all-zero table: flow shares undefined")
-    return (table.outflow_totals() + table.inflow_totals()) / (2.0 * total)
+    return (outflows + inflows) / (2.0 * total)
 
 
-def _squared_share_sums(table: IOTable, squares, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    # axis=1 -> row HHI (destinations); axis=0 -> column HHI (sources);
-    # squares is Z.multiply(Z), which the callers square once for both axes
-    totals = np.asarray(table.Z.sum(axis=axis)).ravel()
+def _squared_share_sums(totals: np.ndarray, squares, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    # axis=1 -> row HHI (destinations), totals the outflows; axis=0 -> column
+    # HHI (sources), totals the inflows; squares is Z.multiply(Z), which the
+    # callers square once for both axes
     sq = np.asarray(squares.sum(axis=axis)).ravel()
-    hhi = np.zeros(table.n)
+    hhi = np.zeros(totals.size)
     pos = totals > 0
     hhi[pos] = sq[pos] / (totals[pos] * totals[pos])
     return hhi, pos
@@ -79,7 +84,8 @@ def redundancy(table: IOTable, floor: float = DEFAULT_FLOOR) -> np.ndarray:
     floor and are excluded from the scaling statistics; if all remaining
     D_raw are equal the map degenerates and everyone gets the floor.
     """
-    return _redundancy(*_squared_share_sums(table, table.Z.multiply(table.Z), axis=1), floor)
+    hhi, pos = _squared_share_sums(table.outflow_totals(), table.Z.multiply(table.Z), axis=1)
+    return _redundancy(hhi, pos, floor)
 
 
 def _redundancy(hhi: np.ndarray, pos: np.ndarray, floor: float) -> np.ndarray:
@@ -100,7 +106,8 @@ def capacity(table: IOTable, floor: float = DEFAULT_FLOOR) -> np.ndarray:
 
     Nodes without inflows sit at the floor.
     """
-    return _capacity(*_squared_share_sums(table, table.Z.multiply(table.Z), axis=0), floor)
+    hhi, pos = _squared_share_sums(table.inflow_totals(), table.Z.multiply(table.Z), axis=0)
+    return _capacity(hhi, pos, floor)
 
 
 def _capacity(hhi: np.ndarray, pos: np.ndarray, floor: float) -> np.ndarray:
@@ -134,10 +141,11 @@ def compute_exposure(
     """Assemble the full exposure profile for a table at field intensity B."""
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    I = flow_share(table)
+    outflows, inflows = table.outflow_totals(), table.inflow_totals()
+    I = _flow_share(table, outflows, inflows)
     squares = table.Z.multiply(table.Z)
-    HHI_out, has_out = _squared_share_sums(table, squares, axis=1)
-    HHI_in, has_in = _squared_share_sums(table, squares, axis=0)
+    HHI_out, has_out = _squared_share_sums(outflows, squares, axis=1)
+    HHI_in, has_in = _squared_share_sums(inflows, squares, axis=0)
     D = _redundancy(HHI_out, has_out, d_floor)
     C = _capacity(HHI_in, has_in, c_floor)
     R = 1.0 / (D * C + epsilon)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,26 @@ def relaxation_products(threshold):
     A context manager, not a fixture: hypothesis tests call it in their body.
     """
     return mock.patch.object(dynamics, "_SLICE_MIN_SKIPPED", threshold)
+
+
+@contextmanager
+def settled_stress():
+    """Record the engine's stress after every relaxation, inside a with block.
+
+    Yields a list that gets a copy of the n x k stress block after each
+    _relax_block call, that is once per period of a run_batch. After a
+    one-column run, the last entry's column 0 is the final stress.
+    """
+    blocks = []
+    relax_block = dynamics._relax_block
+
+    def spy(S, *args):
+        result = relax_block(S, *args)
+        blocks.append(S.copy())
+        return result
+
+    with mock.patch.object(dynamics, "_relax_block", spy):
+        yield blocks
 
 
 def table_from_dense(dense, year=2014, row_use=None):

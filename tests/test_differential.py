@@ -1,7 +1,7 @@
 """Generated-input differential test of the batched engine.
 
 run_scenarios runs each task's replications as one stress block; every
-replication must equal, bit for bit, its own init_state/run and the
+replication must equal, bit for bit, its own one-column run_batch and the
 scalar-loop reference engine, and a failing run must report the error that
 running the replications one by one, in order, meets first. The batch runs
 twice: with every relaxation round over the toppled rows of A only, and with
@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hallsand.dynamics import FieldModel, Params, RelaxationBudgetError, init_state, run  # noqa: E402
+from hallsand.dynamics import FieldModel, Params, RelaxationBudgetError, run_batch  # noqa: E402
 from hallsand.experiments import (  # noqa: E402
     ScenarioSpec,
     SimulationError,
@@ -26,7 +26,7 @@ from hallsand.experiments import (  # noqa: E402
 from hallsand.ingest import synth_substrate  # noqa: E402
 from hallsand.operators import OperatorKind  # noqa: E402
 
-from conftest import FORCE_FULL, FORCE_SLICED, relaxation_products  # noqa: E402
+from conftest import FORCE_FULL, FORCE_SLICED, relaxation_products, settled_stress  # noqa: E402
 from scalar_oracle import ScalarLoopEngine  # noqa: E402
 
 
@@ -66,29 +66,26 @@ def cases(draw):
 
 def one_by_one(sub, params, specs, sigma_b_ratio):
     """Per spec, the post-burn (S, B_realised, relax_rounds) series of each replication,
-    from its own init_state/run; or the first error in spec and replication order."""
+    from its own one-column run_batch; or the first error in spec and replication order."""
     results = []
     for spec in specs:
         fieldmodel = FieldModel(spec.B_bar, sigma_b_ratio * spec.B_bar)
+        periods = spec.T_burn + spec.T_stat
         series = []
         for rep in range(spec.replications):
             seed = child_seed(spec.master_seed, rep)
-            state = init_state(sub.operator, sub.exposure, params, sigma_D=spec.sigma_D, seed=seed)
+            column = (fieldmodel, spec.sigma_D, seed)
             try:
-                records = run(state, fieldmodel, spec.T_burn + spec.T_stat)
+                with settled_stress() as blocks:
+                    sizes, fields, rounds = run_batch(sub.operator, sub.exposure, params, [column], periods)
             except RelaxationBudgetError as err:
-                return results, f"scenario {spec.name!r} replication {rep} period {state.period}: {err}"
-            oracle = ScalarLoopEngine(sub.operator, sub.exposure, params, sigma_D=spec.sigma_D, seed=seed)
-            sizes = oracle.run(fieldmodel.B_bar, fieldmodel.sigma_B, spec.T_burn + spec.T_stat)
-            kept = records[spec.T_burn:]
-            assert [r.S for r in kept] == sizes[spec.T_burn:]
-            series.append(
-                (
-                    np.array([r.S for r in kept], dtype=np.int64),
-                    np.array([r.B_realised for r in kept]),
-                    np.array([r.relax_rounds for r in kept], dtype=np.int64),
+                return results, (
+                    f"scenario {spec.name!r} replication {rep} period {err.period}: {err} (seed {seed})"
                 )
-            )
+            oracle = ScalarLoopEngine(sub.operator, sub.exposure, params, sigma_D=spec.sigma_D, seed=seed)
+            assert sizes[0].tolist() == oracle.run(fieldmodel.B_bar, fieldmodel.sigma_B, periods)
+            assert blocks[-1][:, 0].tobytes() == np.array(oracle.s).tobytes()
+            series.append(tuple(row[0, spec.T_burn:] for row in (sizes, fields, rounds)))
         results.append(series)
     return results, None
 

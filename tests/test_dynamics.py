@@ -1,29 +1,35 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import hallsand
 
 from hallsand.dynamics import (
     FieldModel,
     Params,
     RelaxationBudgetError,
+    _hall_denominator,
     _relax_block,
+    _update,
+    _validate_run,
     activation_gap,
     contraction_check,
-    draw_shocks,
-    effective_hall,
     gap_field_sensitivity,
     gap_redundancy_sensitivity,
     hall_adjusted_threshold,
-    init_state,
-    relax,
-    run,
     run_batch,
-    step,
 )
+from hallsand.experiments import ScenarioSpec, prepare_substrate, run_scenarios
 from hallsand.exposure import compute_exposure
 from hallsand.ingest import synth_substrate
 from hallsand.operators import OperatorKind, build_operator
 
-from conftest import FORCE_FULL, FORCE_SLICED, relaxation_products, table_from_dense
+from conftest import FORCE_FULL, FORCE_SLICED, relaxation_products, settled_stress, table_from_dense
 from scalar_oracle import ScalarLoopEngine
 
 
@@ -60,6 +66,42 @@ def test_both_relaxation_products_give_the_same_bytes(kind, count_unique):
             _relax_block(block, operator.matrix, operator.matrix.T, params.thresholds(operator.n), params, 3000)
         settled.append(block.tobytes())
     assert settled[0] == settled[1]
+
+
+def test_public_names_are_pinned():
+    # in a fresh interpreter, so no test's own imports add to the namespaces;
+    # run_batch is the one engine entry point, and no other comes back unseen
+    env = {**os.environ, "PYTHONPATH": str(Path(hallsand.__file__).parent.parent)}
+    code = (
+        "import hallsand, hallsand.dynamics as d;"
+        "print(' '.join(sorted(k for k in vars(hallsand) if not k.startswith('_'))));"
+        "print(' '.join(sorted(k for k, v in vars(d).items()"
+        " if not k.startswith('_') and getattr(v, '__module__', None) == d.__name__)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package, dynamics = (line.split() for line in proc.stdout.splitlines())
+    assert package == sorted(PACKAGE_NAMES.split())
+    assert dynamics == sorted(DYNAMICS_NAMES.split())
+
+
+DYNAMICS_NAMES = """
+    ContractionCheck FieldModel Params RelaxationBudgetError activation_gap contraction_check
+    gap_field_sensitivity gap_redundancy_sensitivity hall_adjusted_threshold run_batch
+"""
+PACKAGE_NAMES = DYNAMICS_NAMES + """
+    config dynamics experiments exposure ingest operators tail
+    ConfigError load_config section_for
+    PRESETS CellDiagnostics CellStats PhaseGridResult PhaseGridSpec RegimeLabel ScenarioResult
+    ScenarioSpec SimulationError Substrate child_seed convergence_report default_phase_grid
+    make_cell_stats prepare_substrate preset_scenarios run_phase_grid run_scenario run_scenarios
+    ExposureProfile ExposureRank capacity compute_exposure flow_share hall_stress rank_exposure
+    redundancy with_field
+    FlowPanel IOTable NodeId TableError list_years parse_io_table synth_substrate write_io_table
+    LeakageProfile OperatorKind PropagationOperator SpectralConvergenceError build_operator
+    leakage_profile spectral_radius
+    TailCandidate TailError TailFit ccdf fit_alpha hill_alpha scan_xmin select_xmin
+"""
 
 
 def test_params_defaults_match_calibration():
@@ -136,37 +178,48 @@ def test_contraction_check_cases():
         contraction_check(p, -0.1)
 
 
-def test_init_state_fresh():
+def test_round_budget_defaults_to_ten_n():
     table = synth_substrate(12, 0.3, 4)
     op, prof = make_pair(table)
-    state = init_state(op, prof, Params(), sigma_D=1.0, seed=9)
-    assert state.period == 0
-    np.testing.assert_array_equal(state.s, np.zeros(12))
-    assert state.max_rounds == 120
+    assert _validate_run(op, prof, Params(), 1.0) == 120
+    assert _validate_run(op, prof, Params(max_relax_rounds=7), 1.0) == 7
+    # no periods: nothing drawn, nothing recorded
+    sizes, fields, rounds = run_batch(op, prof, Params(), [(FieldModel(1.0), 1.0, 9)], 0)
+    assert sizes.shape == fields.shape == rounds.shape == (1, 0)
 
 
-def test_init_state_warns_on_contraction_failure():
+def test_run_scenarios_warns_once_on_contraction_failure():
     table = table_from_dense([[0.0, 2.0], [5.0, 0.0]])  # row-share radius 1
-    op, prof = make_pair(table, OperatorKind.ROW_SHARE)
-    with pytest.warns(RuntimeWarning, match="contraction"):
-        init_state(op, prof, Params(), seed=0)
+    sub = prepare_substrate(table, kind=OperatorKind.ROW_SHARE)
+    specs = [ScenarioSpec(name, 0.5, 1.0, master_seed=3, T_burn=0, T_stat=2, replications=2) for name in "ab"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        list(run_scenarios(specs, sub, Params()))
+    assert [str(w.message).startswith("contraction check failed") for w in caught] == [True]
+    assert caught[0].category is RuntimeWarning
 
 
-def test_init_state_validation():
+def test_run_batch_validation():
     table = synth_substrate(6, 0.4, 0)
     op, prof = make_pair(table)
     with pytest.raises(ValueError):
-        init_state(op, prof, Params(), sigma_D=0.0)
+        run_batch(op, prof, Params(), [(FieldModel(1.0), 0.0, 0)], 5)
     other = compute_exposure(synth_substrate(7, 0.4, 0))
     with pytest.raises(ValueError):
-        init_state(op, other, Params())
+        run_batch(op, other, Params(), [(FieldModel(1.0), 1.0, 0)], 5)
 
 
 def test_half_normal_shock_mean():
     table = synth_substrate(100, 0.2, 1)
     op, prof = make_pair(table)
-    state = init_state(op, prof, Params(), seed=123)
-    draws = np.concatenate([draw_shocks(state) for _ in range(10_000)])
+    # no stress to carry or propagate and no loading: the update is the shocks
+    p = Params(alpha=1.0, gamma=0.0)
+    S = np.zeros((op.n, 100))
+    denom = _hall_denominator(prof, np.ones(100), p.epsilon)
+    rngs = np.random.default_rng(123).spawn(100)
+    draws = np.concatenate(
+        [_update(S, rngs, 1.0, 0.1, op.matrix.T, prof.I, denom, p)[0].ravel() for _ in range(100)]
+    )
     assert draws.size == 1_000_000
     # E|N(0, sigma^2)| = sigma * sqrt(2/pi)
     want = 0.20 * np.sqrt(2.0 / np.pi)
@@ -174,19 +227,17 @@ def test_half_normal_shock_mean():
     assert draws.min() >= 0.0
 
 
-def test_effective_hall_unit_dispersion_matches_static():
+def test_hall_loading_unit_dispersion_matches_static():
     table = synth_substrate(30, 0.3, 8)
     op, prof = make_pair(table)
-    state = init_state(op, prof, Params(), sigma_D=1.0, seed=0)
-    H = effective_hall(state, prof.B)
+    H = prof.B * prof.I / _hall_denominator(prof, np.array([1.0]), Params().epsilon)[:, 0]
     np.testing.assert_array_equal(H, prof.H)
 
 
-def test_effective_hall_dispersion_rescales_redundancy():
+def test_hall_loading_dispersion_rescales_redundancy():
     table = synth_substrate(30, 0.3, 8)
     op, prof = make_pair(table)
-    state = init_state(op, prof, Params(), sigma_D=2.0, seed=0)
-    H = effective_hall(state, 1.0)
+    H = 1.0 * prof.I / _hall_denominator(prof, np.array([2.0]), Params().epsilon)[:, 0]
     want = 1.0 * prof.I / ((prof.D / 2.0) * prof.C + 1e-6)
     np.testing.assert_array_equal(H, want)
 
@@ -195,68 +246,75 @@ def test_relax_chain_trace():
     # node 0 feeds node 1 only; one topple triggers exactly one more
     table = table_from_dense([[0.0, 1.0], [0.0, 0.0]])
     op, prof = make_pair(table, OperatorKind.ROW_SHARE)
-    state = init_state(op, prof, Params(), seed=0)
-    state.s = np.array([2.0, 0.9])
-    events, toppled, rounds = relax(state)
-    assert events == 2
-    assert toppled == {0, 1}
-    assert rounds == 2
-    np.testing.assert_array_equal(state.s, [0.0, 0.0])
+    params = Params()
+    S = np.array([[2.0], [0.9]])
+    toppled = np.zeros(S.shape, dtype=bool)
+    events, rounds, failed = _relax_block(
+        S, op.matrix, op.matrix.T, params.thresholds(2), params, 20, toppled
+    )
+    assert failed is None
+    assert events.tolist() == [2]
+    assert set(np.flatnonzero(toppled).tolist()) == {0, 1}
+    assert rounds.tolist() == [2]
+    np.testing.assert_array_equal(S[:, 0], [0.0, 0.0])
 
 
 def test_relax_budget_error():
-    # full return with share-1 cycle keeps both nodes over threshold forever
+    # full return with share-1 cycle keeps both nodes over threshold forever;
+    # the loading of the first period puts both far over it
     table = table_from_dense([[0.0, 3.0], [3.0, 0.0]])
     op, prof = make_pair(table, OperatorKind.ROW_SHARE)
     params = Params(redistribution_fraction=1.0, max_relax_rounds=25)
-    with pytest.warns(RuntimeWarning):
-        state = init_state(op, prof, params, seed=0)
-    state.s = np.array([2.0, 2.0])
-    with pytest.raises(RelaxationBudgetError) as exc:
-        relax(state)
+    assert not contraction_check(params, op.spectral_radius).passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # run_batch itself never warns
+        with pytest.raises(RelaxationBudgetError) as exc:
+            run_batch(op, prof, params, [(FieldModel(1.0), 1.0, 0)], 3)
     assert exc.value.rounds == 25
     assert exc.value.still_over == 2
+    assert (exc.value.column, exc.value.period) == (0, 0)
 
 
 def test_step_records_period_and_field():
     table = synth_substrate(10, 0.3, 3)
     op, prof = make_pair(table)
-    state = init_state(op, prof, Params(), seed=5)
-    rec = step(state, FieldModel(B_bar=1.0))
-    assert rec.period == 0
-    assert state.period == 1
-    assert rec.B_realised >= 0.0
-    assert rec.S >= 0
+    sizes, fields, rounds = run_batch(op, prof, Params(), [(FieldModel(B_bar=1.0), 1.0, 5)], 1)
+    assert sizes.shape == fields.shape == rounds.shape == (1, 1)
+    assert fields[0, 0] >= 0.0
+    assert sizes[0, 0] >= 0
 
 
 def test_field_clamped_at_zero():
     table = synth_substrate(10, 0.3, 3)
     op, prof = make_pair(table)
-    state = init_state(op, prof, Params(), seed=5)
-    records = run(state, FieldModel(B_bar=0.01, sigma_B=5.0), 200)
-    assert min(r.B_realised for r in records) == 0.0
+    _, fields, _ = run_batch(op, prof, Params(), [(FieldModel(B_bar=0.01, sigma_B=5.0), 1.0, 5)], 200)
+    assert fields.min() == 0.0
 
 
 def test_run_rejects_negative_periods():
     table = synth_substrate(6, 0.4, 2)
     op, prof = make_pair(table)
-    state = init_state(op, prof, Params(), seed=0)
     with pytest.raises(ValueError):
-        run(state, FieldModel(B_bar=1.0), -1)
+        run_batch(op, prof, Params(), [(FieldModel(B_bar=1.0), 1.0, 0)], -1)
+
+
+def run_one(op, prof, params, fieldmodel, periods, sigma_D, seed):
+    """One replication as a one-column run_batch: its cascade sizes and final stress."""
+    with settled_stress() as blocks:
+        sizes, _, _ = run_batch(op, prof, params, [(fieldmodel, sigma_D, seed)], periods)
+    return sizes[0].tolist(), blocks[-1][:, 0]
 
 
 def test_run_deterministic_given_seed():
     table = synth_substrate(20, 0.3, 14)
     op, prof = make_pair(table)
-    a = init_state(op, prof, Params(), sigma_D=1.5, seed=77)
-    b = init_state(op, prof, Params(), sigma_D=1.5, seed=77)
-    ra = run(a, FieldModel(B_bar=1.2), 80)
-    rb = run(b, FieldModel(B_bar=1.2), 80)
-    assert [r.S for r in ra] == [r.S for r in rb]
-    np.testing.assert_array_equal(a.s, b.s)
-    c = init_state(op, prof, Params(), sigma_D=1.5, seed=78)
-    rc = run(c, FieldModel(B_bar=1.2), 80)
-    assert [r.S for r in ra] != [r.S for r in rc]
+    fm = FieldModel(B_bar=1.2)
+    ra, sa = run_one(op, prof, Params(), fm, 80, 1.5, 77)
+    rb, sb = run_one(op, prof, Params(), fm, 80, 1.5, 77)
+    assert ra == rb
+    np.testing.assert_array_equal(sa, sb)
+    rc, _ = run_one(op, prof, Params(), fm, 80, 1.5, 78)
+    assert ra != rc
 
 
 oracle_cases = []
@@ -278,12 +336,11 @@ def test_engine_matches_scalar_oracle(n, density, table_seed, run_seed):
     op, prof = make_pair(table)
     params = Params()
     fm = FieldModel(B_bar=1.1)
-    state = init_state(op, prof, params, sigma_D=1.3, seed=run_seed)
-    records = run(state, fm, 50)
+    sizes, s = run_one(op, prof, params, fm, 50, 1.3, run_seed)
     oracle = ScalarLoopEngine(op, prof, params, sigma_D=1.3, seed=run_seed)
     want = oracle.run(fm.B_bar, fm.sigma_B, 50)
-    assert [r.S for r in records] == want
-    np.testing.assert_array_equal(state.s, np.array(oracle.s))
+    assert sizes == want
+    np.testing.assert_array_equal(s, np.array(oracle.s))
 
 
 def test_engine_matches_oracle_variant_params():
@@ -297,12 +354,11 @@ def test_engine_matches_oracle_variant_params():
         theta=np.array([0.8, 1.0, 1.2, 0.9, 1.1]),
     )
     fm = FieldModel(B_bar=1.4, sigma_B=0.2)
-    state = init_state(op, prof, params, sigma_D=0.7, seed=5)
-    records = run(state, fm, 50)
+    sizes, s = run_one(op, prof, params, fm, 50, 0.7, 5)
     oracle = ScalarLoopEngine(op, prof, params, sigma_D=0.7, seed=5)
     want = oracle.run(fm.B_bar, fm.sigma_B, 50)
-    assert [r.S for r in records] == want
-    np.testing.assert_array_equal(state.s, np.array(oracle.s))
+    assert sizes == want
+    np.testing.assert_array_equal(s, np.array(oracle.s))
 
 
 def test_threshold_shift_identity():

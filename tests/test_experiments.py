@@ -1,12 +1,13 @@
 import itertools
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from hallsand import experiments
-from hallsand.dynamics import FieldModel, Params, RelaxationBudgetError, init_state, run
+from hallsand.dynamics import FieldModel, Params, RelaxationBudgetError, run_batch
 from hallsand.experiments import (
     DEFAULT_SIGMA_B_RATIO,
     SimulationError,
@@ -270,18 +271,35 @@ def test_budget_error_names_lowest_failing_replication_not_earliest_period():
     fieldmodel = FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar)
     periods, errors = [], []
     for rep in range(spec.replications):
-        seed = child_seed(spec.master_seed, rep)
-        state = init_state(hot.operator, hot.exposure, params, sigma_D=spec.sigma_D, seed=seed)
+        column = (fieldmodel, spec.sigma_D, child_seed(spec.master_seed, rep))
         with pytest.raises(RelaxationBudgetError) as exc:
-            run(state, fieldmodel, spec.T_burn + spec.T_stat)
-        periods.append(state.period)
+            run_batch(hot.operator, hot.exposure, params, [column], spec.T_burn + spec.T_stat)
+        periods.append(exc.value.period)
         errors.append(exc.value)
     assert periods[1] < periods[0]
-    want = f"scenario 'late' replication 0 period {periods[0]}: {errors[0]}"
+    want = f"scenario 'late' replication 0 period {periods[0]}: {errors[0]} (seed {child_seed(16, 0)})"
     for threads in (1, 2):
         with pytest.raises(SimulationError) as exc:
             run_scenario(spec, hot, params, threads=threads)
         assert str(exc.value) == want
+
+
+@pytest.mark.filterwarnings("ignore:contraction check failed")
+def test_simulation_error_seed_alone_reproduces_the_failure():
+    # replications 0-2 settle; replication 3, the batch's last column, fails
+    hot = prepare_substrate(synth_substrate(30, 0.2, 7, mean_leakage=0.22), kind=OperatorKind.ROW_SHARE)
+    params = Params(max_relax_rounds=15, redistribution_fraction=0.7)
+    spec = ScenarioSpec("mild", 0.2, 1.5, master_seed=1, T_burn=0, T_stat=30, replications=4)
+    with pytest.raises(SimulationError) as exc:
+        run_scenario(spec, hot, params, threads=1)
+    head, seed = re.fullmatch(r"(.*) \(seed (\d+)\)", str(exc.value)).groups()
+    assert head.startswith("scenario 'mild' replication 3 period ")
+    period = int(re.search(r" period (\d+): ", head).group(1))
+    column = (FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar), spec.sigma_D, int(seed))
+    with pytest.raises(RelaxationBudgetError) as alone:
+        run_batch(hot.operator, hot.exposure, params, [column], spec.T_burn + spec.T_stat)
+    assert (alone.value.column, alone.value.period) == (0, period)
+    assert head.endswith(f" period {period}: {alone.value}")
 
 
 def test_resolve_threads_precedence(monkeypatch):

@@ -143,7 +143,8 @@ def test_compute_exposure_custom_floors():
     assert prof.C.min() >= 0.20 - 1e-15
     assert prof.d_floor == 0.10
     assert prof.c_floor == 0.20
-    # the profile squares Z once for both axes; the lone functions give the same bytes
+    # the profile sums and squares Z once per axis; the lone functions give the same bytes
+    assert prof.I.tobytes() == flow_share(table).tobytes()
     assert prof.D.tobytes() == redundancy(table, floor=0.10).tobytes()
     assert prof.C.tobytes() == capacity(table, floor=0.20).tobytes()
 

@@ -13,11 +13,16 @@ from .operators import PropagationOperator
 
 # A relaxation round multiplies only the rows of A that toppled, A[J].T, when
 # that skips more than this many nonzero-column products, (nnz(A) - nnz(A[J]))
-# * columns. Measured at n = 2464 (3.03M nonzeros) on a 2-CPU Xeon: slicing A
-# costs about 68 us of scipy row indexing, and a full product through A's CSC
-# view about 0.35 ns per nonzero per column. So every n = 200 round with up to
-# 32 columns stays on the full product, which takes 7-37 us there.
-_SLICE_MIN_SKIPPED = 200_000
+# * columns. Measured on a 2-CPU Xeon: a sliced round pays 110-240 us whatever
+# J holds (scipy's row indexing of A[J], its CSC view, the gathers of the
+# toppled rows), and a full product through A's CSC view 0.5-0.75 ns per
+# nonzero per column (0.5 at n = 200 with 64-100 columns, 0.7 at n = 2464 with
+# 8). So the slice wins past about 300k-400k skipped products, and every round
+# on a 200-node table of 3,924 nonzeros with up to 100 columns stays on the
+# full product. At n = 2464 (3.03M nonzeros) rounds topple under 3% of the
+# rows and skip millions of products; the copy of A[J], about 2.6 ns per kept
+# nonzero, is not charged, and outweighs the saving only past 70% of the rows.
+_SLICE_MIN_SKIPPED = 400_000
 
 
 @dataclass

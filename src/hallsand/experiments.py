@@ -385,28 +385,39 @@ def run_scenarios(
     the substrate once per worker through its initializer. Each spec's
     result is yielded as soon as its task is done, so a caller can write or
     reduce it before later specs' series are held; a failing task raises
-    before any of its specs is yielded. The contraction check runs once per
-    call, here, not in the workers.
+    before any of its specs is yielded. The inputs are validated and the
+    contraction check runs once per call, here, when it is made, not in the
+    workers.
     """
+    return _start(specs, substrate, params, sigma_b_ratio, keep_series, threads)
+
+
+def _start(specs, substrate, params, sigma_b_ratio, keep_series, threads) -> Iterator[ScenarioResult]:
+    # Validates and warns before the first result is asked for; the warning
+    # names the line that called the public function that called this one.
     for spec in specs:
         spec.validate()
     params.validate(substrate.operator.n)
     if not 0.0 <= sigma_b_ratio < math.inf:
         raise ValueError(f"sigma_b_ratio must be finite and non-negative, got {sigma_b_ratio}")
     if not specs:
-        return
+        return iter(())
     n_workers = resolve_threads(threads)
-    tasks, counts = _plan(specs, n_workers, substrate.operator.n)
-    n_workers = min(n_workers, len(tasks))
-    context = (substrate, params, sigma_b_ratio)
     check = contraction_check(params, substrate.operator.spectral_radius)
     if not check.passed:
         warnings.warn(
             f"contraction check failed: beta={params.beta} >= bound={check.bound:.4g}; "
             "stress feedback may not be stable",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    return _results(specs, substrate, params, sigma_b_ratio, keep_series, n_workers)
+
+
+def _results(specs, substrate, params, sigma_b_ratio, keep_series, n_workers) -> Iterator[ScenarioResult]:
+    tasks, counts = _plan(specs, n_workers, substrate.operator.n)
+    n_workers = min(n_workers, len(tasks))
+    context = (substrate, params, sigma_b_ratio)
     with ExitStack() as stack:
         if n_workers > 1:
             pool = ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context)
@@ -435,7 +446,7 @@ def run_scenario(
     threads: int | None = 1,
 ) -> ScenarioResult:
     """Run one cell's replications and pool the post-burn statistics."""
-    (result,) = run_scenarios([spec], substrate, params, sigma_b_ratio, keep_series, threads)
+    (result,) = _start([spec], substrate, params, sigma_b_ratio, keep_series, threads)
     return result
 
 
@@ -468,7 +479,7 @@ def run_phase_grid(
                     replications=spec.replications,
                 )
             )
-    results = run_scenarios(cells, substrate, params, sigma_b_ratio, threads=threads)
+    results = _start(cells, substrate, params, sigma_b_ratio, False, threads)
     return PhaseGridResult(spec=spec, cells=tuple(r.stats for r in results))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .ingest import IOTable, TableError
 
@@ -65,10 +66,25 @@ def _flow_share(table: IOTable, outflows: np.ndarray, inflows: np.ndarray) -> np
     return (outflows + inflows) / (2.0 * total)
 
 
+def _squares(Z: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Z's squared flows on Z's own structure, less the squares that are 0.
+
+    These are the entries of Z.multiply(Z), which stores no 0 (zero flows,
+    underflows). scipy sums a row of more than 8 terms in 8 interleaved
+    partial sums, so a stored 0 would move the later terms and the bits.
+    """
+    data = Z.data * Z.data
+    if data.all():
+        return sparse.csr_matrix((data, Z.indices, Z.indptr), shape=Z.shape)
+    squares = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
+    squares.eliminate_zeros()
+    return squares
+
+
 def _squared_share_sums(totals: np.ndarray, squares, axis: int) -> tuple[np.ndarray, np.ndarray]:
     # axis=1 -> row HHI (destinations), totals the outflows; axis=0 -> column
-    # HHI (sources), totals the inflows; squares is Z.multiply(Z), which the
-    # callers square once for both axes
+    # HHI (sources), totals the inflows; squares is _squares(Z), which
+    # compute_exposure squares once for both axes
     sq = np.asarray(squares.sum(axis=axis)).ravel()
     hhi = np.zeros(totals.size)
     pos = totals > 0
@@ -84,7 +100,7 @@ def redundancy(table: IOTable, floor: float = DEFAULT_FLOOR) -> np.ndarray:
     floor and are excluded from the scaling statistics; if all remaining
     D_raw are equal the map degenerates and everyone gets the floor.
     """
-    hhi, pos = _squared_share_sums(table.outflow_totals(), table.Z.multiply(table.Z), axis=1)
+    hhi, pos = _squared_share_sums(table.outflow_totals(), _squares(table.Z), axis=1)
     return _redundancy(hhi, pos, floor)
 
 
@@ -106,7 +122,7 @@ def capacity(table: IOTable, floor: float = DEFAULT_FLOOR) -> np.ndarray:
 
     Nodes without inflows sit at the floor.
     """
-    hhi, pos = _squared_share_sums(table.inflow_totals(), table.Z.multiply(table.Z), axis=0)
+    hhi, pos = _squared_share_sums(table.inflow_totals(), _squares(table.Z), axis=0)
     return _capacity(hhi, pos, floor)
 
 
@@ -143,7 +159,7 @@ def compute_exposure(
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     outflows, inflows = table.outflow_totals(), table.inflow_totals()
     I = _flow_share(table, outflows, inflows)
-    squares = table.Z.multiply(table.Z)
+    squares = _squares(table.Z)
     HHI_out, has_out = _squared_share_sums(outflows, squares, axis=1)
     HHI_in, has_in = _squared_share_sums(inflows, squares, axis=0)
     D = _redundancy(HHI_out, has_out, d_floor)

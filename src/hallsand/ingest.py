@@ -63,6 +63,15 @@ class IOTable:
     row_use_total: np.ndarray
     nodes: tuple[NodeId, ...]
 
+    def __post_init__(self):
+        # operators and exposure scale Z's stored entries, one per flow in
+        # column order, so a table holds Z in canonical CSR form
+        Z = self.Z
+        if not (isinstance(Z, sparse.csr_matrix) and Z.has_canonical_format):
+            Z = sparse.csr_matrix(Z, copy=True)
+            Z.sum_duplicates()
+            object.__setattr__(self, "Z", Z)
+
     def index_of(self, country: str, sector: str) -> int:
         key = (country, sector)
         try:

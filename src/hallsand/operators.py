@@ -7,7 +7,6 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .ingest import IOTable, TableError
 
@@ -93,7 +92,9 @@ def _cyclic_components(matrix: sparse.csr_matrix) -> list[np.ndarray]:
     """Nodes of each strongly connected component whose edges close a cycle.
 
     A component closes one when it has two or more nodes, or one node with
-    a self-loop. Zero-weight edges carry nothing and are dropped first.
+    a self-loop. Zero-weight edges carry nothing and are dropped first. A
+    strongly connected matrix, the usual case for a flow table, is decided
+    without scipy.sparse.csgraph, whose import loads scipy.linalg.
     """
     struct = matrix
     if (matrix.data == 0).any():
@@ -101,10 +102,38 @@ def _cyclic_components(matrix: sparse.csr_matrix) -> list[np.ndarray]:
         struct.eliminate_zeros()
     if struct.nnz == 0:
         return []
+    # every stored entry is an edge, inf and nan as well
+    edges = sparse.csr_matrix(
+        (np.ones(struct.nnz, dtype=bool), struct.indices, struct.indptr), shape=struct.shape
+    )
+    if _reaches_all(edges.T) and _reaches_all(edges):
+        return [np.arange(struct.shape[0])]
+    from scipy.sparse import csgraph
+
     n_comp, labels = csgraph.connected_components(struct, directed=True, connection="strong")
     loops = np.bincount(labels, weights=struct.diagonal() != 0, minlength=n_comp)
     cyclic = (np.bincount(labels, minlength=n_comp) > 1) | (loops > 0)
     return [np.flatnonzero(labels == c) for c in np.flatnonzero(cyclic)]
+
+
+def _reaches_all(edges) -> bool:
+    """Whether a breadth-first search from node 0 reaches every node.
+
+    Each step is one boolean product: (edges @ x)[i] is set when row i has
+    an entry in a column that x marks. Through A.T the search follows A's
+    edges forward, through A backward.
+    """
+    n = edges.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    count = 1
+    while count < n:
+        reached |= edges @ reached
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            return False
+        count = grown
+    return True
 
 
 def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> float:
@@ -187,19 +216,19 @@ def build_operator(table: IOTable, kind: OperatorKind) -> PropagationOperator:
     """
     Z = table.Z
     row_totals = table.outflow_totals()
-    if kind is OperatorKind.ROW_SHARE:
-        scale = np.divide(1.0, row_totals, out=np.zeros(table.n), where=row_totals > 0)
-        matrix = sparse.diags(scale) @ Z
-    elif kind is OperatorKind.LEAKAGE_ADJUSTED:
-        leak = leakage_profile(table).values
-        scale = np.divide(leak, row_totals, out=np.zeros(table.n), where=row_totals > 0)
-        matrix = sparse.diags(scale) @ Z
-    elif kind is OperatorKind.MAX_ROW:
+    if kind is OperatorKind.MAX_ROW:
         max_row = row_totals.max()
-        matrix = Z * (1.0 / max_row) if max_row > 0 else Z * 0.0
+        data = Z.data * (1.0 / max_row if max_row > 0 else 0.0)
+    elif kind in (OperatorKind.ROW_SHARE, OperatorKind.LEAKAGE_ADJUSTED):
+        weight = 1.0 if kind is OperatorKind.ROW_SHARE else leakage_profile(table).values
+        scale = np.divide(weight, row_totals, out=np.zeros(table.n), where=row_totals > 0)
+        data = Z.data * np.repeat(scale, np.diff(Z.indptr))
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    matrix = sparse.csr_matrix(matrix)
-    matrix.sort_indices()
+    # each row scaled on Z's own sorted structure: the entries of Z * c, or of
+    # diags(scale) @ Z, which stores no product that is exactly 0
+    matrix = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
+    if kind is not OperatorKind.MAX_ROW:
+        matrix.eliminate_zeros()
     rho = spectral_radius(matrix)
     return PropagationOperator(kind=kind, matrix=matrix, spectral_radius=rho, year=table.year)

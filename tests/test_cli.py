@@ -697,9 +697,22 @@ def test_column_writer_matches_row_writer(tmp_path):
 
 
 def test_import_leaves_yaml_out():
-    # only --config runs import yaml; the engine modules, scipy among them, load eagerly
+    # only --config runs import yaml; the engine modules, scipy.sparse among them,
+    # load eagerly. csgraph, and the scipy.linalg it pulls in, load only when a
+    # spectral radius meets a matrix that is not strongly connected.
     env = {**os.environ, "PYTHONPATH": str(Path(hallsand.__file__).parent.parent)}
-    code = "import sys, hallsand.cli; print('yaml' in sys.modules, 'scipy.sparse' in sys.modules)"
+    code = "\n".join([
+        "import sys, hallsand.cli",
+        "from hallsand.experiments import prepare_substrate",
+        "from hallsand.ingest import synth_substrate",
+        "from hallsand.operators import spectral_radius",
+        "from scipy import sparse",
+        "def loaded(): return [m in sys.modules for m in ('scipy.sparse.csgraph', 'scipy.linalg')]",
+        "print('yaml' in sys.modules, 'scipy.sparse' in sys.modules, *loaded())",
+        "sub = prepare_substrate(synth_substrate(30, 0.5, 4))",
+        "print(sub.operator.spectral_radius > 0, *loaded())",
+        "print(spectral_radius(sparse.csr_matrix([[1.0, 1.0], [0.0, 0.5]])), *loaded())",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.splitlines() == ["False True False False", "True False False", "1.0 True True"]

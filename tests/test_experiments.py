@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from hallsand.experiments import (
 )
 from hallsand.ingest import synth_substrate
 from hallsand.operators import OperatorKind
+
+from conftest import table_from_dense
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +232,23 @@ def test_run_phase_grid_parallel_matches_serial(small_substrate):
     serial = run_phase_grid(spec, small_substrate, Params(), threads=1)
     parallel = run_phase_grid(spec, small_substrate, Params(), threads=2)
     assert serial.cells == parallel.cells
+
+
+def test_contraction_warning_names_the_callers_line():
+    # the 2-cycle's row-share operator has radius 1, past the bound for beta=0.4;
+    # run_scenarios warns when called, before its first result is asked for
+    sub = prepare_substrate(table_from_dense([[0, 2], [5, 0]]), kind=OperatorKind.ROW_SHARE)
+    spec = ScenarioSpec("cycle", 0.5, 1.0, master_seed=3, T_burn=0, T_stat=2, replications=1)
+    grid = PhaseGridSpec((0.5,), (1.0,), master_seed=3, T_burn=0, T_stat=2, replications=1)
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        results = run_scenarios([spec], sub, Params())
+        assert [x.filename for x in w] == [__file__]
+        list(results)
+        run_scenario(spec, sub, Params())
+        run_phase_grid(grid, sub, Params())
+    assert [x.filename for x in w] == [__file__] * 3
+    assert all("contraction check failed" in str(x.message) for x in w)
 
 
 @pytest.mark.filterwarnings("ignore:contraction check failed")

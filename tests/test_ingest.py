@@ -7,6 +7,8 @@ from hallsand.ingest import (
     _SYNTH_BLOCK_ROWS,
     _WEIGHT_SIGMA,
     DEFAULT_MEAN_LEAKAGE,
+    IOTable,
+    NodeId,
     TableError,
     list_years,
     parse_io_table,
@@ -218,3 +220,17 @@ def test_synth_blocks_match_the_dense_formula(n, density, seed):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     assert table.row_use_total.tobytes() == row_use.tobytes()
+
+
+def test_table_holds_z_in_canonical_form():
+    # unsorted columns and a repeated entry, which the operators and the HHIs
+    # would otherwise scale and square one stored entry at a time
+    Z = sparse.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), np.array([0, 3, 3])), shape=(2, 2))
+    nodes = (NodeId("A", "S", 0), NodeId("B", "S", 1))
+    table = IOTable(year=2014, n=2, Z=Z, row_use_total=np.array([6.0, 0.0]), nodes=nodes)
+    assert table.Z.has_canonical_format
+    assert table.Z.indices.tolist() == [0, 1]
+    assert table.Z.data.tolist() == [2.0, 4.0]
+    assert Z.indices.tolist() == [1, 0, 1]  # the caller's matrix is left as it was
+    canonical = synth_substrate(5, 0.5, 1)
+    assert IOTable(2014, 5, canonical.Z, canonical.row_use_total, canonical.nodes).Z is canonical.Z

@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,6 +81,13 @@ def _emit(out_dir: Path, name: str, header: tuple[str, ...], columns: list, as_j
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return path
+
+
+def _table(getters: dict, objs, **leading) -> tuple[tuple[str, ...], list]:
+    """A table for _emit: the leading columns as given, then one column per
+    header -> getter entry, read off each object."""
+    columns = [[get(obj) for obj in objs] for get in getters.values()]
+    return (*leading, *getters), [*leading.values(), *columns]
 
 
 def _out_dir(args) -> Path:
@@ -233,7 +241,17 @@ def cmd_synth(args) -> int:
     return 0
 
 
-PANEL_HEADER = ("year", "rho_share", "rho_leak", "rho_max", "mean_leakage", "mean_Hrel", "p95_Hrel")
+# panel.csv, one row per year's values: its spectral radii by operator kind,
+# leakage profile and H_rel
+PANEL = {
+    "year": lambda y: y.year,
+    "rho_share": lambda y: y.rho[OperatorKind.ROW_SHARE],
+    "rho_leak": lambda y: y.rho[OperatorKind.LEAKAGE_ADJUSTED],
+    "rho_max": lambda y: y.rho[OperatorKind.MAX_ROW],
+    "mean_leakage": lambda y: y.leak.mean_leakage,
+    "mean_Hrel": lambda y: float(y.H_rel.mean()),
+    "p95_Hrel": lambda y: float(np.percentile(y.H_rel, 95)),
+}
 
 
 def cmd_network_panel(args) -> int:
@@ -242,36 +260,31 @@ def cmd_network_panel(args) -> int:
     given = [int(y) for y in args.years.split(",")] if args.years else None
     # one read of flows.csv and row_use.csv serves every year
     panel = FlowPanel(args.flows, row_use_path=args.row_use)
-    rows = []
+    years = []
     for year in panel.years() if given is None else given:
-        table = panel.table(year)
-        share = build_operator(table, OperatorKind.ROW_SHARE)
-        leak_op = build_operator(table, OperatorKind.LEAKAGE_ADJUSTED)
-        max_op = build_operator(table, OperatorKind.MAX_ROW)
-        leak = leakage_profile(table)
+        table = panel.table(year)  # one table at a time; only its values are kept
         # H_rel does not depend on the scale of B, so the panel keeps the default field
         prof = compute_exposure(
             table, d_floor=args.d_floor, c_floor=args.c_floor, epsilon=args.exposure_epsilon
         )
-        rows.append(
-            (
-                year,
-                float(share.spectral_radius),
-                float(leak_op.spectral_radius),
-                float(max_op.spectral_radius),
-                float(leak.mean_leakage),
-                float(prof.H_rel.mean()),
-                float(np.percentile(prof.H_rel, 95)),
-            )
-        )
+        rho = {kind: build_operator(table, kind).spectral_radius for kind in OperatorKind}
+        years.append(SimpleNamespace(year=year, rho=rho, leak=leakage_profile(table), H_rel=prof.H_rel))
     out = _out_dir(args)
-    path = _emit(out, "panel.csv", PANEL_HEADER, list(zip(*rows)), args.json)
-    print(f"wrote {path} ({len(rows)} year(s))")
+    path = _emit(out, "panel.csv", *_table(PANEL, years), args.json)
+    print(f"wrote {path} ({len(years)} year(s))")
     return 0
 
 
 EXPOSURE_HEADER = ("node", "country", "sector", "I", "HHI_out", "HHI_in", "D", "C", "R", "H", "H_rel")
-TOP_HEADER = ("rank", "node", "country", "sector", "I", "R", "H_rel")
+# top_nodes.csv after its rank, one (NodeId, ExposureRank) pair per row
+TOP_NODES = {
+    "node": lambda p: p[0].index,
+    "country": lambda p: p[0].country,
+    "sector": lambda p: p[0].sector,
+    "I": lambda p: p[1].I,
+    "R": lambda p: p[1].R,
+    "H_rel": lambda p: p[1].H_rel,
+}
 
 
 def cmd_exposure(args) -> int:
@@ -293,58 +306,29 @@ def cmd_exposure(args) -> int:
     ]
     out = _out_dir(args)
     path = _emit(out, "exposure.csv", EXPOSURE_HEADER, columns, args.json)
-    top = [
-        (
-            rank,
-            r.index,
-            table.nodes[r.index].country,
-            table.nodes[r.index].sector,
-            float(r.I),
-            float(r.R),
-            float(r.H_rel),
-        )
-        for rank, r in enumerate(rank_exposure(prof, args.top), start=1)
-    ]
-    _emit(out, "top_nodes.csv", TOP_HEADER, list(zip(*top)), args.json)
+    top = [(table.nodes[r.index], r) for r in rank_exposure(prof, args.top)]
+    _emit(out, "top_nodes.csv", *_table(TOP_NODES, top, rank=range(1, len(top) + 1)), args.json)
     print(f"wrote {path} and top_nodes.csv (top {len(top)})")
     return 0
 
 
-GRID_HEADER = (
-    "B_bar",
-    "sigma_D",
-    "mean_S",
-    "se_mean_S",
-    "pr_nonzero",
-    "pr_ge5",
-    "pr_ge10",
-    "pr_ge20",
-    "p50",
-    "p95",
-    "p99",
-    "max",
-    "regime",
-)
-SCENARIO_HEADER = ("scenario", *GRID_HEADER)
+# phase_grid.csv, and scenarios.csv after its scenario name: one CellStats per row
+CELL_STATS = {
+    "B_bar": lambda s: s.B_bar,
+    "sigma_D": lambda s: s.sigma_D,
+    "mean_S": lambda s: s.mean_S,
+    "se_mean_S": lambda s: s.se_mean_S,
+    "pr_nonzero": lambda s: s.pr_nonzero,
+    "pr_ge5": lambda s: s.pr_ge[5],
+    "pr_ge10": lambda s: s.pr_ge[10],
+    "pr_ge20": lambda s: s.pr_ge[20],
+    "p50": lambda s: s.p50,
+    "p95": lambda s: s.p95,
+    "p99": lambda s: s.p99,
+    "max": lambda s: s.s_max,
+    "regime": lambda s: s.regime.value,
+}
 AVALANCHE_HEADER = ("replication", "period", "S", "B_realised", "relax_rounds")
-
-
-def _stats_row(stats) -> tuple:
-    return (
-        float(stats.B_bar),
-        float(stats.sigma_D),
-        float(stats.mean_S),
-        float(stats.se_mean_S),
-        float(stats.pr_nonzero),
-        float(stats.pr_ge[5]),
-        float(stats.pr_ge[10]),
-        float(stats.pr_ge[20]),
-        float(stats.p50),
-        float(stats.p95),
-        float(stats.p99),
-        int(stats.s_max),
-        stats.regime.value,
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -393,11 +377,12 @@ def cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     keep = not args.no_series
-    rows = []
+    names, stats = [], []
     for result in run_scenarios(
         specs, substrate, params, args.sigma_b_ratio, keep_series=keep, threads=args.threads
     ):
-        rows.append((result.name, *_stats_row(result.stats)))
+        names.append(result.name)
+        stats.append(result.stats)
         if keep:
             sizes = [S.size for S in result.series]
             series = [
@@ -406,23 +391,24 @@ def cmd_simulate(args) -> int:
                 *map(np.concatenate, (result.series, result.B_realised, result.relax_rounds)),
             ]
             _emit(out, f"avalanches_{result.name}.csv", AVALANCHE_HEADER, series, args.json)
-    path = _emit(out, "scenarios.csv", SCENARIO_HEADER, list(zip(*rows)), args.json)
-    print(f"wrote {path} ({len(rows)} scenario(s))")
+    path = _emit(out, "scenarios.csv", *_table(CELL_STATS, stats, scenario=names), args.json)
+    print(f"wrote {path} ({len(names)} scenario(s))")
     return 0
 
 
-CONVERGENCE_HEADER = (
-    "B_bar",
-    "sigma_D",
-    "regime",
-    "mean_S",
-    "se_mean_S",
-    "se_over_mean",
-    "se_pr_ge5",
-    "se_pr_ge10",
-    "se_pr_ge20",
-    "within_bounds",
-)
+# convergence.csv, one CellDiagnostics per row; a ratio without a mean is empty
+CONVERGENCE = {
+    "B_bar": lambda d: d.B_bar,
+    "sigma_D": lambda d: d.sigma_D,
+    "regime": lambda d: d.regime.value,
+    "mean_S": lambda d: d.mean_S,
+    "se_mean_S": lambda d: d.se_mean_S,
+    "se_over_mean": lambda d: "" if d.se_over_mean is None else d.se_over_mean,
+    "se_pr_ge5": lambda d: d.se_pr_ge[5],
+    "se_pr_ge10": lambda d: d.se_pr_ge[10],
+    "se_pr_ge20": lambda d: d.se_pr_ge[20],
+    "within_bounds": lambda d: d.within_bounds,
+}
 
 
 def cmd_phase_grid(args) -> int:
@@ -441,31 +427,23 @@ def cmd_phase_grid(args) -> int:
     result = run_phase_grid(
         spec, substrate, params, sigma_b_ratio=args.sigma_b_ratio, threads=args.threads
     )
-    rows = [_stats_row(c) for c in result.cells]
     out = _out_dir(args)
-    path = _emit(out, "phase_grid.csv", GRID_HEADER, list(zip(*rows)), args.json)
+    path = _emit(out, "phase_grid.csv", *_table(CELL_STATS, result.cells), args.json)
     if args.convergence:
-        diag_rows = [
-            (
-                float(d.B_bar),
-                float(d.sigma_D),
-                d.regime.value,
-                float(d.mean_S),
-                float(d.se_mean_S),
-                float(d.se_over_mean) if d.se_over_mean is not None else "",
-                float(d.se_pr_ge[5]),
-                float(d.se_pr_ge[10]),
-                float(d.se_pr_ge[20]),
-                d.within_bounds,
-            )
-            for d in convergence_report(result)
-        ]
-        _emit(out, "convergence.csv", CONVERGENCE_HEADER, list(zip(*diag_rows)), args.json)
-    print(f"wrote {path} ({len(rows)} cells)")
+        _emit(out, "convergence.csv", *_table(CONVERGENCE, convergence_report(result)), args.json)
+    print(f"wrote {path} ({len(result.cells)} cells)")
     return 0
 
 
-TAIL_HEADER = ("regime", "x_min", "n_tail", "alpha", "ks", "informative")
+# tail_fits.csv after its series name, one TailFit per row
+TAIL_FIT = {
+    "x_min": lambda f: f.x_min,
+    "n_tail": lambda f: f.n_tail,
+    "alpha": lambda f: f.alpha,
+    "ks": lambda f: f.ks_distance,
+    "informative": lambda f: f.informative,
+}
+CCDF = {"x": lambda point: point[0], "prob": lambda point: point[1]}
 
 
 def _series_name(path: Path) -> str:
@@ -504,7 +482,7 @@ def _read_sizes(path: Path) -> np.ndarray:
 
 def cmd_tail_fit(args) -> int:
     out = _out_dir(args)
-    rows = []
+    names, fits = [], []
     for raw in args.series:
         path = Path(raw)
         name = _series_name(path)
@@ -516,19 +494,11 @@ def cmd_tail_fit(args) -> int:
             fit = _fit_at_xmin(positive, args.x_min, args.min_tail)
         else:
             fit = select_xmin(positive, min_tail=args.min_tail)
-        rows.append(
-            (
-                name,
-                int(fit.x_min),
-                int(fit.n_tail),
-                float(fit.alpha),
-                float(fit.ks_distance),
-                bool(fit.informative),
-            )
-        )
-        _emit(out, f"ccdf_{name}.csv", ("x", "prob"), list(zip(*ccdf(positive))), args.json)
-    path = _emit(out, "tail_fits.csv", TAIL_HEADER, list(zip(*rows)), args.json)
-    print(f"wrote {path} ({len(rows)} fit(s))")
+        names.append(name)
+        fits.append(fit)
+        _emit(out, f"ccdf_{name}.csv", *_table(CCDF, ccdf(positive)), args.json)
+    path = _emit(out, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=names), args.json)
+    print(f"wrote {path} ({len(fits)} fit(s))")
     return 0
 
 

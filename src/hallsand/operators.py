@@ -146,9 +146,10 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
     residual ||(A + shift)v - est*v||_inf <= tol * max(1, est), which a
     transient dip in the estimate sequence cannot fake. A nonzero matrix
     whose edge structure has no cycle has radius exactly 0 and
-    short-circuits, avoiding the slow defective-eigenvalue tail. A matrix
-    with cycles in two or more strongly connected components gets the
-    largest radius among those components, each iterated on its own.
+    short-circuits, avoiding the slow defective-eigenvalue tail. Only a
+    strongly connected matrix is iterated whole; any other gets the largest
+    radius among its cyclic strongly connected components, each iterated on
+    its own.
 
     Raises SpectralConvergenceError (carrying the last two estimates) if the
     budget runs out.
@@ -175,14 +176,14 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
         return 0.0
     sp = mat if sparse.issparse(mat) else sparse.csr_matrix(mat)
     components = _cyclic_components(sp)
-    if not components:
-        return 0.0
-    if len(components) > 1:
-        # Each component's dominant root is simple. On the whole matrix, two
-        # components that share the largest root form a Jordan block, where
-        # power iteration closes in like 1/k and never meets tol.
-        return max(spectral_radius(sp[nodes][:, nodes], tol, max_iter) for nodes in components)
-    return _power_iteration(mat, max_row, tol, max_iter)
+    if len(components) == 1 and components[0].size == n:
+        return _power_iteration(mat, max_row, tol, max_iter)
+    # Each component's dominant root is simple. On the whole matrix, two
+    # components that share the largest root form a Jordan block, where
+    # power iteration closes in like 1/k and never meets tol; and the
+    # eigenvalue 0 of nodes on no cycle sits at the shift, which a root far
+    # below it cannot be told from.
+    return max((spectral_radius(sp[nodes][:, nodes], tol, max_iter) for nodes in components), default=0.0)
 
 
 def _power_iteration(mat, max_row: float, tol: float, max_iter: int) -> float:

@@ -258,6 +258,9 @@ def cmd_network_panel(args) -> int:
     if args.flows is None:
         raise TableError("--flows is required")
     given = [int(y) for y in args.years.split(",")] if args.years else None
+    for k, year in enumerate(given or []):
+        if year in given[:k]:
+            raise TableError(f"--years names {year} twice")
     # one read of flows.csv and row_use.csv serves every year
     panel = FlowPanel(args.flows, row_use_path=args.row_use)
     years = []
@@ -288,6 +291,8 @@ TOP_NODES = {
 
 
 def cmd_exposure(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
     table = _load_table(args)
     prof = compute_exposure(
         table,
@@ -411,14 +416,25 @@ CONVERGENCE = {
 }
 
 
+def _grid_axis(args, flag: str) -> tuple[float, ...]:
+    """One phase-grid axis from --FLAG-min, --FLAG-max and --FLAG-steps."""
+    lo, hi, steps = (getattr(args, f"{flag}_{end}") for end in ("min", "max", "steps"))
+    if steps < 1:
+        raise ValueError(f"--{flag}-steps must be at least 1, got {steps}")
+    values = tuple(float(v) for v in np.linspace(lo, hi, steps))
+    # a non-finite value compares false here and is named by PhaseGridSpec
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"--{flag}-min {lo} to --{flag}-max {hi} in {steps} steps is not strictly ascending")
+    return values
+
+
 def cmd_phase_grid(args) -> int:
+    B_values, sigmaD_values = _grid_axis(args, "b"), _grid_axis(args, "sigma")
     substrate = _load_substrate(args)
     params = _params_from(args)
     spec = PhaseGridSpec(
-        B_values=tuple(float(b) for b in np.linspace(args.b_min, args.b_max, args.b_steps)),
-        sigmaD_values=tuple(
-            float(s) for s in np.linspace(args.sigma_min, args.sigma_max, args.sigma_steps)
-        ),
+        B_values=B_values,
+        sigmaD_values=sigmaD_values,
         master_seed=args.master_seed,
         T_burn=args.t_burn,
         T_stat=args.t_stat,
@@ -481,11 +497,15 @@ def _read_sizes(path: Path) -> np.ndarray:
 
 
 def cmd_tail_fit(args) -> int:
-    out = _out_dir(args)
-    names, fits = [], []
-    for raw in args.series:
-        path = Path(raw)
+    paths = {}  # by series name
+    for path in map(Path, args.series):
         name = _series_name(path)
+        if name in paths:  # its ccdf file and tail_fits.csv row would be written twice
+            raise TailError(f"series name {name!r} given twice: {paths[name]} and {path}")
+        paths[name] = path
+    out = _out_dir(args)
+    fits = []
+    for name, path in paths.items():
         sizes = _read_sizes(path)
         positive = sizes[sizes >= 1]
         if positive.size == 0:
@@ -494,10 +514,9 @@ def cmd_tail_fit(args) -> int:
             fit = _fit_at_xmin(positive, args.x_min, args.min_tail)
         else:
             fit = select_xmin(positive, min_tail=args.min_tail)
-        names.append(name)
         fits.append(fit)
         _emit(out, f"ccdf_{name}.csv", *_table(CCDF, ccdf(positive)), args.json)
-    path = _emit(out, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=names), args.json)
+    path = _emit(out, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=list(paths)), args.json)
     print(f"wrote {path} ({len(fits)} fit(s))")
     return 0
 

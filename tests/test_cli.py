@@ -94,6 +94,15 @@ def test_network_panel_columns(substrate_dir, tmp_path):
     assert float(row["rho_leak"]) <= float(row["rho_share"])
 
 
+def test_network_panel_refuses_a_repeated_year(substrate_dir, tmp_path, capsys):
+    out = tmp_path / "panel"
+    argv = ["network-panel", "--flows", str(substrate_dir / "flows.csv"), "--years", "2014,2014"]
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--years" in err and "2014" in err
+    assert not out.exists()
+
+
 def test_exposure_outputs(substrate_dir, tmp_path):
     out = tmp_path / "expo"
     code = main(
@@ -272,6 +281,26 @@ def test_non_finite_value_exit_1(substrate_dir, tmp_path, capsys, command, extra
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "command,extra,flags",
+    [
+        ("exposure", ["--top", "0"], ["--top"]),
+        ("phase-grid", ["--b-steps", "0"], ["--b-steps"]),
+        ("phase-grid", ["--b-min", "3", "--b-max", "1"], ["--b-min", "--b-max"]),
+        ("phase-grid", ["--sigma-steps", "0"], ["--sigma-steps"]),
+        ("phase-grid", ["--sigma-min", "3", "--sigma-max", "1"], ["--sigma-min", "--sigma-max"]),
+    ],
+    ids=["top", "b_steps", "b_descending", "sigma_steps", "sigma_descending"],
+)
+def test_bad_value_error_names_its_flag(substrate_dir, tmp_path, capsys, command, extra, flags):
+    out = tmp_path / "out"
+    argv = [command, "--flows", str(substrate_dir / "flows.csv"), "--year", "2014", "--out-dir", str(out)]
+    assert main([*argv, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(flag in err for flag in flags), err
+    assert not list(out.glob("*.csv"))
+
+
 def test_phase_grid_shape_and_timing(substrate_dir, tmp_path):
     out = tmp_path / "grid"
     t0 = time.time()
@@ -356,6 +385,18 @@ def test_tail_fit_constant_series_uninformative(tmp_path):
     assert main(["tail-fit", str(series), "--out-dir", str(out)]) == 0
     row = read_rows(out / "tail_fits.csv")[0]
     assert row["informative"] == "false"
+
+
+def test_tail_fit_refuses_a_repeated_series_name(tmp_path, capsys):
+    paths = [tmp_path / d / "avalanches_x.csv" for d in ("a", "b")]
+    for k, path in enumerate(paths):
+        path.parent.mkdir()
+        path.write_text("replication,period,S\n" + "".join(f"0,{t},{t % 7 + k}\n" for t in range(50)))
+    out = tmp_path / "tails"
+    assert main(["tail-fit", *map(str, paths), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'x'" in err and str(paths[0]) in err and str(paths[1]) in err
+    assert not out.exists()
 
 
 def test_tail_fit_empty_exit_1(tmp_path, capsys):

@@ -424,7 +424,7 @@ def _grid_axis(args, flag: str) -> tuple[float, ...]:
     values = tuple(float(v) for v in np.linspace(lo, hi, steps))
     # a non-finite value compares false here and is named by PhaseGridSpec
     if any(a >= b for a, b in zip(values, values[1:])):
-        raise ValueError(f"--{flag}-min {lo} to --{flag}-max {hi} in {steps} steps is not strictly ascending")
+        raise ValueError(f"--{flag}-min {lo}, --{flag}-max {hi} and --{flag}-steps {steps} do not ascend strictly")
     return values
 
 

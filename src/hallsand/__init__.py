@@ -64,6 +64,6 @@ from .operators import (
     leakage_profile,
     spectral_radius,
 )
-from .tail import TailCandidate, TailError, TailFit, ccdf, fit_alpha, hill_alpha, scan_xmin, select_xmin
+from .tail import TailError, TailFit, ccdf, fit_alpha, hill_alpha, scan_xmin, select_xmin
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from dataclasses import fields
@@ -20,17 +21,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import ConfigError, load_config, section_for
-from .dynamics import Params
+from .dynamics import DEFAULT_SIGMA_B_RATIO, Params
 from .exposure import DEFAULT_EPSILON, DEFAULT_FIELD, DEFAULT_FLOOR, compute_exposure, rank_exposure
 from .experiments import (
     DEFAULT_B_AXIS,
-    DEFAULT_SIGMA_B_RATIO,
     DEFAULT_SIGMA_D_AXIS,
     PRESETS,
     PhaseGridSpec,
     ScenarioSpec,
     Substrate,
-    child_seed,
     convergence_report,
     preset_scenarios,
     prepare_substrate,
@@ -47,7 +46,7 @@ from .ingest import (
     write_io_table,
 )
 from .operators import OperatorKind, build_operator, leakage_profile
-from .tail import DEFAULT_MIN_TAIL, TailError, _fit_at_xmin, ccdf, select_xmin
+from .tail import DEFAULT_MIN_TAIL, TailError, ccdf, select_xmin
 
 _CELL_RE = re.compile(r"^([A-Za-z0-9_-]+):([0-9.eE+-]+):([0-9.eE+-]+)$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -336,49 +335,30 @@ CELL_STATS = {
 AVALANCHE_HEADER = ("replication", "period", "S", "B_realised", "relax_rounds")
 
 
+def _parse_cell(text: str) -> tuple[str, float, float]:
+    m = _CELL_RE.match(text)
+    try:
+        if m is None:
+            raise ValueError
+        return m.group(1), float(m.group(2)), float(m.group(3))
+    except ValueError:  # also a malformed number such as 1.2.3
+        raise ValueError(f"bad --cell {text!r}; expected NAME:B_BAR:SIGMA_D") from None
+
+
 def cmd_simulate(args) -> int:
     substrate = _load_substrate(args)
     params = _params_from(args)
-
-    specs: list[ScenarioSpec] = []
-    if args.presets.strip().lower() != "none":
-        names = [n.strip() for n in args.presets.split(",") if n.strip()]
-        specs.extend(
-            preset_scenarios(
-                args.master_seed,
-                T_burn=args.t_burn,
-                T_stat=args.t_stat,
-                replications=args.replications,
-                names=names,
-            )
-        )
-    for k, cell in enumerate(args.cell or []):
-        m = _CELL_RE.match(cell)
-        try:
-            if m is None:
-                raise ValueError
-            name, b_bar, sigma_d = m.group(1), float(m.group(2)), float(m.group(3))
-        except ValueError:  # also a malformed number such as 1.2.3
-            raise ValueError(f"bad --cell {cell!r}; expected NAME:B_BAR:SIGMA_D") from None
-        # custom cells sit after the preset positions in the seed tree
-        specs.append(
-            ScenarioSpec(
-                name=name,
-                B_bar=b_bar,
-                sigma_D=sigma_d,
-                master_seed=child_seed(args.master_seed, len(PRESETS) + k),
-                T_burn=args.t_burn,
-                T_stat=args.t_stat,
-                replications=args.replications,
-            )
-        )
+    presets = [] if args.presets.strip().lower() == "none" else args.presets.split(",")
+    specs = preset_scenarios(
+        args.master_seed,
+        T_burn=args.t_burn,
+        T_stat=args.t_stat,
+        replications=args.replications,
+        names=[n.strip() for n in presets if n.strip()],
+        cells=map(_parse_cell, args.cell or []),  # parsed after the preset names are checked
+    )
     if not specs:
         raise ValueError("nothing to run: presets are 'none' and no --cell given")
-    seen = set()
-    for spec in specs:
-        if spec.name in seen:
-            raise ValueError(f"duplicate scenario name {spec.name!r}")
-        seen.add(spec.name)
 
     out = _out_dir(args)
     keep = not args.no_series
@@ -389,11 +369,11 @@ def cmd_simulate(args) -> int:
         names.append(result.name)
         stats.append(result.stats)
         if keep:
-            sizes = [S.size for S in result.series]
+            R, T = result.series.shape
             series = [
-                np.repeat(np.arange(len(sizes)), sizes),
-                np.concatenate([np.arange(args.t_burn, args.t_burn + size) for size in sizes]),
-                *map(np.concatenate, (result.series, result.B_realised, result.relax_rounds)),
+                np.repeat(np.arange(R), T),
+                np.tile(np.arange(args.t_burn, args.t_burn + T), R),
+                *(a.ravel() for a in (result.series, result.B_realised, result.relax_rounds)),
             ]
             _emit(out, f"avalanches_{result.name}.csv", AVALANCHE_HEADER, series, args.json)
     path = _emit(out, "scenarios.csv", *_table(CELL_STATS, stats, scenario=names), args.json)
@@ -421,8 +401,10 @@ def _grid_axis(args, flag: str) -> tuple[float, ...]:
     lo, hi, steps = (getattr(args, f"{flag}_{end}") for end in ("min", "max", "steps"))
     if steps < 1:
         raise ValueError(f"--{flag}-steps must be at least 1, got {steps}")
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"--{flag}-{end} must be finite, got {value}")
     values = tuple(float(v) for v in np.linspace(lo, hi, steps))
-    # a non-finite value compares false here and is named by PhaseGridSpec
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError(f"--{flag}-min {lo}, --{flag}-max {hi} and --{flag}-steps {steps} do not ascend strictly")
     return values
@@ -510,11 +492,7 @@ def cmd_tail_fit(args) -> int:
         positive = sizes[sizes >= 1]
         if positive.size == 0:
             raise TailError(f"{path}: no positive cascade sizes to fit")
-        if args.x_min is not None:
-            fit = _fit_at_xmin(positive, args.x_min, args.min_tail)
-        else:
-            fit = select_xmin(positive, min_tail=args.min_tail)
-        fits.append(fit)
+        fits.append(select_xmin(positive, min_tail=args.min_tail, x_min=args.x_min))
         _emit(out, f"ccdf_{name}.csv", *_table(CCDF, ccdf(positive)), args.json)
     path = _emit(out, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=list(paths)), args.json)
     print(f"wrote {path} ({len(fits)} fit(s))")

@@ -24,6 +24,9 @@ from .operators import PropagationOperator
 # nonzero, is not charged, and outweighs the saving only past 70% of the rows.
 _SLICE_MIN_SKIPPED = 400_000
 
+# A field model's default volatility sigma_B, as a share of its level B_bar.
+DEFAULT_SIGMA_B_RATIO = 0.10
+
 
 @dataclass
 class Params:
@@ -86,7 +89,7 @@ class Params:
 class FieldModel:
     """Aggregate field intensity: B_t = max(0, B_bar + N(0, sigma_B)).
 
-    sigma_B defaults to 0.10 * B_bar when not given.
+    sigma_B defaults to DEFAULT_SIGMA_B_RATIO * B_bar when not given.
     """
 
     B_bar: float
@@ -97,7 +100,7 @@ class FieldModel:
         if not 0.0 <= self.B_bar < math.inf:
             raise ValueError(f"B_bar must be finite and non-negative, got {self.B_bar}")
         if self.sigma_B is None:
-            object.__setattr__(self, "sigma_B", 0.10 * self.B_bar)
+            object.__setattr__(self, "sigma_B", DEFAULT_SIGMA_B_RATIO * self.B_bar)
         if not 0.0 <= self.sigma_B < math.inf:
             raise ValueError(f"sigma_B must be finite and non-negative, got {self.sigma_B}")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -14,7 +14,14 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import FieldModel, Params, RelaxationBudgetError, contraction_check, run_batch
+from .dynamics import (
+    DEFAULT_SIGMA_B_RATIO,
+    FieldModel,
+    Params,
+    RelaxationBudgetError,
+    contraction_check,
+    run_batch,
+)
 from .exposure import DEFAULT_EPSILON, DEFAULT_FLOOR, ExposureProfile, compute_exposure
 from .ingest import IOTable
 from .operators import OperatorKind, PropagationOperator, build_operator
@@ -26,8 +33,6 @@ PRESETS: dict[str, tuple[float, float]] = {
     "critical": (1.00, 1.8),
     "avalanche": (1.35, 2.3),
 }
-
-DEFAULT_SIGMA_B_RATIO = 0.10
 
 # The default phase grid's axes, as np.linspace (low, high, steps).
 DEFAULT_B_AXIS = (0.25, 2.0, 10)
@@ -104,11 +109,14 @@ class CellStats:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """A scenario's statistics and, when kept, its post-burn cascade sizes,
+    realised fields and relaxation rounds as (replications, T_stat) arrays."""
+
     name: str
     stats: CellStats
-    series: tuple[np.ndarray, ...] | None
-    B_realised: tuple[np.ndarray, ...] | None = None
-    relax_rounds: tuple[np.ndarray, ...] | None = None
+    series: np.ndarray | None
+    B_realised: np.ndarray | None = None
+    relax_rounds: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -218,17 +226,15 @@ def _classify(mean_S: float) -> RegimeLabel:
     return RegimeLabel.AVALANCHE
 
 
-def make_cell_stats(
-    B_bar: float, sigma_D: float, series: Sequence[np.ndarray]
-) -> CellStats:
-    """Pool per-replication series into one cell's statistics.
+def make_cell_stats(B_bar: float, sigma_D: float, series: np.ndarray) -> CellStats:
+    """Pool a (replications, periods) array of cascade sizes into one cell's statistics.
 
     The standard error of mean_S comes from the spread of per-replication
     means (0 when there is a single replication).
     """
-    pooled = np.concatenate(series)
-    rep_means = np.array([float(s.mean()) for s in series])
-    R = len(series)
+    pooled = series.ravel()
+    rep_means = series.mean(axis=1)
+    R = series.shape[0]
     se = float(np.std(rep_means, ddof=1) / math.sqrt(R)) if R > 1 else 0.0
     mean_S = float(pooled.mean())
     p50, p95, p99 = (float(q) for q in np.percentile(pooled, [50, 95, 99]))
@@ -298,7 +304,7 @@ def _plan(specs: list[ScenarioSpec], n_workers: int, n: int) -> tuple[list[list[
 def _run_task(
     substrate: Substrate, params: Params, sigma_b_ratio: float, task: list[Block]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run a task's blocks as one batch; per block, post-burn S, B_t and rounds, one row each."""
+    """Run a task's blocks as one batch; per block, post-burn S, B_t and rounds, a row per replication."""
     owners = [(spec, rep) for spec, lo, hi in task for rep in range(lo, hi)]
     columns = [
         (
@@ -429,7 +435,7 @@ def _results(specs, substrate, params, sigma_b_ratio, keep_series, n_workers) ->
         blocks = (block for task_result in results for block in task_result)
         for spec, count in zip(specs, counts):
             done = list(islice(blocks, count))
-            S, B, rounds = (tuple(row for block in done for row in block[k]) for k in range(3))
+            S, B, rounds = (np.concatenate([block[k] for block in done]) for k in range(3))
             stats = make_cell_stats(spec.B_bar, spec.sigma_D, S)
             if keep_series:
                 yield ScenarioResult(spec.name, stats, S, B_realised=B, relax_rounds=rounds)
@@ -520,25 +526,33 @@ def preset_scenarios(
     T_stat: int = 150,
     replications: int = 100,
     names: list[str] | None = None,
+    cells: Iterable[tuple[str, float, float]] = (),
 ) -> list[ScenarioSpec]:
-    """The named preset cells as runnable scenario specs.
+    """The named preset cells, then the custom (name, B_bar, sigma_D) cells,
+    as runnable scenario specs with unique names.
 
     Each preset derives its master seed from its position in the canonical
-    ordering, so adding or dropping presets does not shift the others.
+    ordering, and custom cell k from position len(PRESETS) + k, so adding or
+    dropping presets does not shift the others. The names are checked before
+    the cells are read.
     """
-    chosen = names if names is not None else list(PRESETS)
-    specs = []
     order = list(PRESETS)
+    chosen = names if names is not None else order
     for name in chosen:
         if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r}; expected one of {order}")
-        B_bar, sigma_D = PRESETS[name]
+    placed = [(name, *PRESETS[name], order.index(name)) for name in chosen]
+    placed += [(*cell, len(order) + k) for k, cell in enumerate(cells)]
+    specs = []
+    for name, B_bar, sigma_D, position in placed:
+        if any(spec.name == name for spec in specs):
+            raise ValueError(f"duplicate scenario name {name!r}")
         specs.append(
             ScenarioSpec(
                 name=name,
                 B_bar=B_bar,
                 sigma_D=sigma_D,
-                master_seed=child_seed(master_seed, order.index(name)),
+                master_seed=child_seed(master_seed, position),
                 T_burn=T_burn,
                 T_stat=T_stat,
                 replications=replications,

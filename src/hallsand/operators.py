@@ -158,15 +158,10 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 2:
         raise ValueError(f"max_iter must be at least 2, got {max_iter}")
-    if sparse.issparse(matrix):
-        mat = matrix.tocsr()
-        data_min = mat.data.min() if mat.nnz else 0.0
-    else:
-        mat = np.asarray(matrix, dtype=np.float64)
-        data_min = mat.min() if mat.size else 0.0
+    mat = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix, dtype=np.float64)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    if data_min < 0:
+    if mat.nnz and mat.data.min() < 0:
         raise ValueError("matrix must be non-negative")
 
     n = mat.shape[0]
@@ -174,8 +169,7 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
     max_row = float(row_sums.max()) if n else 0.0
     if max_row == 0.0:
         return 0.0
-    sp = mat if sparse.issparse(mat) else sparse.csr_matrix(mat)
-    components = _cyclic_components(sp)
+    components = _cyclic_components(mat)
     if len(components) == 1 and components[0].size == n:
         return _power_iteration(mat, max_row, tol, max_iter)
     # Each component's dominant root is simple. On the whole matrix, two
@@ -183,7 +177,7 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
     # power iteration closes in like 1/k and never meets tol; and the
     # eigenvalue 0 of nodes on no cycle sits at the shift, which a root far
     # below it cannot be told from.
-    return max((spectral_radius(sp[nodes][:, nodes], tol, max_iter) for nodes in components), default=0.0)
+    return max((spectral_radius(mat[nodes][:, nodes], tol, max_iter) for nodes in components), default=0.0)
 
 
 def _power_iteration(mat, max_row: float, tol: float, max_iter: int) -> float:

@@ -25,14 +25,6 @@ class TailFit:
     informative: bool
 
 
-@dataclass(frozen=True)
-class TailCandidate:
-    x_min: int
-    n_tail: int
-    alpha: float
-    ks_distance: float
-
-
 def _as_positive_ints(samples) -> np.ndarray:
     arr = np.asarray(samples)
     if arr.size == 0:
@@ -96,21 +88,15 @@ def fit_alpha(samples, x_min: int) -> float:
     return hill_alpha(tail.astype(np.float64), x_min - 0.5)
 
 
-def _informative(tail: np.ndarray, alpha: float, min_tail: int) -> bool:
-    return bool(
-        tail.size >= min_tail and np.unique(tail).size > 2 and np.isfinite(alpha) and alpha > 1.0
-    )
+def _informative(n_tail: int, n_values: int, alpha: float, min_tail: int) -> bool:
+    """Enough tail mass (min_tail) over more than two distinct values, and a
+    finite exponent above 1."""
+    return bool(n_tail >= min_tail and n_values > 2 and np.isfinite(alpha) and alpha > 1.0)
 
 
-def _fit_at_xmin(samples: np.ndarray, x_min: int, min_tail: int) -> TailFit:
-    """Fit positive integer samples at a fixed cutoff without a scan (no fit distance)."""
-    alpha = fit_alpha(samples, x_min)
-    tail = samples[samples >= x_min]
-    return TailFit(x_min, int(tail.size), alpha, float("nan"), _informative(tail, alpha, min_tail))
-
-
-def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailCandidate]:
-    """Fit every admissible cutoff and report its tail-conditional fit distance.
+def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailFit]:
+    """Fit every admissible cutoff and report its tail-conditional fit distance
+    and whether the fit there is informative (see select_xmin).
 
     Candidates are the distinct sample values with at least max(min_tail, 2)
     tail observations. The distance is the sup-norm gap between the
@@ -148,32 +134,27 @@ def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailCandidate]:
         else:
             model = np.where(tail_values == v, 1.0, 0.0)
         ks = float(np.abs(emp - model).max())
-        candidates.append(TailCandidate(x_min=v, n_tail=n_tail, alpha=float(alpha), ks_distance=ks))
+        informative = _informative(n_tail, values.size - vi, alpha, min_tail)
+        candidates.append(TailFit(v, n_tail, float(alpha), ks, informative))
     return candidates
 
 
-def select_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> TailFit:
-    """Choose the cutoff minimizing the tail-conditional fit distance.
+def select_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL, x_min: int | None = None) -> TailFit:
+    """Fit the tail at the cutoff x_min, or, when it is None, at the scanned
+    cutoff that minimizes the tail-conditional fit distance.
 
-    Ties go to the smaller cutoff. The fit is informative only when the
-    selected tail clears min_tail observations, spreads over more than two
-    distinct values, and yields a finite exponent above 1.
+    Ties in the scan go to the smaller cutoff. A fixed cutoff gets
+    fit_alpha's exponent and no fit distance (nan). The fit is informative
+    only when its tail clears min_tail observations, spreads over more than
+    two distinct values, and yields a finite exponent above 1.
     """
+    if x_min is not None:
+        xs = np.asarray(samples)
+        alpha = fit_alpha(xs, x_min)
+        tail = xs[xs >= x_min]
+        informative = _informative(tail.size, np.unique(tail).size, alpha, min_tail)
+        return TailFit(x_min, int(tail.size), alpha, float("nan"), informative)
     candidates = scan_xmin(samples, min_tail=min_tail)
-    xs = _as_positive_ints(samples)
-    if not candidates:
-        return TailFit(
-            x_min=int(xs.max()), n_tail=int((xs == xs.max()).sum()),
-            alpha=float("nan"), ks_distance=float("nan"), informative=False,
-        )
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.ks_distance < best.ks_distance:
-            best = cand
-    return TailFit(
-        x_min=best.x_min,
-        n_tail=best.n_tail,
-        alpha=best.alpha,
-        ks_distance=best.ks_distance,
-        informative=_informative(xs[xs >= best.x_min], best.alpha, min_tail),
-    )
+    if not candidates:  # a single sample
+        return TailFit(int(np.max(samples)), 1, float("nan"), float("nan"), False)
+    return min(candidates, key=lambda fit: fit.ks_distance)

@@ -255,13 +255,14 @@ def test_simulate_bad_cell_spec_exit_1(substrate_dir, tmp_path, capsys, cell):
         ("simulate", ["--beta", "inf"], "beta"),
         ("simulate", ["--sigma-b-ratio", "nan"], "sigma_b_ratio"),
         ("simulate", ["--presets", "none", "--cell", "x:1.0:1e999"], "sigma_D"),
-        ("phase-grid", ["--b-max", "nan", "--b-steps", "2", "--sigma-steps", "2"], "B_values"),
+        ("phase-grid", ["--b-max", "nan", "--b-steps", "2", "--sigma-steps", "2"], "--b-max must be finite, got nan"),
+        ("phase-grid", ["--sigma-min", "inf", "--b-steps", "2", "--sigma-steps", "2"], "--sigma-min must be finite, got inf"),
         ("exposure", ["--field", "nan"], "field intensity B"),
         ("exposure", ["--exposure-epsilon", "nan"], "epsilon"),
     ],
     ids=[
         "alpha", "gamma", "sigma_x", "epsilon", "beta", "sigma_b_ratio",
-        "cell", "b_max", "field", "exposure_epsilon",
+        "cell", "b_max", "sigma_min", "field", "exposure_epsilon",
     ],
 )
 def test_non_finite_value_exit_1(substrate_dir, tmp_path, capsys, command, extra, name):

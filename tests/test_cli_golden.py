@@ -6,7 +6,9 @@ exposure and network-panel with JSON; tail-fit by scan and at a fixed
 x_min) on small synthetic substrates at --threads 1. The digests were
 recorded from the same runs before the CLI's tables were rebuilt from
 header -> getter maps, so any change to a cell's text, a column's order or
-a JSON mirror fails here.
+a JSON mirror fails here. One more simulate run, of one preset and the
+custom cell alone, must write those two scenarios' series byte for byte,
+so a scenario's seed does not depend on which other scenarios run.
 
 The substrates are strongly connected under every operator, so the
 spectral radii in panel.csv come from whole-matrix power iteration.
@@ -97,6 +99,9 @@ def _run_all(root):
             "--convergence", "--json", "--out-dir", str(out / "phase-grid"),
         ],
         ["exposure", *substrate, "--top", "5", "--json", "--out-dir", str(out / "exposure")],
+        # outside out: compared with the full simulate run's files by the test
+        ["simulate", *substrate, *protocol, "--presets", "avalanche", "--cell", "mine:0.9:1.7",
+         "--out-dir", str(root / "subset")],
         [
             "network-panel", "--flows", str(panel / "flows.csv"), "--row-use", str(panel / "row_use.csv"),
             "--json", "--out-dir", str(out / "network-panel"),
@@ -110,11 +115,21 @@ def _run_all(root):
     for argv in runs:
         assert main(argv) == 0, argv
     return {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        path.relative_to(out).as_posix(): _digest(path)
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
 
 
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_every_table_byte_matches_the_recorded_digest(tmp_path):
     assert _run_all(tmp_path) == DIGESTS
+    subset = tmp_path / "subset"
+    assert sorted(p.name for p in subset.iterdir()) == [
+        "avalanches_avalanche.csv", "avalanches_mine.csv", "scenarios.csv",
+    ]
+    for name in ("avalanche", "mine"):
+        assert _digest(subset / f"avalanches_{name}.csv") == DIGESTS[f"simulate/avalanches_{name}.csv"]

@@ -100,7 +100,7 @@ PACKAGE_NAMES = DYNAMICS_NAMES + """
     FlowPanel IOTable NodeId TableError list_years parse_io_table synth_substrate write_io_table
     LeakageProfile OperatorKind PropagationOperator SpectralConvergenceError build_operator
     leakage_profile spectral_radius
-    TailCandidate TailError TailFit ccdf fit_alpha hill_alpha scan_xmin select_xmin
+    TailError TailFit ccdf fit_alpha hill_alpha scan_xmin select_xmin
 """
 
 

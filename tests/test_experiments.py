@@ -64,6 +64,12 @@ def test_preset_scenarios_position_stable_seeds():
     assert only[0].master_seed == full[2].master_seed
     with pytest.raises(ValueError):
         preset_scenarios(9001, names=["noregime"])
+    # custom cells sit after every preset position, whichever presets are chosen
+    for names in (None, [], ["latent"]):
+        specs = preset_scenarios(9001, names=names, cells=[("a", 1.0, 1.0), ("b", 2.0, 1.5)])
+        assert [s.master_seed for s in specs[-2:]] == [child_seed(9001, 4), child_seed(9001, 5)]
+    with pytest.raises(ValueError, match="duplicate scenario name 'critical'"):
+        preset_scenarios(9001, names=["critical"], cells=[("critical", 1.0, 1.0)])
 
 
 @pytest.mark.parametrize(
@@ -80,7 +86,7 @@ def test_preset_scenarios_position_stable_seeds():
     ],
 )
 def test_classify_bands(mean_S, label):
-    stats = make_cell_stats(1.0, 1.0, [np.array([mean_S, mean_S])])
+    stats = make_cell_stats(1.0, 1.0, np.array([[mean_S, mean_S]]))
     assert stats.regime is label
 
 
@@ -126,9 +132,9 @@ def test_default_phase_grid_shape():
 
 
 def test_make_cell_stats_hand_values():
-    series = [np.array([0, 2, 4, 0]), np.array([1, 1, 5, 9])]
+    series = np.array([[0, 2, 4, 0], [1, 1, 5, 9]])
     stats = make_cell_stats(1.2, 0.8, series)
-    pooled = np.concatenate(series)
+    pooled = series.ravel()
     assert stats.mean_S == pytest.approx(pooled.mean())
     rep_means = [1.5, 4.0]
     want_se = np.std(rep_means, ddof=1) / math.sqrt(2)
@@ -143,7 +149,7 @@ def test_make_cell_stats_hand_values():
 
 
 def test_make_cell_stats_single_replication_zero_se():
-    stats = make_cell_stats(1.0, 1.0, [np.array([1, 2, 3])])
+    stats = make_cell_stats(1.0, 1.0, np.array([[1, 2, 3]]))
     assert stats.se_mean_S == 0.0
 
 
@@ -152,10 +158,8 @@ def test_run_scenario_protocol(small_substrate):
     res = run_scenario(spec, small_substrate, Params(), keep_series=True)
     assert res.name == "probe"
     assert res.stats.n_obs == 4 * 30
-    assert len(res.series) == 4
-    assert all(s.size == 30 for s in res.series)
-    assert all(b.size == 30 for b in res.B_realised)
-    assert res.stats.s_max == max(int(s.max()) for s in res.series)
+    assert res.series.shape == res.B_realised.shape == res.relax_rounds.shape == (4, 30)
+    assert res.stats.s_max == int(res.series.max())
 
 
 def test_run_scenario_deterministic(small_substrate):
@@ -167,9 +171,14 @@ def test_run_scenario_deterministic(small_substrate):
 
 def test_run_scenario_parallel_matches_serial(small_substrate):
     spec = ScenarioSpec("probe", 1.2, 1.5, master_seed=31, T_burn=5, T_stat=20, replications=4)
-    serial = run_scenario(spec, small_substrate, Params(), threads=1)
-    parallel = run_scenario(spec, small_substrate, Params(), threads=2)
+    serial = run_scenario(spec, small_substrate, Params(), keep_series=True, threads=1)
+    # two workers split the one spec into two tasks, joined again in order
+    parallel = run_scenario(spec, small_substrate, Params(), keep_series=True, threads=2)
     assert serial.stats == parallel.stats
+    for field in ("series", "B_realised", "relax_rounds"):
+        a, b = getattr(serial, field), getattr(parallel, field)
+        assert a.shape == b.shape == (4, 20)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -127,3 +127,33 @@ def test_select_xmin_deterministic():
     a = select_xmin(xs)
     b = select_xmin(xs)
     assert a == b
+
+
+@pytest.mark.parametrize("min_tail", [2, 50, 400])
+def test_scan_xmin_informative_per_candidate(min_tail):
+    # the chosen candidate is select_xmin's fit, and each candidate's flag
+    # counts the distinct values of its own tail: two heavy top values leave
+    # the highest cutoffs enough mass but too few values
+    rng = np.random.default_rng(13)
+    top = np.repeat([5_000, 6_000], 500)
+    xs = np.concatenate([rng.integers(1, 4, 3_000), powerlaw_samples(rng, 2.2, 4, 600), top])
+    cands = scan_xmin(xs, min_tail=min_tail)
+    for c in cands:
+        tail = xs[xs >= c.x_min]
+        want = tail.size >= min_tail and np.unique(tail).size > 2 and np.isfinite(c.alpha) and c.alpha > 1.0
+        assert c.informative == want
+    assert any(c.informative for c in cands) and not all(c.informative for c in cands)
+    fit = select_xmin(xs, min_tail=min_tail)
+    assert fit in cands
+    assert next(c for c in cands if c.x_min == fit.x_min).informative == fit.informative
+
+
+def test_select_xmin_at_a_fixed_cutoff():
+    rng = np.random.default_rng(17)
+    xs = powerlaw_samples(rng, 2.5, 1, 5_000)
+    fit = select_xmin(xs, min_tail=100, x_min=3)
+    assert (fit.x_min, fit.n_tail) == (3, int((xs >= 3).sum()))
+    assert fit.alpha == fit_alpha(xs, 3) and np.isnan(fit.ks_distance) and fit.informative
+    assert not select_xmin(xs, min_tail=fit.n_tail + 1, x_min=3).informative
+    with pytest.raises(TailError, match="at or above x_min"):
+        select_xmin(xs, x_min=int(xs.max()) + 1)

@@ -29,6 +29,7 @@ _CHUNK_ROWS = 1 << 14
 _SYNTH_BLOCK_ROWS = 256
 # Columns whose cells are numbers; the others repeat from row to row.
 _VALUE_COLUMNS = ("value", "gross_use")
+_LABEL_COLUMNS = FLOWS_COLUMNS[1:5]
 
 
 class TableError(ValueError):
@@ -92,22 +93,30 @@ class IOTable:
 
 
 class _Rows:
-    """The required columns of one CSV, read once: an object array of cells each.
+    """The required columns of one CSV, read once.
 
-    A row is what csv.DictReader yields for it: blank lines are skipped, a
-    short row reads None in its missing cells, extra cells are dropped, and
-    of repeated header names the last one counts.
+    A value column is an object array of its cells. Every other column
+    repeats from row to row, so it is coded: an np.intp array of one code
+    per row, into an object array of the column's distinct cells in
+    first-seen order. A row is what csv.DictReader yields for it: blank
+    lines are skipped, a short row reads None in its missing cells, extra
+    cells are dropped, and of repeated header names the last one counts.
     """
 
-    def __init__(self, path: Path, columns: dict[str, np.ndarray]):
+    def __init__(self, path: Path, cells: dict[str, np.ndarray], coded: dict[str, tuple]):
         self.path = path
-        self.columns = columns
+        self.cells = cells
+        self.coded = coded
 
     def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
+        return len(next(iter(self.cells.values())))
 
-    def __getitem__(self, column: str) -> np.ndarray:
-        return self.columns[column]
+    def at(self, column: str, rows):
+        """The cells of one column at the given rows (or row)."""
+        if column in self.coded:
+            codes, distinct = self.coded[column]
+            return distinct[codes[rows]]
+        return self.cells[column][rows]
 
     def line(self, row: int) -> int:
         """The line number csv.DictReader reports for data row `row`.
@@ -121,6 +130,14 @@ class _Rows:
             for _ in islice(reader, row + 1):
                 pass
             return reader.line_num
+
+
+class _Codes(dict):
+    """Hands out a code per distinct cell, in first-seen order."""
+
+    def __missing__(self, cell) -> int:
+        code = self[cell] = len(self)
+        return code
 
 
 def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
@@ -137,21 +154,24 @@ def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
             raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
         at = {name: k for k, name in enumerate(header)}
         width = len(header)
-        cells: dict[str, list] = {c: [] for c in required}
-        # years and labels repeat from row to row: keep one str per distinct cell
-        distinct = {c: {} for c in required if c not in _VALUE_COLUMNS}
+        cells: dict[str, list] = {c: [] for c in required if c in _VALUE_COLUMNS}
+        parts: dict[str, list] = {c: [] for c in required if c not in _VALUE_COLUMNS}
+        distinct = {c: _Codes() for c in parts}
         while chunk := list(islice(reader, _CHUNK_ROWS)):
             if set(map(len, chunk)) != {width}:
                 chunk = [row + [None] * (width - len(row)) for row in chunk if row]
             columns = list(zip(*chunk))
             for c, out in cells.items():
+                out.extend(columns[at[c]] if columns else ())
+            for c, out in parts.items():
                 column = columns[at[c]] if columns else ()
-                seen = distinct.get(c)
-                out.extend(column if seen is None else map(seen.setdefault, column, column))
-    arrays = {}
-    for c in required:
-        arrays[c] = np.array(cells.pop(c), dtype=object)
-    return _Rows(path, arrays)
+                out.append(np.fromiter(map(distinct[c].__getitem__, column), np.intp, len(column)))
+    # join one column's chunks at a time, so that at most one is held twice
+    coded = {}
+    for c in list(parts):
+        codes = np.concatenate([np.empty(0, np.intp), *parts.pop(c)])
+        coded[c] = (codes, np.array(list(distinct[c]), dtype=object))
+    return _Rows(path, {c: np.array(out, dtype=object) for c, out in cells.items()}, coded)
 
 
 def _value_error(raw, path: Path, line: int, column: str) -> TableError:
@@ -194,17 +214,14 @@ def _int_or_none(cell) -> int | None:
 
 
 class _Years:
-    """A year column, converted with int() once per distinct cell."""
+    """A coded year column, converted with int() once per distinct cell."""
 
-    def __init__(self, cells: np.ndarray):
-        cells = cells.tolist()
-        distinct = list(dict.fromkeys(cells))
-        position = {cell: k for k, cell in enumerate(distinct)}
-        self._codes = np.fromiter(map(position.__getitem__, cells), np.intp, len(cells))
-        self.values = [_int_or_none(cell) for cell in distinct]
+    def __init__(self, codes: np.ndarray, distinct: np.ndarray):
+        self._codes = codes
+        self.values = [_int_or_none(cell) for cell in distinct.tolist()]
         bad = np.flatnonzero(self._of([v is None for v in self.values]))
-        # the first row whose year int() refuses, len(cells) if none
-        self.first_bad = int(bad[0]) if bad.size else len(cells)
+        # the first row whose year int() refuses, len(codes) if none
+        self.first_bad = int(bad[0]) if bad.size else len(codes)
 
     def _of(self, per_distinct: list[bool]) -> np.ndarray:
         return np.array(per_distinct, dtype=bool)[self._codes]
@@ -234,7 +251,7 @@ class FlowPanel:
         self._given = path  # list_years names the path as it was given
         self.path = Path(path)
         self._flows = _read_rows(self.path, FLOWS_COLUMNS)
-        self._years = _Years(self._flows["year"])
+        self._years = _Years(*self._flows.coded["year"])
         if row_use_path is None:
             sibling = self.path.with_name("row_use.csv")
             row_use_path = sibling if sibling.exists() else None
@@ -245,38 +262,43 @@ class FlowPanel:
         """Distinct years present, ascending."""
         first, flows = self._years.first_bad, self._flows
         if first < len(flows):
-            raise TableError(f"{self._given} row {flows.line(first)}: bad year {flows['year'][first]!r}")
+            raise TableError(f"{self._given} row {flows.line(first)}: bad year {flows.at('year', first)!r}")
         return sorted(set(self._years.values))
 
     def table(self, year: int) -> IOTable:
         """One year as an IOTable; raises TableError as parse_io_table documents."""
         path, flows = self.path, self._flows
         rows = self._years.rows(year)
-        values, bad = _floats(flows["value"][rows])
-        # a bad year fails on any row, a bad value only on a row of this year
-        first = _first_failure(rows, bad, self._years.first_bad)
+        values, bad = _floats(flows.cells["value"][rows])
+        # a short row reads None in its missing cells
+        missing = [np.equal(flows.coded[c][1], None)[flows.coded[c][0][rows]] for c in _LABEL_COLUMNS]
+        # a bad year fails on any row, a bad value or label only on a row of this year
+        first = _first_failure(rows, np.logical_or.reduce([bad, *missing]), self._years.first_bad)
         if first < len(flows):
             line = flows.line(first)
             if first == self._years.first_bad:
-                raise TableError(f"{path} row {line}: bad year {flows['year'][first]!r}")
-            raise _value_error(flows["value"][first], path, line, "value")
+                raise TableError(f"{path} row {line}: bad year {flows.at('year', first)!r}")
+            k = int(np.searchsorted(rows, first))
+            if bad[k]:
+                raise _value_error(flows.at("value", first), path, line, "value")
+            column = next(c for c, flags in zip(_LABEL_COLUMNS, missing) if flags[k])
+            raise TableError(f"{path} row {line}: missing {column}")
         if not rows.size:
             raise TableError(f"{path}: no edges for year {year}")
 
-        src = list(zip(flows["src_country"][rows].tolist(), flows["src_sector"][rows].tolist()))
-        dst = list(zip(flows["dst_country"][rows].tolist(), flows["dst_sector"][rows].tolist()))
-        labels = sorted(set(src) | set(dst))
-        index = {label: i for i, label in enumerate(labels)}
-        n = len(labels)
-        i = np.fromiter(map(index.__getitem__, src), np.int64, len(src))
-        j = np.fromiter(map(index.__getitem__, dst), np.int64, len(dst))
+        src, dst, countries, sectors = _node_keys(flows, rows)
+        keys = np.unique(np.concatenate([src, dst]))
+        n = len(keys)
+        i = np.searchsorted(keys, src)
+        j = np.searchsorted(keys, dst)
+        country, sector = np.divmod(keys, len(sectors))
+        nodes = tuple(map(NodeId, countries[country].tolist(), sectors[sector].tolist(), range(n)))
         duplicate = _repeats(i * n + j)
         if duplicate.any():
             k = int(np.argmax(duplicate))
-            (sc, ss), (dc, ds) = src[k], dst[k]
             raise TableError(
-                f"{path} row {flows.line(int(rows[k]))}: duplicate flow {sc}_{ss} -> {dc}_{ds} "
-                f"for year {year}"
+                f"{path} row {flows.line(int(rows[k]))}: duplicate flow {nodes[i[k]].label} -> "
+                f"{nodes[j[k]].label} for year {year}"
             )
 
         Z = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
@@ -285,23 +307,23 @@ class FlowPanel:
         if self.row_use_path is None:
             row_use = outflows.copy()
         else:
-            row_use = self._row_use_totals(year, index, outflows)
-        nodes = tuple(NodeId(c, s, k) for k, (c, s) in enumerate(labels))
+            row_use = self._row_use_totals(year, nodes, outflows)
         return IOTable(year=year, n=n, Z=Z, row_use_total=row_use, nodes=nodes)
 
-    def _row_use_totals(self, year: int, index: dict, outflows: np.ndarray) -> np.ndarray:
+    def _row_use_totals(self, year: int, nodes: tuple, outflows: np.ndarray) -> np.ndarray:
         """Gross row use per node from the row-use file; nodes it leaves out keep their outflows."""
         if self._row_use is None:
             table = _read_rows(self.row_use_path, ROW_USE_COLUMNS)
-            self._row_use = (table, _Years(table["year"]))
+            self._row_use = (table, _Years(*table.coded["year"]))
         table, years = self._row_use
         path = self.row_use_path
         rows = years.rows(year)
-        keys = list(zip(table["country"][rows].tolist(), table["sector"][rows].tolist()))
+        index = {(nd.country, nd.sector): nd.index for nd in nodes}
+        keys = list(zip(table.at("country", rows).tolist(), table.at("sector", rows).tolist()))
         node = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
         unknown = node < 0
         duplicate = _repeats(node) & ~unknown
-        gross, bad_value = _floats(table["gross_use"][rows])
+        gross, bad_value = _floats(table.cells["gross_use"][rows])
         out = outflows[np.maximum(node, 0)]
         # Gross row use bounds intermediate outflows from above; allow float fuzz.
         below = gross < out * (1.0 - 1e-12) - 1e-12
@@ -309,7 +331,7 @@ class FlowPanel:
         if first < len(table):
             line = table.line(first)
             if first == years.first_bad:
-                raise TableError(f"{path} row {line}: bad year {table['year'][first]!r}")
+                raise TableError(f"{path} row {line}: bad year {table.at('year', first)!r}")
             k = int(np.searchsorted(rows, first))
             c, s = keys[k]
             if unknown[k]:
@@ -317,7 +339,7 @@ class FlowPanel:
             if duplicate[k]:
                 raise TableError(f"{path} row {line}: duplicate row-use entry for {c}_{s}")
             if bad_value[k]:
-                raise _value_error(table["gross_use"][first], path, line, "gross_use")
+                raise _value_error(table.at("gross_use", first), path, line, "gross_use")
             raise TableError(
                 f"{path} row {line}: gross_use {float(gross[k])} below outflow total "
                 f"{outflows[node[k]]} for {c}_{s}"
@@ -326,6 +348,41 @@ class FlowPanel:
         # max(gross, outflow), keeping gross on a tie
         row_use[node] = np.where(out > gross, out, gross)
         return row_use
+
+
+def _node_keys(flows: _Rows, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's source and destination node key, and the countries and sectors the keys rank.
+
+    A key is country_rank * len(sectors) + sector_rank, so keys order
+    nodes as sorted((country, sector)) does. The per-row rank arrays live
+    only in this call, which keeps them out of the table's peak memory.
+    """
+    (src_country, dst_country), countries = _ranks(flows, rows, "src_country", "dst_country")
+    (src_sector, dst_sector), sectors = _ranks(flows, rows, "src_sector", "dst_sector")
+    src_country *= len(sectors)
+    src_country += src_sector
+    dst_country *= len(sectors)
+    dst_country += dst_sector
+    return src_country, dst_country, countries, sectors
+
+
+def _ranks(flows: _Rows, rows: np.ndarray, *columns: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """The given label columns' cells at rows as ranks among the cells those rows use.
+
+    The ranks of each column, and the used cells in ascending order (an
+    object array, which the ranks index). Only the used cells are compared,
+    so a cell no row uses is never ranked.
+    """
+    coded = [flows.coded[c] for c in columns]
+    used = [np.flatnonzero(np.bincount(codes[rows], minlength=len(d))) for codes, d in coded]
+    names = sorted(set().union(*(distinct[u].tolist() for u, (_, distinct) in zip(used, coded))))
+    rank = {name: r for r, name in enumerate(names)}
+    ranks = []
+    for u, (codes, distinct) in zip(used, coded):
+        of_code = np.zeros(len(distinct), dtype=np.intp)
+        of_code[u] = [rank[name] for name in distinct[u].tolist()]
+        ranks.append(of_code[codes[rows]])
+    return ranks, np.array(names, dtype=object)
 
 
 def _repeats(keys: np.ndarray) -> np.ndarray:
@@ -405,15 +462,16 @@ def synth_substrate(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(mask.sum(axis=1), out=indptr[1:])
     data = np.empty(indptr[-1], dtype=np.float64)
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices = np.empty(indptr[-1], dtype=np.int32)
     for rows in blocks:
         weights = rng.lognormal(mean=0.0, sigma=_WEIGHT_SIGMA, size=(rows.stop - rows.start, n))
         part = slice(indptr[rows.start], indptr[rows.stop])
-        data[part] = weights[mask[rows]]
-        indices[part] = np.nonzero(mask[rows])[1]
+        flat = np.flatnonzero(mask[rows])
+        np.take(weights, flat, out=data[part])
+        np.remainder(flat, n, out=indices[part], casting="unsafe")
     if not data.size:
         # keep the table non-empty at extreme sparsity
-        data, indices = np.array([1.0]), np.array([1])
+        data, indices = np.array([1.0]), np.array([1], dtype=np.int32)
         indptr[1:] = 1
 
     a = mean_leakage * _LEAKAGE_KAPPA
@@ -450,12 +508,12 @@ def write_io_table(
     # stays exact; floats are written with repr
     year = _csv_lines([(table.year,)])[0]
     cells = _csv_lines((nd.country, nd.sector) for nd in table.nodes)
-    coo = table.Z.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    # Z is canonical CSR, so its stored order is (row, col) order
+    Z = table.Z
     flows = zip(
-        coo.row[order].tolist(),
-        coo.col[order].tolist(),
-        np.asarray(coo.data[order], dtype=np.float64).tolist(),
+        np.repeat(np.arange(table.n), np.diff(Z.indptr)).tolist(),
+        Z.indices.tolist(),
+        np.asarray(Z.data, dtype=np.float64).tolist(),
     )
     with open(Path(flows_path), "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(FLOWS_COLUMNS) + "\n")

@@ -94,6 +94,11 @@ def _informative(n_tail: int, n_values: int, alpha: float, min_tail: int) -> boo
     return bool(n_tail >= min_tail and n_values > 2 and np.isfinite(alpha) and alpha > 1.0)
 
 
+def _check_min_tail(min_tail: int) -> None:
+    if min_tail < 2:
+        raise TailError(f"min_tail must be >= 2, got {min_tail}")
+
+
 def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailFit]:
     """Fit every admissible cutoff and report its tail-conditional fit distance
     and whether the fit there is informative (see select_xmin).
@@ -104,8 +109,7 @@ def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailFit]:
     Falls back to the 2-observation minimum when no cutoff clears min_tail,
     so degenerate inputs still produce a (non-informative) scan.
     """
-    if min_tail < 2:
-        raise TailError(f"min_tail must be >= 2, got {min_tail}")
+    _check_min_tail(min_tail)
     xs = np.sort(_as_positive_ints(samples))
     n = xs.size
     values, first_idx = np.unique(xs, return_index=True)
@@ -149,6 +153,7 @@ def select_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL, x_min: int | None = N
     two distinct values, and yields a finite exponent above 1.
     """
     if x_min is not None:
+        _check_min_tail(min_tail)
         xs = np.asarray(samples)
         alpha = fit_alpha(xs, x_min)
         tail = xs[xs >= x_min]

@@ -78,6 +78,9 @@ def parse_io_table(
         if row_year != year:
             continue
         value = _parse_value(row["value"], path, line, "value")
+        for column in FLOWS_COLUMNS[1:5]:
+            if row[column] is None:  # a short row
+                raise TableError(f"{path} row {line}: missing {column}")
         edges.append(
             (row["src_country"], row["src_sector"], row["dst_country"], row["dst_sector"], value, line)
         )

@@ -407,6 +407,19 @@ def test_tail_fit_empty_exit_1(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("min_tail", ["0", "-1"])
+def test_tail_fit_checks_min_tail_at_a_fixed_cutoff_too(tmp_path, capsys, min_tail):
+    series = tmp_path / "avalanches_x.csv"
+    series.write_text("replication,period,S\n" + "".join(f"0,{t},{t % 7 + 1}\n" for t in range(50)))
+    errors = []
+    for fixed in ([], ["--x-min", "1"]):
+        args = ["tail-fit", str(series), "--min-tail", min_tail, *fixed, "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert f"min_tail must be >= 2, got {min_tail}" in errors[1]
+
+
 @pytest.mark.parametrize("bad", ["2.7", "nan", "inf", "1e19"])
 def test_tail_fit_non_integer_size_exit_1(tmp_path, capsys, bad):
     series = tmp_path / "avalanches_frac.csv"

@@ -93,6 +93,31 @@ def test_parse_empty_year(tmp_path):
         parse_io_table(p, 2013 + 1)
 
 
+# value first, so a short row can end before its labels do
+VALUE_FIRST_HEADER = "year,value,src_country,src_sector,dst_country,dst_sector\n"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["", "2014,2.0,USA,AGR,DEU,AGR\n", "2014,2.0,FRA,AGR,DEU,AGR\n"],
+    ids=["renamed-node", "second-usa-sector", "second-fra-sector"],
+)
+def test_parse_refuses_a_missing_label(tmp_path, extra):
+    body = "2014,1.5,DEU,AGR,FRA\n2014,2.0,USA,MAN,DEU,AGR\n" + extra
+    p = write_flows(tmp_path, body, header=VALUE_FIRST_HEADER)
+    with pytest.raises(TableError, match=r"flows\.csv row 2: missing dst_sector$"):
+        parse_io_table(p, 2014)
+
+
+def test_parse_leaves_a_missing_label_in_another_year_unchecked(tmp_path):
+    p = write_flows(tmp_path, "2013,1.5,DEU,AGR,FRA\n2014,2.0,USA,MAN,DEU,AGR\n", header=VALUE_FIRST_HEADER)
+    table = parse_io_table(p, 2014)
+    assert [nd.label for nd in table.nodes] == ["DEU_AGR", "USA_MAN"]
+    assert list_years(p) == [2013, 2014]
+    with pytest.raises(TableError, match="row 2: missing dst_sector"):
+        parse_io_table(p, 2013)
+
+
 def test_parse_tolerates_utf8_bom(tmp_path):
     p = tmp_path / "flows.csv"
     p.write_bytes(b"\xef\xbb\xbf" + (FLOWS_HEADER + "2014,USA,AGR,DEU,MAN,1.0\n").encode())

@@ -180,6 +180,39 @@ def test_columnar_reader_matches_row_by_row_oracle(files, sibling, year):
             assert outcome(panel.table, y) == expected[y]
 
 
+def test_node_order_matches_the_oracle_on_a_two_year_table(tmp_path):
+    # 2014: first-seen, source-then-destination and sorted node orders all
+    # differ; "" and ZZZ are countries only destinations name; DE is a prefix
+    # of DEU; AGR and DEU are a country in one row and a sector in another.
+    # 2013's nodes are a strict subset of 2014's.
+    flows = tmp_path / "flows.csv"
+    flows.write_text(
+        "year,src_country,src_sector,dst_country,dst_sector,value\n"
+        "2014,USA,MAN,DEU,AGR,1.0\n"
+        "2013,DEU,AGR,USA,MAN,1.5\n"
+        "2014,DEU,MAN,,AGR,2.0\n"
+        "2014,DE,AGR,USA,MAN,3.0\n"
+        "2013,USA,MAN,DEU,AGR,2.5\n"
+        "2014,AGR,DEU,ZZZ,X,4.0\n"
+        "2014,DEU,AGR,DE,AGR,0.5\n"
+    )
+    (tmp_path / "row_use.csv").write_text(
+        "year,country,sector,gross_use\n2014,,AGR,10.0\n2014,AGR,DEU,10.0\n2013,USA,MAN,5.0\n"
+    )
+    expected = {year: outcome(table_oracle.parse_io_table, flows, year) for year in (2013, 2014)}
+    assert expected[2014][2] == tuple(
+        NodeId(c, s, k)
+        for k, (c, s) in enumerate(
+            [("", "AGR"), ("AGR", "DEU"), ("DE", "AGR"), ("DEU", "AGR"), ("DEU", "MAN"), ("USA", "MAN"), ("ZZZ", "X")]
+        )
+    )
+    assert expected[2013][2] == (NodeId("DEU", "AGR", 0), NodeId("USA", "MAN", 1))
+    panel = FlowPanel(flows)
+    for year in (2014, 2013):
+        assert outcome(parse_io_table, flows, year) == expected[year]
+        assert outcome(panel.table, year) == expected[year]
+
+
 def _row_by_row_write(table, flows_path, row_use_path):
     """The writer before columnar output: csv.writer per row, repr per float."""
     coo = table.Z.tocoo()

@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -145,33 +145,63 @@ def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
     if not path.exists():
         raise TableError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise TableError(f"{path}: empty file, expected header {','.join(required)}")
         missing = [c for c in required if c not in header]
         if missing:
             raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
         at = {name: k for k, name in enumerate(header)}
-        width = len(header)
         cells: dict[str, list] = {c: [] for c in required if c in _VALUE_COLUMNS}
         parts: dict[str, list] = {c: [] for c in required if c not in _VALUE_COLUMNS}
         distinct = {c: _Codes() for c in parts}
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            if set(map(len, chunk)) != {width}:
-                chunk = [row + [None] * (width - len(row)) for row in chunk if row]
-            columns = list(zip(*chunk))
-            for c, out in cells.items():
-                out.extend(columns[at[c]] if columns else ())
-            for c, out in parts.items():
-                column = columns[at[c]] if columns else ()
-                out.append(np.fromiter(map(distinct[c].__getitem__, column), np.intp, len(column)))
+        for chunk in _chunks(fh, len(header), [at[c] for c in required]):
+            for c, column in zip(required, chunk):
+                if c in cells:
+                    cells[c].extend(column)
+                else:
+                    codes = map(distinct[c].__getitem__, column)
+                    parts[c].append(np.fromiter(codes, np.intp, len(column)))
     # join one column's chunks at a time, so that at most one is held twice
     coded = {}
     for c in list(parts):
         codes = np.concatenate([np.empty(0, np.intp), *parts.pop(c)])
         coded[c] = (codes, np.array(list(distinct[c]), dtype=object))
     return _Rows(path, {c: np.array(out, dtype=object) for c, out in cells.items()}, coded)
+
+
+def _chunks(fh, width: int, picks: list[int]):
+    """The rows after the header, _CHUNK_ROWS at a time, as the picked columns' cells.
+
+    A chunk is split at commas when it is plain: no quote, CR or NUL, one
+    comma fewer than width on every line (the header holds every required
+    column, so width > 1 and a blank line is never plain), and no line
+    longer than the csv field limit. From the first chunk that is not
+    plain, csv.reader reads the rest of the file, so quoted fields, blank
+    lines and short or long rows come out as csv.reader gives them.
+    """
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, _CHUNK_ROWS)):
+        text = "".join(lines)
+        if (
+            '"' in text
+            or "\r" in text
+            or "\0" in text
+            or set(map(str.count, lines, repeat(","))) != {width - 1}
+            or max(map(len, lines)) > limit
+        ):
+            break
+        flat = text.replace("\n", ",").split(",")
+        stop = width * len(lines)  # a final line end leaves one more, empty, cell
+        yield [flat[k:stop:width] for k in picks]
+    else:
+        return
+    reader = csv.reader(chain(lines, fh))
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        if set(map(len, chunk)) != {width}:
+            chunk = [row + [None] * (width - len(row)) for row in chunk if row]
+        columns = list(zip(*chunk))
+        yield [columns[k] if columns else () for k in picks]
 
 
 def _value_error(raw, path: Path, line: int, column: str) -> TableError:
@@ -334,6 +364,9 @@ class FlowPanel:
                 raise TableError(f"{path} row {line}: bad year {table.at('year', first)!r}")
             k = int(np.searchsorted(rows, first))
             c, s = keys[k]
+            # a short row reads None in its missing cells, which names no node
+            if c is None or s is None:
+                raise TableError(f"{path} row {line}: missing {'country' if c is None else 'sector'}")
             if unknown[k]:
                 raise TableError(f"{path} row {line}: unknown node {c}_{s} for year {year}")
             if duplicate[k]:

@@ -127,6 +127,9 @@ def parse_io_table(
                 raise TableError(f"{row_use_path} row {line}: bad year {row['year']!r}") from None
             if row_year != year:
                 continue
+            for column in ("country", "sector"):
+                if row[column] is None:  # a short row
+                    raise TableError(f"{row_use_path} row {line}: missing {column}")
             key = (row["country"], row["sector"])
             if key not in index:
                 raise TableError(

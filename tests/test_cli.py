@@ -72,6 +72,22 @@ def test_ingest_missing_file_exit_1(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row_use, column",
+    [
+        ("year,country,gross_use,sector\n2014,USA,5.0\n", "sector"),
+        ("year,gross_use,sector,country\n2014,5.0,AGR\n", "country"),
+    ],
+)
+def test_ingest_refuses_a_row_use_row_without_its_label(tmp_path, capsys, row_use, column):
+    flows = tmp_path / "flows.csv"
+    flows.write_text("year,src_country,src_sector,dst_country,dst_sector,value\n2014,USA,AGR,DEU,MAN,3.0\n")
+    (tmp_path / "row_use.csv").write_text(row_use)
+    code = main(["ingest", "--flows", str(flows), "--year", "2014"])
+    assert code == 1
+    assert capsys.readouterr().err.strip().endswith(f"row_use.csv row 2: missing {column}")
+
+
 def test_bad_flag_exit_1():
     assert main(["simulate", "--no-such-flag"]) == 1
 

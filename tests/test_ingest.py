@@ -1,7 +1,11 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from hallsand import ingest
 from hallsand.ingest import (
     _LEAKAGE_KAPPA,
     _SYNTH_BLOCK_ROWS,
@@ -170,6 +174,38 @@ def test_synth_round_trip_exact(tmp_path, seed):
     assert (back.Z != table.Z).nnz == 0
     np.testing.assert_array_equal(back.row_use_total, table.row_use_total)
     assert [nd.label for nd in back.nodes] == [nd.label for nd in table.nodes]
+
+
+def test_writer_output_is_read_without_csv_reader(tmp_path):
+    # LF line ends and unquoted codes keep every data row off csv.reader;
+    # seven-row chunks make the read cross many chunk boundaries
+    table = synth_substrate(40, 0.2, 3)
+    write_io_table(table, tmp_path / "flows.csv", tmp_path / "row_use.csv")
+    real_reader = csv.reader
+    read = []
+
+    def counting_reader(lines, *args, **kwargs):
+        for row in real_reader(lines, *args, **kwargs):
+            read.append(row)
+            yield row
+
+    with mock.patch.object(ingest.csv, "reader", counting_reader), mock.patch.object(ingest, "_CHUNK_ROWS", 7):
+        back = parse_io_table(tmp_path / "flows.csv", table.year)
+    assert read == [list(ingest.FLOWS_COLUMNS), list(ingest.ROW_USE_COLUMNS)]
+    assert back.nodes == table.nodes
+    for a, b in ((back.Z.indptr, table.Z.indptr), (back.Z.indices, table.Z.indices), (back.Z.data, table.Z.data)):
+        assert a.tobytes() == b.tobytes()
+    assert back.row_use_total.tobytes() == table.row_use_total.tobytes()
+
+
+def test_line_beyond_the_csv_field_limit_fails_as_csv_reader_does(tmp_path):
+    p = write_flows(tmp_path, "2014,USA,AGR,DEU,MAN,1.0\n2014," + "X" * 40 + ",AGR,DEU,MAN,1.0\n")
+    limit = csv.field_size_limit(30)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            parse_io_table(p, 2014)
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_synth_deterministic():

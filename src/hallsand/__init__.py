@@ -37,13 +37,9 @@ from .experiments import (
 from .exposure import (
     ExposureProfile,
     ExposureRank,
-    capacity,
     compute_exposure,
-    flow_share,
     hall_stress,
     rank_exposure,
-    redundancy,
-    with_field,
 )
 from .ingest import (
     FlowPanel,

@@ -455,24 +455,27 @@ def _series_name(path: Path) -> str:
 def _read_sizes(path: Path) -> np.ndarray:
     if not path.exists():
         raise TailError(f"series file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "S" not in header:
-            raise TailError(f"{path}: missing S column")
-        # of repeated header names the last counts, and rows are numbered
-        # with blank lines skipped, as csv.DictReader reads them
-        col = len(header) - 1 - header[::-1].index("S")
-        values = []
-        for k, row in enumerate(filter(None, reader), start=2):
-            text = row[col] if col < len(row) else None  # a short row reads None
-            try:
-                value = float(text)
-                if not value.is_integer() or abs(value) >= 2**63:  # also rejects nan and inf
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise TailError(f"{path} row {k}: bad S value {text!r}, not a 64-bit integer") from None
-            values.append(int(value))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or "S" not in header:
+                raise TailError(f"{path}: missing S column")
+            # of repeated header names the last counts, and rows are numbered
+            # with blank lines skipped, as csv.DictReader reads them
+            col = len(header) - 1 - header[::-1].index("S")
+            values = []
+            for k, row in enumerate(filter(None, reader), start=2):
+                text = row[col] if col < len(row) else None  # a short row reads None
+                try:
+                    value = float(text)
+                    if not value.is_integer() or abs(value) >= 2**63:  # also rejects nan and inf
+                        raise ValueError
+                except (TypeError, ValueError):
+                    raise TailError(f"{path} row {k}: bad S value {text!r}, not a 64-bit integer") from None
+                values.append(int(value))
+    except csv.Error as err:  # such as a cell longer than csv.field_size_limit()
+        raise TailError(f"{path}: {err}") from None
     if not values:
         raise TailError(f"{path}: no rows")
     return np.asarray(values, dtype=np.int64)

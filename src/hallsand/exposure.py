@@ -49,31 +49,16 @@ class ExposureRank:
     H_rel: float
 
 
-def flow_share(table: IOTable) -> np.ndarray:
-    """Symmetric flow involvement I_i = (outflows_i + inflows_i) / (2 * total).
-
-    Normalized so the shares sum to one. An all-zero table has no shares and
-    raises TableError.
-    """
-    return _flow_share(table, table.outflow_totals(), table.inflow_totals())
-
-
-def _flow_share(table: IOTable, outflows: np.ndarray, inflows: np.ndarray) -> np.ndarray:
-    # the callers sum Z along each axis once, for the shares and the HHIs
-    total = table.total_flow()
-    if total <= 0:
-        raise TableError("all-zero table: flow shares undefined")
-    return (outflows + inflows) / (2.0 * total)
-
-
 def _squares(Z: sparse.csr_matrix) -> sparse.csr_matrix:
     """Z's squared flows on Z's own structure, less the squares that are 0.
 
     These are the entries of Z.multiply(Z), which stores no 0 (zero flows,
     underflows). scipy sums a row of more than 8 terms in 8 interleaved
     partial sums, so a stored 0 would move the later terms and the bits.
+    A flow above 1e154 squares to inf, in a row and column that _hhi scales.
     """
-    data = Z.data * Z.data
+    with np.errstate(over="ignore"):
+        data = Z.data * Z.data
     if data.all():
         return sparse.csr_matrix((data, Z.indices, Z.indptr), shape=Z.shape)
     squares = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
@@ -81,57 +66,25 @@ def _squares(Z: sparse.csr_matrix) -> sparse.csr_matrix:
     return squares
 
 
-def _squared_share_sums(totals: np.ndarray, squares, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    # axis=1 -> row HHI (destinations), totals the outflows; axis=0 -> column
-    # HHI (sources), totals the inflows; squares is _squares(Z), which
-    # compute_exposure squares once for both axes
+def _hhi(Z: sparse.csr_matrix, totals: np.ndarray, squares, axis: int) -> np.ndarray:
+    """The Herfindahl index of each row (axis=1) or column (axis=0) of Z.
+
+    totals are Z's sums along axis and squares is _squares(Z). The index is
+    sum(v**2) / t**2 where t*t is a normal float, sum((v/t)**2) where it
+    under- or overflows, and 0 where t is 0.
+    """
     sq = np.asarray(squares.sum(axis=axis)).ravel()
-    hhi = np.zeros(totals.size)
-    pos = totals > 0
-    hhi[pos] = sq[pos] / (totals[pos] * totals[pos])
-    return hhi, pos
-
-
-def redundancy(table: IOTable, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Outflow diversification D in [floor, 1] from destination concentration.
-
-    D_raw = (1 - HHI_out) / HHI_out, then min-max scaled onto [floor, 1]
-    over the nodes that have outflows. Nodes without outflows sit at the
-    floor and are excluded from the scaling statistics; if all remaining
-    D_raw are equal the map degenerates and everyone gets the floor.
-    """
-    hhi, pos = _squared_share_sums(table.outflow_totals(), _squares(table.Z), axis=1)
-    return _redundancy(hhi, pos, floor)
-
-
-def _redundancy(hhi: np.ndarray, pos: np.ndarray, floor: float) -> np.ndarray:
-    if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor must be in (0, 1), got {floor}")
-    D = np.full(hhi.size, floor)
-    if not pos.any():
-        return D
-    raw = (1.0 - hhi[pos]) / hhi[pos]
-    lo, hi = raw.min(), raw.max()
-    if hi > lo:
-        D[pos] = floor + (1.0 - floor) * (raw - lo) / (hi - lo)
-    return D
-
-
-def capacity(table: IOTable, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Inflow absorption capacity C = max(floor, 1 - HHI_in).
-
-    Nodes without inflows sit at the floor.
-    """
-    hhi, pos = _squared_share_sums(table.inflow_totals(), _squares(table.Z), axis=0)
-    return _capacity(hhi, pos, floor)
-
-
-def _capacity(hhi: np.ndarray, pos: np.ndarray, floor: float) -> np.ndarray:
-    if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor must be in (0, 1), got {floor}")
-    C = np.full(hhi.size, floor)
-    C[pos] = np.maximum(floor, 1.0 - hhi[pos])
-    return C
+    with np.errstate(over="ignore"):
+        square = totals * totals
+    plain = (totals > 0) & (square >= np.finfo(np.float64).tiny) & (square < np.inf)
+    hhi = np.divide(sq, square, out=np.zeros(totals.size), where=plain)
+    scaled = (totals > 0) & ~plain
+    if scaled.any():
+        lines = np.repeat(np.arange(Z.shape[0]), np.diff(Z.indptr)) if axis == 1 else Z.indices
+        keep = scaled[lines]
+        shares = Z.data[keep] / totals[lines[keep]]
+        hhi[scaled] = np.bincount(lines[keep], shares * shares, minlength=totals.size)[scaled]
+    return hhi
 
 
 def hall_stress(B: float, profile: ExposureProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -154,30 +107,46 @@ def compute_exposure(
     c_floor: float = DEFAULT_FLOOR,
     epsilon: float = DEFAULT_EPSILON,
 ) -> ExposureProfile:
-    """Assemble the full exposure profile for a table at field intensity B."""
+    """The exposure profile of a table at field intensity B.
+
+    I = (outflows + inflows) / (2 * total flow) sums to one; an all-zero
+    table has no shares and raises TableError. D, the outflow
+    diversification, is D_raw = (1 - HHI_out) / HHI_out min-max scaled onto
+    [d_floor, 1] over the nodes with outflows; the others sit at the floor,
+    outside the scaling, and if all D_raw are equal every node gets the
+    floor. C = max(c_floor, 1 - HHI_in) is the inflow absorption capacity,
+    at the floor for a node without inflows. Z is summed along each axis,
+    and squared, once for all of them.
+    """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    total = table.total_flow()
+    if total <= 0:
+        raise TableError("all-zero table: flow shares undefined")
+    for floor in (d_floor, c_floor):
+        if not 0.0 < floor < 1.0:
+            raise ValueError(f"floor must be in (0, 1), got {floor}")
+    Z, n = table.Z, table.n
     outflows, inflows = table.outflow_totals(), table.inflow_totals()
-    I = _flow_share(table, outflows, inflows)
-    squares = _squares(table.Z)
-    HHI_out, has_out = _squared_share_sums(outflows, squares, axis=1)
-    HHI_in, has_in = _squared_share_sums(inflows, squares, axis=0)
-    D = _redundancy(HHI_out, has_out, d_floor)
-    C = _capacity(HHI_in, has_in, c_floor)
+    I = (outflows + inflows) / (2.0 * total)
+    squares = _squares(Z)
+    HHI_out, HHI_in = _hhi(Z, outflows, squares, axis=1), _hhi(Z, inflows, squares, axis=0)
+    has_out, has_in = outflows > 0, inflows > 0
+    D = np.full(n, d_floor)
+    raw = (1.0 - HHI_out[has_out]) / HHI_out[has_out]  # a positive total leaves a node with outflows
+    lo, hi = raw.min(), raw.max()
+    if hi > lo:
+        D[has_out] = d_floor + (1.0 - d_floor) * (raw - lo) / (hi - lo)
+    C = np.full(n, c_floor)
+    C[has_in] = np.maximum(c_floor, 1.0 - HHI_in[has_in])
     R = 1.0 / (D * C + epsilon)
     draft = ExposureProfile(
         I=I, HHI_out=HHI_out, HHI_in=HHI_in, D=D, C=C, R=R,
-        H=np.zeros(table.n), H_rel=np.zeros(table.n),
+        H=np.zeros(n), H_rel=np.zeros(n),
         B=B, epsilon=epsilon, d_floor=d_floor, c_floor=c_floor,
     )
     H, H_rel = hall_stress(B, draft)
     return replace(draft, H=H, H_rel=H_rel)
-
-
-def with_field(profile: ExposureProfile, B: float) -> ExposureProfile:
-    """Same profile re-evaluated at a different field intensity."""
-    H, H_rel = hall_stress(B, profile)
-    return replace(profile, B=B, H=H, H_rel=H_rel)
 
 
 def rank_exposure(profile: ExposureProfile, k: int) -> list[ExposureRank]:
@@ -186,11 +155,6 @@ def rank_exposure(profile: ExposureProfile, k: int) -> list[ExposureRank]:
         raise ValueError(f"k must be at least 1, got {k}")
     order = np.argsort(-profile.H_rel, kind="stable")
     return [
-        ExposureRank(
-            index=int(i),
-            I=float(profile.I[i]),
-            R=float(profile.R[i]),
-            H_rel=float(profile.H_rel[i]),
-        )
-        for i in order[: min(k, profile.n)]
+        ExposureRank(int(i), float(profile.I[i]), float(profile.R[i]), float(profile.H_rel[i]))
+        for i in order[:k]
     ]

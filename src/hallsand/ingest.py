@@ -73,15 +73,6 @@ class IOTable:
             Z.sum_duplicates()
             object.__setattr__(self, "Z", Z)
 
-    def index_of(self, country: str, sector: str) -> int:
-        key = (country, sector)
-        try:
-            return self._index[key]
-        except AttributeError:
-            lookup = {(nd.country, nd.sector): nd.index for nd in self.nodes}
-            object.__setattr__(self, "_index", lookup)
-            return self._index[key]
-
     def outflow_totals(self) -> np.ndarray:
         return np.asarray(self.Z.sum(axis=1)).ravel()
 
@@ -144,24 +135,27 @@ def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
     """Read the required columns of a CSV in one pass, checking the header."""
     if not path.exists():
         raise TableError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise TableError(f"{path}: empty file, expected header {','.join(required)}")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
-        at = {name: k for k, name in enumerate(header)}
-        cells: dict[str, list] = {c: [] for c in required if c in _VALUE_COLUMNS}
-        parts: dict[str, list] = {c: [] for c in required if c not in _VALUE_COLUMNS}
-        distinct = {c: _Codes() for c in parts}
-        for chunk in _chunks(fh, len(header), [at[c] for c in required]):
-            for c, column in zip(required, chunk):
-                if c in cells:
-                    cells[c].extend(column)
-                else:
-                    codes = map(distinct[c].__getitem__, column)
-                    parts[c].append(np.fromiter(codes, np.intp, len(column)))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise TableError(f"{path}: empty file, expected header {','.join(required)}")
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
+            at = {name: k for k, name in enumerate(header)}
+            cells: dict[str, list] = {c: [] for c in required if c in _VALUE_COLUMNS}
+            parts: dict[str, list] = {c: [] for c in required if c not in _VALUE_COLUMNS}
+            distinct = {c: _Codes() for c in parts}
+            for chunk in _chunks(fh, len(header), [at[c] for c in required]):
+                for c, column in zip(required, chunk):
+                    if c in cells:
+                        cells[c].extend(column)
+                    else:
+                        codes = map(distinct[c].__getitem__, column)
+                        parts[c].append(np.fromiter(codes, np.intp, len(column)))
+    except csv.Error as err:  # such as a cell longer than csv.field_size_limit()
+        raise TableError(f"{path}: {err}") from None
     # join one column's chunks at a time, so that at most one is held twice
     coded = {}
     for c in list(parts):

@@ -72,6 +72,14 @@ def test_ingest_missing_file_exit_1(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_ingest_cell_beyond_the_csv_field_limit_exit_1(tmp_path, capsys):
+    flows = tmp_path / "flows.csv"
+    long = "X" * (csv.field_size_limit() + 1)
+    flows.write_text(f"year,src_country,src_sector,dst_country,dst_sector,value\n2014,{long},AGR,DEU,MAN,3.0\n")
+    assert main(["ingest", "--flows", str(flows), "--year", "2014"]) == 1
+    assert f"{flows}: field larger than field limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "row_use, column",
     [
@@ -434,6 +442,13 @@ def test_tail_fit_checks_min_tail_at_a_fixed_cutoff_too(tmp_path, capsys, min_ta
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert f"min_tail must be >= 2, got {min_tail}" in errors[1]
+
+
+def test_tail_fit_cell_beyond_the_csv_field_limit_exit_1(tmp_path, capsys):
+    series = tmp_path / "avalanches_long.csv"
+    series.write_text(f"replication,period,S\n0,0,3\n0,1,{'7' * (csv.field_size_limit() + 1)}\n")
+    assert main(["tail-fit", str(series), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{series}: field larger than field limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["2.7", "nan", "inf", "1e19"])

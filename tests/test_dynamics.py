@@ -95,8 +95,7 @@ PACKAGE_NAMES = DYNAMICS_NAMES + """
     PRESETS CellDiagnostics CellStats PhaseGridResult PhaseGridSpec RegimeLabel ScenarioResult
     ScenarioSpec SimulationError Substrate child_seed convergence_report default_phase_grid
     make_cell_stats prepare_substrate preset_scenarios run_phase_grid run_scenario run_scenarios
-    ExposureProfile ExposureRank capacity compute_exposure flow_share hall_stress rank_exposure
-    redundancy with_field
+    ExposureProfile ExposureRank compute_exposure hall_stress rank_exposure
     FlowPanel IOTable NodeId TableError list_years parse_io_table synth_substrate write_io_table
     LeakageProfile OperatorKind PropagationOperator SpectralConvergenceError build_operator
     leakage_profile spectral_radius

@@ -4,13 +4,9 @@ import pytest
 from hallsand.exposure import (
     DEFAULT_EPSILON,
     DEFAULT_FLOOR,
-    capacity,
     compute_exposure,
-    flow_share,
     hall_stress,
     rank_exposure,
-    redundancy,
-    with_field,
 )
 from hallsand.ingest import synth_substrate
 
@@ -26,7 +22,7 @@ def star_table(k=4, w=1.0):
 
 def test_flow_share_star_hub():
     table = star_table(k=4)
-    share = flow_share(table)
+    share = compute_exposure(table).I
     # hub carries half of all endpoint involvement
     assert share[0] == pytest.approx(0.5)
     np.testing.assert_allclose(share[1:], 0.125)
@@ -35,12 +31,12 @@ def test_flow_share_star_hub():
 
 def test_flow_share_sums_to_one_random():
     table = synth_substrate(60, 0.2, 11)
-    assert flow_share(table).sum() == pytest.approx(1.0, abs=1e-12)
+    assert compute_exposure(table).I.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flow_share_empty_table_rejected():
     with pytest.raises(ValueError):
-        flow_share(table_from_dense(np.zeros((3, 3))))
+        compute_exposure(table_from_dense(np.zeros((3, 3))))
 
 
 def test_hhi_oracle_small():
@@ -65,6 +61,25 @@ def test_hhi_oracle_small():
         assert prof.HHI_in[j] == pytest.approx(want, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "dense, axis, line",
+    [
+        *(([[0, x, x], [1, 0, 2], [3, 1, 0]], 1, 0) for x in (1e-170, 1e160, 1e200)),
+        ([[0, 1, 1e-170], [1, 0, 1e-170], [3, 1, 0]], 0, 2),
+    ],
+    ids=["row-1e-170", "row-1e160", "row-1e200", "column-1e-170"],
+)
+def test_hhi_where_a_total_squares_out_of_the_normal_range(dense, axis, line):
+    # a total of 2e-170 squares to 0 and one of 2e160 to inf; the node's
+    # shares are squared instead, and every array stays finite
+    prof = compute_exposure(table_from_dense(np.array(dense, dtype=float)))
+    assert (prof.HHI_out if axis == 1 else prof.HHI_in)[line] == 0.5
+    for name in ("I", "HHI_out", "HHI_in", "D", "C", "R", "H", "H_rel"):
+        assert np.isfinite(getattr(prof, name)).all(), name
+    if axis == 1:
+        np.testing.assert_allclose(prof.D, [1.0, 0.525, DEFAULT_FLOOR])
+
+
 def test_redundancy_floor_and_scale():
     # node 0 fully concentrated (one destination), node 1 perfectly spread
     dense = np.array(
@@ -76,7 +91,7 @@ def test_redundancy_floor_and_scale():
         ]
     )
     table = table_from_dense(dense)
-    D = redundancy(table)
+    D = compute_exposure(table).D
     assert D[0] == pytest.approx(DEFAULT_FLOOR)
     assert D[1] == pytest.approx(1.0)
     assert DEFAULT_FLOOR < D[2] < 1.0
@@ -86,7 +101,7 @@ def test_redundancy_floor_and_scale():
 
 def test_redundancy_degenerate_all_equal():
     dense = np.array([[0.0, 1.0], [1.0, 0.0]])
-    D = redundancy(table_from_dense(dense))
+    D = compute_exposure(table_from_dense(dense)).D
     np.testing.assert_allclose(D, DEFAULT_FLOOR)
 
 
@@ -98,7 +113,7 @@ def test_capacity_bounds():
             [0.0, 0.0, 0.0],
         ]
     )
-    C = capacity(table_from_dense(dense))
+    C = compute_exposure(table_from_dense(dense)).C
     # node 0 receives nothing: floor
     assert C[0] == pytest.approx(DEFAULT_FLOOR)
     # node 1 has a single supplier: HHI_in = 1, capacity floors out
@@ -127,10 +142,10 @@ def test_hall_stress_scales_with_field():
     np.testing.assert_allclose(rel3, rel1, rtol=1e-12)
 
 
-def test_with_field_replaces_b():
+def test_exposure_at_another_field():
     table = synth_substrate(25, 0.3, 2)
     prof = compute_exposure(table, B=1.0)
-    prof2 = with_field(prof, 2.5)
+    prof2 = compute_exposure(table, B=2.5)
     assert prof2.B == 2.5
     np.testing.assert_allclose(prof2.H, 2.5 * prof.H / 1.0, rtol=1e-15)
     np.testing.assert_allclose(prof2.I, prof.I)
@@ -143,10 +158,6 @@ def test_compute_exposure_custom_floors():
     assert prof.C.min() >= 0.20 - 1e-15
     assert prof.d_floor == 0.10
     assert prof.c_floor == 0.20
-    # the profile sums and squares Z once per axis; the lone functions give the same bytes
-    assert prof.I.tobytes() == flow_share(table).tobytes()
-    assert prof.D.tobytes() == redundancy(table, floor=0.10).tobytes()
-    assert prof.C.tobytes() == capacity(table, floor=0.20).tobytes()
 
 
 def test_rank_exposure_order_and_ties():

@@ -1,11 +1,12 @@
 """The operator and exposure constructions against the ones they replaced.
 
 build_operator scales Z's stored values row by row on Z's own structure,
-compute_exposure squares them there, and _cyclic_components decides a
-strongly connected matrix by two reachability sweeps. Each must give the
-same bytes as its reference, kept here: diags(scale) @ Z (row-share,
-leakage-adjusted) and Z * c (max-row) with sorted indices, Z.multiply(Z),
-and scipy.sparse.csgraph's strong components.
+compute_exposure squares them there and derives D and C in one pass, and
+_cyclic_components decides a strongly connected matrix by two reachability
+sweeps. Each must give the same bytes as its reference, kept here:
+diags(scale) @ Z (row-share, leakage-adjusted) and Z * c (max-row) with
+sorted indices, Z.multiply(Z), the stand-alone redundancy and capacity
+formulas, and scipy.sparse.csgraph's strong components.
 
 The drawn tables have explicit zero flows, rows without outflows, and flows
 so small that their scaled or squared values underflow to 0; the drawn
@@ -25,7 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hallsand.exposure import capacity, compute_exposure, redundancy  # noqa: E402
+from hallsand.exposure import DEFAULT_FLOOR, compute_exposure  # noqa: E402
 from hallsand.ingest import IOTable, NodeId  # noqa: E402
 from hallsand import operators  # noqa: E402
 from hallsand.operators import OperatorKind, _cyclic_components, build_operator, leakage_profile  # noqa: E402
@@ -73,6 +74,25 @@ def reference_hhi(totals, Z, axis):
     return hhi
 
 
+def reference_redundancy(hhi, pos, floor=DEFAULT_FLOOR):
+    """D as it was computed on its own: min-max scaled (1 - HHI) / HHI."""
+    D = np.full(hhi.size, floor)
+    if not pos.any():
+        return D
+    raw = (1.0 - hhi[pos]) / hhi[pos]
+    lo, hi = raw.min(), raw.max()
+    if hi > lo:
+        D[pos] = floor + (1.0 - floor) * (raw - lo) / (hi - lo)
+    return D
+
+
+def reference_capacity(hhi, pos, floor=DEFAULT_FLOOR):
+    """C as it was computed on its own: 1 - HHI, floored."""
+    C = np.full(hhi.size, floor)
+    C[pos] = np.maximum(floor, 1.0 - hhi[pos])
+    return C
+
+
 def same_csr(got, want):
     for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
         assert a.dtype == b.dtype
@@ -96,8 +116,8 @@ def tables(draw):
     for row in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         cells = {(i, j): (0.0 if i == row else v) for (i, j), v in cells.items()}
     # a tiny flow sits in a row and a column with a flow of 1e-9 or more: a
-    # total that is itself subnormal, or squares to 0, gives a share of inf or
-    # an HHI of nan under either construction
+    # total that is itself subnormal gives a row share of inf, and one that
+    # squares to 0 a reference HHI of nan
     big = [cell for cell, v in cells.items() if v >= 1e-9]
     big_rows, big_cols = {i for i, _ in big}, {j for _, j in big}
     cells = {(i, j): (v if v >= 1e-9 or (i in big_rows and j in big_cols) else 0.0) for (i, j), v in cells.items()}
@@ -122,10 +142,11 @@ def test_operators_and_exposure_match_reference_constructions(table):
     if table.total_flow() <= 0:
         return  # no flow shares: compute_exposure refuses the table
     prof = compute_exposure(table)
-    assert prof.HHI_out.tobytes() == reference_hhi(outflows, table.Z, 1).tobytes()
-    assert prof.HHI_in.tobytes() == reference_hhi(inflows, table.Z, 0).tobytes()
-    assert redundancy(table).tobytes() == prof.D.tobytes()
-    assert capacity(table).tobytes() == prof.C.tobytes()
+    hhi_out, hhi_in = reference_hhi(outflows, table.Z, 1), reference_hhi(inflows, table.Z, 0)
+    assert prof.HHI_out.tobytes() == hhi_out.tobytes()
+    assert prof.HHI_in.tobytes() == hhi_in.tobytes()
+    assert prof.D.tobytes() == reference_redundancy(hhi_out, outflows > 0).tobytes()
+    assert prof.C.tobytes() == reference_capacity(hhi_in, inflows > 0).tobytes()
 
 
 WEIGHT = st.sampled_from([1.0, 0.5, 2.0, np.inf, np.nan])

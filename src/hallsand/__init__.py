@@ -6,7 +6,6 @@ from .dynamics import (
     FieldModel,
     Params,
     RelaxationBudgetError,
-    activation_gap,
     contraction_check,
     gap_field_sensitivity,
     gap_redundancy_sensitivity,
@@ -17,7 +16,6 @@ from .experiments import (
     PRESETS,
     CellDiagnostics,
     CellStats,
-    PhaseGridResult,
     PhaseGridSpec,
     RegimeLabel,
     ScenarioResult,
@@ -31,7 +29,6 @@ from .experiments import (
     prepare_substrate,
     preset_scenarios,
     run_phase_grid,
-    run_scenario,
     run_scenarios,
 )
 from .exposure import (

@@ -21,10 +21,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import ConfigError, load_config, section_for
-from .dynamics import DEFAULT_SIGMA_B_RATIO, Params
+from .dynamics import Params
 from .exposure import DEFAULT_EPSILON, DEFAULT_FIELD, DEFAULT_FLOOR, compute_exposure, rank_exposure
 from .experiments import (
     DEFAULT_B_AXIS,
+    DEFAULT_SIGMA_B_RATIO,
     DEFAULT_SIGMA_D_AXIS,
     PRESETS,
     PhaseGridSpec,
@@ -422,14 +423,14 @@ def cmd_phase_grid(args) -> int:
         T_stat=args.t_stat,
         replications=args.replications,
     )
-    result = run_phase_grid(
+    cells = run_phase_grid(
         spec, substrate, params, sigma_b_ratio=args.sigma_b_ratio, threads=args.threads
     )
     out = _out_dir(args)
-    path = _emit(out, "phase_grid.csv", *_table(CELL_STATS, result.cells), args.json)
+    path = _emit(out, "phase_grid.csv", *_table(CELL_STATS, cells), args.json)
     if args.convergence:
-        _emit(out, "convergence.csv", *_table(CONVERGENCE, convergence_report(result)), args.json)
-    print(f"wrote {path} ({len(result.cells)} cells)")
+        _emit(out, "convergence.csv", *_table(CONVERGENCE, convergence_report(cells)), args.json)
+    print(f"wrote {path} ({len(cells)} cells)")
     return 0
 
 
@@ -488,14 +489,16 @@ def cmd_tail_fit(args) -> int:
         if name in paths:  # its ccdf file and tail_fits.csv row would be written twice
             raise TailError(f"series name {name!r} given twice: {paths[name]} and {path}")
         paths[name] = path
-    out = _out_dir(args)
-    fits = []
-    for name, path in paths.items():
+    fits, tails = [], []  # every series is read and fitted before anything is written
+    for path in paths.values():
         sizes = _read_sizes(path)
         positive = sizes[sizes >= 1]
         if positive.size == 0:
             raise TailError(f"{path}: no positive cascade sizes to fit")
         fits.append(select_xmin(positive, min_tail=args.min_tail, x_min=args.x_min))
+        tails.append(positive)
+    out = _out_dir(args)
+    for name, positive in zip(paths, tails):
         _emit(out, f"ccdf_{name}.csv", *_table(CCDF, ccdf(positive)), args.json)
     path = _emit(out, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=list(paths)), args.json)
     print(f"wrote {path} ({len(fits)} fit(s))")

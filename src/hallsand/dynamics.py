@@ -24,15 +24,12 @@ from .operators import PropagationOperator
 # nonzero, is not charged, and outweighs the saving only past 70% of the rows.
 _SLICE_MIN_SKIPPED = 400_000
 
-# A field model's default volatility sigma_B, as a share of its level B_bar.
-DEFAULT_SIGMA_B_RATIO = 0.10
-
 
 @dataclass
 class Params:
     """Dynamics parameters. Defaults are the calibrated baseline.
 
-    theta may be a scalar (uniform thresholds) or a per-node array.
+    theta is the toppling threshold of every node.
     max_relax_rounds of None resolves to 10 * n when a run starts.
     count_unique switches the per-period cascade size from counting
     toppling events to counting distinct toppled nodes.
@@ -42,7 +39,7 @@ class Params:
     alpha: float = 0.30
     beta: float = 0.40
     gamma: float = 0.50
-    theta: float | np.ndarray = 1.00
+    theta: float = 1.00
     epsilon: float = 1e-6
     sigma_x: float = 0.20
     redistribution_fraction: float = 0.5
@@ -50,57 +47,41 @@ class Params:
     max_relax_rounds: int | None = None
     count_unique: bool = False
 
-    def thresholds(self, n: int) -> np.ndarray:
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.ndim == 0:
-            return np.full(n, float(theta))
-        if theta.shape != (n,):
-            raise ValueError(f"theta has shape {theta.shape}, expected scalar or ({n},)")
-        return theta.copy()
-
-    def validate(self, n: int | None = None) -> None:
+    def validate(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         # each comparison is False for nan, and the upper bound rejects inf
         for name in ("alpha", "beta", "gamma"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
-        if not ((theta > 0) & (theta < math.inf)).all():
-            raise ValueError("theta must be finite and positive")
-        for name in ("epsilon", "sigma_x"):
+        if np.ndim(self.theta) != 0:
+            raise ValueError(f"theta must be a scalar, got shape {np.shape(self.theta)}")
+        for name in ("theta", "epsilon", "sigma_x"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0.0 <= self.redistribution_fraction <= 1.0:
             raise ValueError(
                 f"redistribution_fraction must be in [0, 1], got {self.redistribution_fraction}"
             )
-        if not 0.0 <= self.theta_reset < float(theta.min()):
+        if not 0.0 <= self.theta_reset < self.theta:
             raise ValueError(
-                f"theta_reset must be in [0, min theta), got {self.theta_reset}"
+                f"theta_reset must be in [0, theta), got {self.theta_reset}"
             )
         if self.max_relax_rounds is not None and self.max_relax_rounds < 1:
             raise ValueError(f"max_relax_rounds must be >= 1, got {self.max_relax_rounds}")
-        if n is not None:
-            self.thresholds(n)
 
 
 @dataclass(frozen=True)
 class FieldModel:
-    """Aggregate field intensity: B_t = max(0, B_bar + N(0, sigma_B)).
-
-    sigma_B defaults to DEFAULT_SIGMA_B_RATIO * B_bar when not given.
-    """
+    """Aggregate field intensity: B_t = max(0, B_bar + N(0, sigma_B))."""
 
     B_bar: float
-    sigma_B: float | None = None
+    sigma_B: float
 
     def __post_init__(self):
         # each comparison is False for nan, and the upper bound rejects inf
         if not 0.0 <= self.B_bar < math.inf:
             raise ValueError(f"B_bar must be finite and non-negative, got {self.B_bar}")
-        if self.sigma_B is None:
-            object.__setattr__(self, "sigma_B", DEFAULT_SIGMA_B_RATIO * self.B_bar)
         if not 0.0 <= self.sigma_B < math.inf:
             raise ValueError(f"sigma_B must be finite and non-negative, got {self.sigma_B}")
 
@@ -150,7 +131,7 @@ def _validate_run(
     n = operator.n
     if exposure.n != n:
         raise ValueError(f"operator has {n} nodes but exposure has {exposure.n}")
-    params.validate(n)
+    params.validate()
     return params.max_relax_rounds if params.max_relax_rounds is not None else 10 * n
 
 
@@ -206,7 +187,6 @@ def _relax_block(
     S: np.ndarray,
     A: sparse.csr_matrix,
     At: sparse.csc_matrix,
-    theta: np.ndarray,
     p: Params,
     max_rounds: int,
     toppled: np.ndarray | None = None,
@@ -229,12 +209,11 @@ def _relax_block(
     k = S.shape[1]
     events = np.zeros(k, dtype=np.int64)
     rounds = np.zeros(k, dtype=np.int64)
-    theta = theta[:, None]
     active = np.arange(k)  # the columns of S that block holds
     block = S
     n_round = 0
     while True:
-        over = block >= theta
+        over = block >= p.theta
         if not over.any():
             failed = None
             break
@@ -297,7 +276,6 @@ def run_batch(
     n, k = operator.n, len(columns)
     A = operator.matrix
     At = A.T  # scipy's CSC view of A, built once per call
-    theta = p.thresholds(n)
     B_bar = np.array([fieldmodel.B_bar for fieldmodel, _, _ in columns], dtype=float)
     sigma_B = np.array([fieldmodel.sigma_B for fieldmodel, _, _ in columns], dtype=float)
     denom = _hall_denominator(exposure, sigma_D, p.epsilon)
@@ -311,7 +289,7 @@ def run_batch(
     for t in range(periods):
         S, B_t = _update(S, rngs, B_bar, sigma_B, At, exposure.I, denom, p)
         toppled = np.zeros(S.shape, dtype=bool) if p.count_unique else None
-        events, n_rounds, failed = _relax_block(S, A, At, theta, p, max_rounds, toppled)
+        events, n_rounds, failed = _relax_block(S, A, At, p, max_rounds, toppled)
         if failure is None and t >= keep_from:
             sizes[:, t - keep_from] = events if toppled is None else np.add.reduce(toppled, axis=0)
             fields[:, t - keep_from] = B_t
@@ -339,15 +317,6 @@ def hall_adjusted_threshold(theta, gamma: float, H):
     algebraically identical to toppling of full stress against theta.
     """
     return theta - gamma * H
-
-
-def activation_gap(theta, gamma: float, H_prev, s_tilde):
-    """Distance to toppling, g = theta - gamma * H_prev - s_tilde.
-
-    Non-positive gap means the node topples this period. H_prev is the
-    previous period's loading, matching the update timing.
-    """
-    return theta - gamma * H_prev - s_tilde
 
 
 def gap_field_sensitivity(gamma: float, I, D, C, epsilon: float):

@@ -15,7 +15,6 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_SIGMA_B_RATIO,
     FieldModel,
     Params,
     RelaxationBudgetError,
@@ -33,6 +32,9 @@ PRESETS: dict[str, tuple[float, float]] = {
     "critical": (1.00, 1.8),
     "avalanche": (1.35, 2.3),
 }
+
+# A scenario's field volatility sigma_B, as a share of its level B_bar.
+DEFAULT_SIGMA_B_RATIO = 0.10
 
 # The default phase grid's axes, as np.linspace (low, high, steps).
 DEFAULT_B_AXIS = (0.25, 2.0, 10)
@@ -142,19 +144,6 @@ class PhaseGridSpec:
     @property
     def n_cells(self) -> int:
         return len(self.B_values) * len(self.sigmaD_values)
-
-
-@dataclass(frozen=True)
-class PhaseGridResult:
-    spec: PhaseGridSpec
-    cells: tuple[CellStats, ...]  # row-major: B outer, sigma_D inner
-
-    def cell(self, i_B: int, i_sD: int) -> CellStats:
-        return self.cells[i_B * len(self.spec.sigmaD_values) + i_sD]
-
-    def mean_S_grid(self) -> np.ndarray:
-        shape = (len(self.spec.B_values), len(self.spec.sigmaD_values))
-        return np.array([c.mean_S for c in self.cells]).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -403,7 +392,7 @@ def _start(specs, substrate, params, sigma_b_ratio, keep_series, threads) -> Ite
     # names the line that called the public function that called this one.
     for spec in specs:
         spec.validate()
-    params.validate(substrate.operator.n)
+    params.validate()
     if not 0.0 <= sigma_b_ratio < math.inf:
         raise ValueError(f"sigma_b_ratio must be finite and non-negative, got {sigma_b_ratio}")
     if not specs:
@@ -443,31 +432,19 @@ def _results(specs, substrate, params, sigma_b_ratio, keep_series, n_workers) ->
                 yield ScenarioResult(spec.name, stats, series=None)
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    substrate: Substrate,
-    params: Params,
-    sigma_b_ratio: float = DEFAULT_SIGMA_B_RATIO,
-    keep_series: bool = False,
-    threads: int | None = 1,
-) -> ScenarioResult:
-    """Run one cell's replications and pool the post-burn statistics."""
-    (result,) = _start([spec], substrate, params, sigma_b_ratio, keep_series, threads)
-    return result
-
-
 def run_phase_grid(
     spec: PhaseGridSpec,
     substrate: Substrate,
     params: Params,
     sigma_b_ratio: float = DEFAULT_SIGMA_B_RATIO,
     threads: int | None = 1,
-) -> PhaseGridResult:
-    """Sweep the grid cell by cell, row-major (field outer, dispersion inner).
+) -> tuple[CellStats, ...]:
+    """Sweep the grid and return its cells row-major (field outer, dispersion
+    inner): cell (i, j) is at i * len(sigmaD_values) + j.
 
-    Cell (i, j) gets master seed child_seed(grid_seed, cell_index), so a
-    single-cell grid reproduces run_scenario under the same derivation, and
-    all replications of all cells share one pool with an index-ordered fold.
+    The cell at index c runs as a ScenarioSpec with master seed
+    child_seed(grid_seed, c), and all replications of all cells share one
+    pool with an index-ordered fold.
     """
     spec.validate()
     cells: list[ScenarioSpec] = []
@@ -486,17 +463,17 @@ def run_phase_grid(
                 )
             )
     results = _start(cells, substrate, params, sigma_b_ratio, False, threads)
-    return PhaseGridResult(spec=spec, cells=tuple(r.stats for r in results))
+    return tuple(r.stats for r in results)
 
 
-def convergence_report(result: PhaseGridResult) -> list[CellDiagnostics]:
+def convergence_report(cells: Iterable[CellStats]) -> list[CellDiagnostics]:
     """Per-cell standard errors with the protocol's precision flags.
 
     Absorbing cells must have se(mean_S) below 0.02; all other cells must
     have se/mean below 5%. Tail probabilities get binomial standard errors.
     """
     report = []
-    for stats in result.cells:
+    for stats in cells:
         se_pr = {
             k: math.sqrt(p * (1.0 - p) / stats.n_obs) for k, p in sorted(stats.pr_ge.items())
         }

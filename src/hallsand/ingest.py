@@ -72,6 +72,22 @@ class IOTable:
             Z = sparse.csr_matrix(Z, copy=True)
             Z.sum_duplicates()
             object.__setattr__(self, "Z", Z)
+        # every flow is finite, but their totals can pass the float range
+        with np.errstate(over="ignore"):
+            if not math.isfinite(Z.data.sum()):
+                self._refuse_total()
+
+    def _refuse_total(self):
+        """Raise TableError naming the first node whose outflows or inflows
+        sum past the float range, else the row at which the total does."""
+        for totals, what in (
+            (self.outflow_totals(), "outflows"),
+            (self.inflow_totals(), "inflows"),
+            (np.cumsum(self.outflow_totals()), "the flows of all rows up to its own"),
+        ):
+            bad = np.flatnonzero(~np.isfinite(totals))
+            if bad.size:
+                raise TableError(f"node {self.nodes[bad[0]].label}: {what} sum past the float range")
 
     def outflow_totals(self) -> np.ndarray:
         return np.asarray(self.Z.sum(axis=1)).ravel()
@@ -327,7 +343,8 @@ class FlowPanel:
 
         Z = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
         Z.sort_indices()
-        outflows = np.asarray(Z.sum(axis=1)).ravel()
+        with np.errstate(over="ignore"):  # IOTable refuses totals past the float range
+            outflows = np.asarray(Z.sum(axis=1)).ravel()
         if self.row_use_path is None:
             row_use = outflows.copy()
         else:

@@ -210,16 +210,26 @@ def build_operator(table: IOTable, kind: OperatorKind) -> PropagationOperator:
     radius is computed once and cached on the operator.
     """
     Z = table.Z
-    row_totals = table.outflow_totals()
+    totals = table.outflow_totals()  # the divisor of each row
     if kind is OperatorKind.MAX_ROW:
-        max_row = row_totals.max()
-        data = Z.data * (1.0 / max_row if max_row > 0 else 0.0)
-    elif kind in (OperatorKind.ROW_SHARE, OperatorKind.LEAKAGE_ADJUSTED):
-        weight = 1.0 if kind is OperatorKind.ROW_SHARE else leakage_profile(table).values
-        scale = np.divide(weight, row_totals, out=np.zeros(table.n), where=row_totals > 0)
-        data = Z.data * np.repeat(scale, np.diff(Z.indptr))
+        weight, totals = 1.0, np.full(table.n, totals.max())
+    elif kind is OperatorKind.ROW_SHARE:
+        weight = 1.0
+    elif kind is OperatorKind.LEAKAGE_ADJUSTED:
+        weight = leakage_profile(table).values
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
+    # a row v with total t becomes v * (w / t), or (v / t) * w where w / t
+    # overflows, as it does for a subnormal t
+    with np.errstate(over="ignore"):
+        scale = np.divide(weight, totals, out=np.zeros(table.n), where=totals > 0)
+    tiny = np.isinf(scale)
+    scale[tiny] = 0.0
+    data = Z.data * np.repeat(scale, np.diff(Z.indptr))
+    if tiny.any():
+        rows = np.repeat(np.arange(table.n), np.diff(Z.indptr))
+        at = np.flatnonzero(tiny[rows])
+        data[at] = Z.data[at] / totals[rows[at]] * np.broadcast_to(weight, table.n)[rows[at]]
     # each row scaled on Z's own sorted structure: the entries of Z * c, or of
     # diags(scale) @ Z, which stores no product that is exactly 0
     matrix = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)

@@ -31,7 +31,7 @@ class ScalarLoopEngine:
         self.C = [float(v) for v in exposure.C]
         self.params = params
         self.sigma_D = float(sigma_D)
-        self.theta = [float(v) for v in params.thresholds(n)]
+        self.theta = float(params.theta)
         self.max_rounds = (
             params.max_relax_rounds if params.max_relax_rounds is not None else 10 * n
         )
@@ -53,7 +53,7 @@ class ScalarLoopEngine:
         toppled = set()
         rounds = 0
         while True:
-            over = [self.s[i] >= self.theta[i] for i in range(self.n)]
+            over = [self.s[i] >= self.theta for i in range(self.n)]
             n_over = sum(over)
             if n_over == 0:
                 return events, toppled, rounds

@@ -33,7 +33,7 @@ from hallsand.experiments import (
     prepare_substrate,
     preset_scenarios,
     run_phase_grid,
-    run_scenario,
+    run_scenarios,
 )
 from hallsand.exposure import compute_exposure, rank_exposure
 from hallsand.ingest import parse_io_table, synth_substrate
@@ -177,7 +177,7 @@ def test_criterion_4_engine_matches_scalar_loop():
         for threshold in (FORCE_SLICED, FORCE_FULL):
             with relaxation_products(threshold), settled_stress() as blocks:
                 sizes, _, _ = run_batch(
-                    sub.operator, sub.exposure, params, [(FieldModel(B_bar), sigma_D, seed)], 50
+                    sub.operator, sub.exposure, params, [(FieldModel(B_bar, 0.10 * B_bar), sigma_D, seed)], 50
                 )
             if sizes[0].tolist() != expected or not np.array_equal(
                 blocks[-1][:, 0], np.asarray(oracle.s)
@@ -198,7 +198,7 @@ def test_criterion_5_long_run_boundedness():
     t0 = time.perf_counter()
     sub = prepare_substrate(synth_substrate(500, 0.05, 13, mean_leakage=0.30))
     rho = sub.operator.spectral_radius
-    column = (FieldModel(1.35), 2.3, child_seed(5150, 0))
+    column = (FieldModel(1.35, 0.10 * 1.35), 2.3, child_seed(5150, 0))
     budget_error = False
     with settled_stress() as blocks:
         try:
@@ -229,9 +229,7 @@ def test_criterion_5_long_run_boundedness():
 def test_criterion_6_preset_regime_ordering(desk_substrate):
     t0 = time.perf_counter()
     specs = preset_scenarios(20140825, T_burn=50, T_stat=150, replications=30)
-    stats = [
-        run_scenario(spec, desk_substrate, Params(), threads=1).stats for spec in specs
-    ]
+    stats = [r.stats for r in run_scenarios(specs, desk_substrate, Params(), threads=1)]
     elapsed = time.perf_counter() - t0
     means = [s.mean_S for s in stats]
     pr5 = [s.pr_ge[5] for s in stats]
@@ -255,17 +253,17 @@ def test_criterion_7_phase_monotonicity(desk_substrate):
         master_seed=77001,
         replications=20,
     )
-    result = run_phase_grid(spec, desk_substrate, Params(), threads=1)
+    cells = run_phase_grid(spec, desk_substrate, Params(), threads=1)
     nB, nS = len(spec.B_values), len(spec.sigmaD_values)
     pairs = 0
     violations = 0
     for i in range(nB):
         for j in range(nS):
-            cur = result.cell(i, j)
+            cur = cells[i * nS + j]
             for ii, jj in ((i + 1, j), (i, j + 1)):
                 if ii >= nB or jj >= nS:
                     continue
-                nxt = result.cell(ii, jj)
+                nxt = cells[ii * nS + jj]
                 pairs += 1
                 pooled = math.hypot(cur.se_mean_S, nxt.se_mean_S)
                 if nxt.mean_S < cur.mean_S - 2.0 * pooled:
@@ -274,7 +272,7 @@ def test_criterion_7_phase_monotonicity(desk_substrate):
         (i, j)
         for i in range(nB)
         for j in range(nS)
-        if result.cell(i, j).regime is RegimeLabel.AVALANCHE
+        if cells[i * nS + j].regime is RegimeLabel.AVALANCHE
     ]
     interior_only = bool(avalanche_cells) and all(
         i > 0 and j > 0 for i, j in avalanche_cells
@@ -349,10 +347,10 @@ def test_criterion_9_real_table_replication():
         ("top_node_intensity", 2.0 * top.I, 0.0215, 0.0005),
     ]
     references = {"stable": 0.084, "latent": 0.489, "critical": 2.036, "avalanche": 5.811}
-    for spec in preset_scenarios(20140825, T_burn=200, T_stat=1500, replications=10):
-        result = run_scenario(spec, sub, Params(), threads=None)
-        ref = references[spec.name]
-        checks.append((f"mean_S[{spec.name}]", result.stats.mean_S, ref, 0.15 * ref))
+    specs = preset_scenarios(20140825, T_burn=200, T_stat=1500, replications=10)
+    for result in run_scenarios(specs, sub, Params(), threads=None):
+        ref = references[result.name]
+        checks.append((f"mean_S[{result.name}]", result.stats.mean_S, ref, 0.15 * ref))
     failed = [name for name, value, ref, tol in checks if abs(value - ref) > tol]
     ok = not failed
     detail = ", ".join(f"{name} {value:.4f} (ref {ref})" for name, value, ref, _ in checks)

@@ -187,6 +187,26 @@ def test_simulate_parallel_bytes_match_serial(substrate_dir, tmp_path):
     )
 
 
+def test_simulate_count_unique_counts_each_toppled_node_once(substrate_dir, tmp_path):
+    # the same draws and relaxations; a node that topples in several rounds
+    # of a period counts once in S. A reset level near the threshold lets a
+    # toppled node go over again in the same period.
+    events, unique = tmp_path / "events", tmp_path / "unique"
+    assert main(simulate_args(substrate_dir, events, ["--theta-reset", "0.9"])) == 0
+    assert main(simulate_args(substrate_dir, unique, ["--theta-reset", "0.9", "--count-unique"])) == 0
+    names = sorted(p.name for p in events.glob("avalanches_*.csv"))
+    assert names == sorted(p.name for p in unique.glob("avalanches_*.csv")) and len(names) == 4
+    fewer = 0
+    for name in names:
+        a, b = read_rows(events / name), read_rows(unique / name)
+        assert len(a) == len(b) == 4 * 20
+        for col in ("replication", "period", "B_realised", "relax_rounds"):
+            assert [r[col] for r in a] == [r[col] for r in b]
+        assert all(int(y["S"]) <= int(x["S"]) for x, y in zip(a, b))
+        fewer += sum(int(y["S"]) < int(x["S"]) for x, y in zip(a, b))
+    assert fewer > 0
+
+
 def test_simulate_runs_all_scenarios_in_one_pool(substrate_dir, tmp_path, monkeypatch):
     built = []
 
@@ -445,10 +465,14 @@ def test_tail_fit_checks_min_tail_at_a_fixed_cutoff_too(tmp_path, capsys, min_ta
 
 
 def test_tail_fit_cell_beyond_the_csv_field_limit_exit_1(tmp_path, capsys):
+    # a good series ahead of the bad one: nothing is written, not even out/
+    good = tmp_path / "avalanches_good.csv"
+    good.write_text("replication,period,S\n0,0,3\n0,1,4\n")
     series = tmp_path / "avalanches_long.csv"
     series.write_text(f"replication,period,S\n0,0,3\n0,1,{'7' * (csv.field_size_limit() + 1)}\n")
-    assert main(["tail-fit", str(series), "--out-dir", str(tmp_path / "out")]) == 1
+    assert main(["tail-fit", str(good), str(series), "--out-dir", str(tmp_path / "out")]) == 1
     assert f"{series}: field larger than field limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", ["2.7", "nan", "inf", "1e19"])
@@ -707,6 +731,26 @@ def test_network_panel_reads_each_input_once(tmp_path, monkeypatch):
     assert code == 0
     assert [row["year"] for row in read_rows(out / "panel.csv")] == ["2013", "2014"]
     assert opened == {"flows.csv": 1, "row_use.csv": 1}
+
+
+@pytest.mark.parametrize(
+    "dense,label",
+    [
+        ([[0, 1e308, 1e308], [1, 0, 2], [3, 1, 0]], "A_s"),  # a row total
+        ([[0, 0, 1e308], [0, 0, 1e308], [1, 0, 0]], "C_s"),  # a column total
+        ([[0, 1e308, 0], [0, 0, 1e308], [1, 0, 0]], "B_s"),  # the grand total only
+    ],
+    ids=["row", "column", "grand"],
+)
+@pytest.mark.parametrize("command", ["exposure", "network-panel"])
+def test_flows_that_sum_past_the_float_range_exit_1(tmp_path, capsys, command, dense, label):
+    # each flow is finite, so the parser takes it; the table refuses the total
+    rows = [f"2014,{'ABC'[i]},s,{'ABC'[j]},s,{v!r}" for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+    flows = tmp_path / "flows.csv"
+    flows.write_text("\n".join(["year,src_country,src_sector,dst_country,dst_sector,value", *rows, ""]))
+    argv = [command, "--flows", str(flows), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + (["--year", "2014"] if command == "exposure" else [])) == 1
+    assert f"node {label}: " in capsys.readouterr().err
 
 
 def old_fmt(value) -> str:

@@ -35,12 +35,8 @@ def cases(draw):
     n = draw(st.integers(2, 7))
     table = synth_substrate(n, draw(st.floats(0.3, 0.9)), draw(st.integers(0, 2**31 - 1)))
     kind = draw(st.sampled_from([OperatorKind.LEAKAGE_ADJUSTED, OperatorKind.ROW_SHARE]))
-    if draw(st.booleans()):
-        theta = np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
-    else:
-        theta = draw(st.floats(0.5, 1.5))
     params = Params(
-        theta=theta,
+        theta=draw(st.floats(0.5, 1.5)),
         theta_reset=draw(st.floats(0.0, 0.45)),
         redistribution_fraction=draw(st.floats(0.0, 1.0)),
         count_unique=draw(st.booleans()),

@@ -17,7 +17,6 @@ from hallsand.dynamics import (
     _relax_block,
     _update,
     _validate_run,
-    activation_gap,
     contraction_check,
     gap_field_sensitivity,
     gap_redundancy_sensitivity,
@@ -45,7 +44,7 @@ def test_both_relaxation_products_give_the_same_bytes(kind, count_unique):
     # the toppled rows' stress nonzero
     operator, exposure = make_pair(synth_substrate(300, 0.5, 6), kind)
     params = Params(theta_reset=0.2, redistribution_fraction=0.9, count_unique=count_unique)
-    columns = [(FieldModel(1.2), 1.0, 11), (FieldModel(1.6), 2.0, 12), (FieldModel(0.9), 0.6, 13)]
+    columns = [(FieldModel(1.2, 0.12), 1.0, 11), (FieldModel(1.6, 0.16), 2.0, 12), (FieldModel(0.9, 0.09), 0.6, 13)]
     runs = []
     for threshold in (FORCE_SLICED, FORCE_FULL):
         with relaxation_products(threshold):
@@ -63,7 +62,7 @@ def test_both_relaxation_products_give_the_same_bytes(kind, count_unique):
     for threshold in (FORCE_SLICED, FORCE_FULL):
         block = S.copy()
         with relaxation_products(threshold):
-            _relax_block(block, operator.matrix, operator.matrix.T, params.thresholds(operator.n), params, 3000)
+            _relax_block(block, operator.matrix, operator.matrix.T, params, 3000)
         settled.append(block.tobytes())
     assert settled[0] == settled[1]
 
@@ -86,15 +85,15 @@ def test_public_names_are_pinned():
 
 
 DYNAMICS_NAMES = """
-    ContractionCheck FieldModel Params RelaxationBudgetError activation_gap contraction_check
+    ContractionCheck FieldModel Params RelaxationBudgetError contraction_check
     gap_field_sensitivity gap_redundancy_sensitivity hall_adjusted_threshold run_batch
 """
 PACKAGE_NAMES = DYNAMICS_NAMES + """
     config dynamics experiments exposure ingest operators tail
     ConfigError load_config section_for
-    PRESETS CellDiagnostics CellStats PhaseGridResult PhaseGridSpec RegimeLabel ScenarioResult
+    PRESETS CellDiagnostics CellStats PhaseGridSpec RegimeLabel ScenarioResult
     ScenarioSpec SimulationError Substrate child_seed convergence_report default_phase_grid
-    make_cell_stats prepare_substrate preset_scenarios run_phase_grid run_scenario run_scenarios
+    make_cell_stats prepare_substrate preset_scenarios run_phase_grid run_scenarios
     ExposureProfile ExposureRank compute_exposure hall_stress rank_exposure
     FlowPanel IOTable NodeId TableError list_years parse_io_table synth_substrate write_io_table
     LeakageProfile OperatorKind PropagationOperator SpectralConvergenceError build_operator
@@ -130,22 +129,14 @@ def test_params_defaults_match_calibration():
 )
 def test_params_validation_rejects(bad):
     with pytest.raises(ValueError):
-        Params(**bad).validate(4)
+        Params(**bad).validate()
 
 
-def test_params_theta_broadcast():
-    p = Params(theta=2.0)
-    np.testing.assert_array_equal(p.thresholds(3), [2.0, 2.0, 2.0])
-    p = Params(theta=np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(p.thresholds(2), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        Params(theta=np.array([1.0, 2.0])).validate(3)
-
-
-def test_fieldmodel_default_volatility():
-    fm = FieldModel(B_bar=1.35)
-    assert fm.sigma_B == pytest.approx(0.135)
-    assert FieldModel(B_bar=1.0, sigma_B=0.3).sigma_B == 0.3
+def test_params_theta_is_one_scalar():
+    for theta in (np.array([1.0, 2.0]), np.array([1.0])):
+        with pytest.raises(ValueError, match="^theta must be a scalar"):
+            Params(theta=theta).validate()
+    Params(theta=np.float64(2.0)).validate()
 
 
 @pytest.mark.parametrize(
@@ -183,7 +174,7 @@ def test_round_budget_defaults_to_ten_n():
     assert _validate_run(op, prof, Params(), 1.0) == 120
     assert _validate_run(op, prof, Params(max_relax_rounds=7), 1.0) == 7
     # no periods: nothing drawn, nothing recorded
-    sizes, fields, rounds = run_batch(op, prof, Params(), [(FieldModel(1.0), 1.0, 9)], 0)
+    sizes, fields, rounds = run_batch(op, prof, Params(), [(FieldModel(1.0, 0.1), 1.0, 9)], 0)
     assert sizes.shape == fields.shape == rounds.shape == (1, 0)
 
 
@@ -202,10 +193,10 @@ def test_run_batch_validation():
     table = synth_substrate(6, 0.4, 0)
     op, prof = make_pair(table)
     with pytest.raises(ValueError):
-        run_batch(op, prof, Params(), [(FieldModel(1.0), 0.0, 0)], 5)
+        run_batch(op, prof, Params(), [(FieldModel(1.0, 0.1), 0.0, 0)], 5)
     other = compute_exposure(synth_substrate(7, 0.4, 0))
     with pytest.raises(ValueError):
-        run_batch(op, other, Params(), [(FieldModel(1.0), 1.0, 0)], 5)
+        run_batch(op, other, Params(), [(FieldModel(1.0, 0.1), 1.0, 0)], 5)
 
 
 def test_half_normal_shock_mean():
@@ -249,7 +240,7 @@ def test_relax_chain_trace():
     S = np.array([[2.0], [0.9]])
     toppled = np.zeros(S.shape, dtype=bool)
     events, rounds, failed = _relax_block(
-        S, op.matrix, op.matrix.T, params.thresholds(2), params, 20, toppled
+        S, op.matrix, op.matrix.T, params, 20, toppled
     )
     assert failed is None
     assert events.tolist() == [2]
@@ -268,7 +259,7 @@ def test_relax_budget_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # run_batch itself never warns
         with pytest.raises(RelaxationBudgetError) as exc:
-            run_batch(op, prof, params, [(FieldModel(1.0), 1.0, 0)], 3)
+            run_batch(op, prof, params, [(FieldModel(1.0, 0.1), 1.0, 0)], 3)
     assert exc.value.rounds == 25
     assert exc.value.still_over == 2
     assert (exc.value.column, exc.value.period) == (0, 0)
@@ -277,7 +268,7 @@ def test_relax_budget_error():
 def test_step_records_period_and_field():
     table = synth_substrate(10, 0.3, 3)
     op, prof = make_pair(table)
-    sizes, fields, rounds = run_batch(op, prof, Params(), [(FieldModel(B_bar=1.0), 1.0, 5)], 1)
+    sizes, fields, rounds = run_batch(op, prof, Params(), [(FieldModel(B_bar=1.0, sigma_B=0.1), 1.0, 5)], 1)
     assert sizes.shape == fields.shape == rounds.shape == (1, 1)
     assert fields[0, 0] >= 0.0
     assert sizes[0, 0] >= 0
@@ -294,7 +285,7 @@ def test_run_rejects_negative_periods():
     table = synth_substrate(6, 0.4, 2)
     op, prof = make_pair(table)
     with pytest.raises(ValueError):
-        run_batch(op, prof, Params(), [(FieldModel(B_bar=1.0), 1.0, 0)], -1)
+        run_batch(op, prof, Params(), [(FieldModel(B_bar=1.0, sigma_B=0.1), 1.0, 0)], -1)
 
 
 def run_one(op, prof, params, fieldmodel, periods, sigma_D, seed):
@@ -307,7 +298,7 @@ def run_one(op, prof, params, fieldmodel, periods, sigma_D, seed):
 def test_run_deterministic_given_seed():
     table = synth_substrate(20, 0.3, 14)
     op, prof = make_pair(table)
-    fm = FieldModel(B_bar=1.2)
+    fm = FieldModel(B_bar=1.2, sigma_B=0.12)
     ra, sa = run_one(op, prof, Params(), fm, 80, 1.5, 77)
     rb, sb = run_one(op, prof, Params(), fm, 80, 1.5, 77)
     assert ra == rb
@@ -334,7 +325,7 @@ def test_engine_matches_scalar_oracle(n, density, table_seed, run_seed):
     table = synth_substrate(n, density, table_seed)
     op, prof = make_pair(table)
     params = Params()
-    fm = FieldModel(B_bar=1.1)
+    fm = FieldModel(B_bar=1.1, sigma_B=0.11)
     sizes, s = run_one(op, prof, params, fm, 50, 1.3, run_seed)
     oracle = ScalarLoopEngine(op, prof, params, sigma_D=1.3, seed=run_seed)
     want = oracle.run(fm.B_bar, fm.sigma_B, 50)
@@ -343,14 +334,14 @@ def test_engine_matches_scalar_oracle(n, density, table_seed, run_seed):
 
 
 def test_engine_matches_oracle_variant_params():
-    # unique-node counting, partial redistribution, raised reset level
+    # unique-node counting, partial redistribution, raised reset level, lowered threshold
     table = synth_substrate(5, 0.6, 31)
     op, prof = make_pair(table)
     params = Params(
         count_unique=True,
         redistribution_fraction=0.8,
         theta_reset=0.25,
-        theta=np.array([0.8, 1.0, 1.2, 0.9, 1.1]),
+        theta=0.8,
     )
     fm = FieldModel(B_bar=1.4, sigma_B=0.2)
     sizes, s = run_one(op, prof, params, fm, 50, 0.7, 5)
@@ -371,17 +362,6 @@ def test_threshold_shift_identity():
     lhs = s >= theta
     rhs = (s - gH) >= hall_adjusted_threshold(theta, 1.0, gH)
     np.testing.assert_array_equal(lhs, rhs)
-
-
-def test_activation_gap_sign_agrees_with_toppling():
-    rng_local = np.random.default_rng(77)
-    m = 10_000
-    s_tilde = rng_local.uniform(0.0, 2.0, m)
-    theta = rng_local.uniform(0.5, 1.5, m)
-    H_prev = rng_local.uniform(0.0, 1.0, m)
-    g = activation_gap(theta, 0.5, H_prev, s_tilde)
-    topples = (s_tilde + 0.5 * H_prev) >= theta
-    np.testing.assert_array_equal(g <= 0.0, topples)
 
 
 def gap(B, D, C, I, theta, gamma, s_tilde, eps=1e-6):

@@ -25,7 +25,6 @@ from hallsand.experiments import (
     preset_scenarios,
     resolve_threads,
     run_phase_grid,
-    run_scenario,
     run_scenarios,
 )
 from hallsand.ingest import synth_substrate
@@ -155,7 +154,7 @@ def test_make_cell_stats_single_replication_zero_se():
 
 def test_run_scenario_protocol(small_substrate):
     spec = ScenarioSpec("probe", 1.0, 1.5, master_seed=42, T_burn=10, T_stat=30, replications=4)
-    res = run_scenario(spec, small_substrate, Params(), keep_series=True)
+    (res,) = run_scenarios([spec], small_substrate, Params(), keep_series=True)
     assert res.name == "probe"
     assert res.stats.n_obs == 4 * 30
     assert res.series.shape == res.B_realised.shape == res.relax_rounds.shape == (4, 30)
@@ -164,16 +163,16 @@ def test_run_scenario_protocol(small_substrate):
 
 def test_run_scenario_deterministic(small_substrate):
     spec = ScenarioSpec("probe", 1.0, 1.5, master_seed=42, T_burn=5, T_stat=20, replications=3)
-    a = run_scenario(spec, small_substrate, Params())
-    b = run_scenario(spec, small_substrate, Params())
+    (a,) = run_scenarios([spec], small_substrate, Params())
+    (b,) = run_scenarios([spec], small_substrate, Params())
     assert a.stats == b.stats
 
 
 def test_run_scenario_parallel_matches_serial(small_substrate):
     spec = ScenarioSpec("probe", 1.2, 1.5, master_seed=31, T_burn=5, T_stat=20, replications=4)
-    serial = run_scenario(spec, small_substrate, Params(), keep_series=True, threads=1)
+    (serial,) = run_scenarios([spec], small_substrate, Params(), keep_series=True, threads=1)
     # two workers split the one spec into two tasks, joined again in order
-    parallel = run_scenario(spec, small_substrate, Params(), keep_series=True, threads=2)
+    (parallel,) = run_scenarios([spec], small_substrate, Params(), keep_series=True, threads=2)
     assert serial.stats == parallel.stats
     for field in ("series", "B_realised", "relax_rounds"):
         a, b = getattr(serial, field), getattr(parallel, field)
@@ -188,7 +187,7 @@ def test_run_scenarios_equals_run_scenario_per_spec(small_substrate, threads):
     together = list(run_scenarios(specs, small_substrate, Params(), keep_series=True, threads=threads))
     assert [r.name for r in together] == [s.name for s in specs]
     for spec, got in zip(specs, together):
-        want = run_scenario(spec, small_substrate, Params(), keep_series=True, threads=1)
+        (want,) = run_scenarios([spec], small_substrate, Params(), keep_series=True, threads=1)
         assert got.stats == want.stats
         for field in ("series", "B_realised", "relax_rounds"):
             assert len(getattr(got, field)) == spec.replications
@@ -215,14 +214,10 @@ def test_run_scenarios_closed_early_cancels_queued_tasks(small_substrate, monkey
 
 def test_run_phase_grid_layout(small_substrate):
     spec = PhaseGridSpec((0.5, 1.5), (0.8, 1.6, 2.4), master_seed=7, T_burn=5, T_stat=15, replications=2)
-    res = run_phase_grid(spec, small_substrate, Params())
-    assert len(res.cells) == 6
-    assert res.mean_S_grid().shape == (2, 3)
-    for i, B in enumerate(spec.B_values):
-        for j, sD in enumerate(spec.sigmaD_values):
-            c = res.cell(i, j)
-            assert c.B_bar == B
-            assert c.sigma_D == sD
+    cells = run_phase_grid(spec, small_substrate, Params())
+    assert isinstance(cells, tuple)
+    # row-major: cell (i, j) at i * len(sigmaD_values) + j
+    assert [(c.B_bar, c.sigma_D) for c in cells] == list(itertools.product(spec.B_values, spec.sigmaD_values))
 
 
 def test_single_cell_grid_equals_scenario(small_substrate):
@@ -232,15 +227,15 @@ def test_single_cell_grid_equals_scenario(small_substrate):
     scen = ScenarioSpec(
         "cell", 1.0, 1.5, master_seed=child_seed(grid_seed, 0), T_burn=5, T_stat=25, replications=3
     )
-    res = run_scenario(scen, small_substrate, Params())
-    assert grid.cells[0] == res.stats
+    (res,) = run_scenarios([scen], small_substrate, Params())
+    assert grid == (res.stats,)
 
 
 def test_run_phase_grid_parallel_matches_serial(small_substrate):
     spec = PhaseGridSpec((0.5, 1.5), (0.8, 2.0), master_seed=99, T_burn=5, T_stat=15, replications=2)
     serial = run_phase_grid(spec, small_substrate, Params(), threads=1)
     parallel = run_phase_grid(spec, small_substrate, Params(), threads=2)
-    assert serial.cells == parallel.cells
+    assert serial == parallel
 
 
 def test_contraction_warning_names_the_callers_line():
@@ -254,9 +249,8 @@ def test_contraction_warning_names_the_callers_line():
         results = run_scenarios([spec], sub, Params())
         assert [x.filename for x in w] == [__file__]
         list(results)
-        run_scenario(spec, sub, Params())
         run_phase_grid(grid, sub, Params())
-    assert [x.filename for x in w] == [__file__] * 3
+    assert [x.filename for x in w] == [__file__] * 2
     assert all("contraction check failed" in str(x.message) for x in w)
 
 
@@ -281,7 +275,7 @@ def test_engine_failure_in_pool_names_scenario_replication_period(grid, calm_fir
                 calm = ScenarioSpec("calm", 0.0, 1.0, master_seed=4, T_burn=0, T_stat=1, replications=2)
                 list(run_scenarios([calm, spec], hot, params, threads=threads))
             else:
-                run_scenario(spec, hot, params, threads=threads)
+                list(run_scenarios([spec], hot, params, threads=threads))
         messages.append(str(exc.value))
     serial, parallel = messages
     name = "cell_0_0" if grid else "hot"
@@ -309,7 +303,7 @@ def test_budget_error_names_lowest_failing_replication_not_earliest_period():
     want = f"scenario 'late' replication 0 period {periods[0]}: {errors[0]} (seed {child_seed(16, 0)})"
     for threads in (1, 2):
         with pytest.raises(SimulationError) as exc:
-            run_scenario(spec, hot, params, threads=threads)
+            list(run_scenarios([spec], hot, params, threads=threads))
         assert str(exc.value) == want
 
 
@@ -320,7 +314,7 @@ def test_simulation_error_seed_alone_reproduces_the_failure():
     params = Params(max_relax_rounds=15, redistribution_fraction=0.7)
     spec = ScenarioSpec("mild", 0.2, 1.5, master_seed=1, T_burn=0, T_stat=30, replications=4)
     with pytest.raises(SimulationError) as exc:
-        run_scenario(spec, hot, params, threads=1)
+        list(run_scenarios([spec], hot, params, threads=1))
     head, seed = re.fullmatch(r"(.*) \(seed (\d+)\)", str(exc.value)).groups()
     assert head.startswith("scenario 'mild' replication 3 period ")
     period = int(re.search(r" period (\d+): ", head).group(1))
@@ -345,10 +339,10 @@ def test_resolve_threads_precedence(monkeypatch):
 
 def test_convergence_report_flags(small_substrate):
     spec = PhaseGridSpec((0.4, 1.8), (0.7, 2.2), master_seed=3, T_burn=10, T_stat=40, replications=4)
-    res = run_phase_grid(spec, small_substrate, Params())
-    report = convergence_report(res)
+    cells = run_phase_grid(spec, small_substrate, Params())
+    report = convergence_report(cells)
     assert len(report) == 4
-    for diag, stats in zip(report, res.cells):
+    for diag, stats in zip(report, cells):
         assert diag.regime is stats.regime
         assert diag.se_mean_S == stats.se_mean_S
         for k, p in stats.pr_ge.items():

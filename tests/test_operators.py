@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hallsand.ingest import TableError, synth_substrate
 from hallsand.operators import (
@@ -141,3 +142,24 @@ def test_operator_metadata():
     assert op.year == 2011
     assert op.n == 8
     assert op.kind is OperatorKind.ROW_SHARE
+
+
+@pytest.mark.parametrize(
+    "dense,kind",
+    [
+        ([[0, 1e-310, 1e-310], [1, 0, 2], [3, 1, 0]], OperatorKind.ROW_SHARE),
+        ([[0, 1e-310, 1e-310], [1, 0, 2], [3, 1, 0]], OperatorKind.LEAKAGE_ADJUSTED),
+        ([[0, 1e-310], [2e-310, 0]], OperatorKind.MAX_ROW),
+    ],
+    ids=["row-share", "leakage-adjusted", "max-row"],
+)
+def test_rows_whose_total_has_no_finite_reciprocal(dense, kind):
+    # 1 / 2e-310 overflows; numpy's warnings fail the test (pyproject.toml)
+    op = build_operator(table_from_dense(dense), kind)
+    matrix = op.matrix.toarray()
+    assert np.isfinite(matrix).all()
+    if kind is not OperatorKind.MAX_ROW:  # every leak share is 1 here
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=1e-15)
+    else:
+        np.testing.assert_array_equal(matrix, [[0, 0.5], [1, 0]])
+    assert op.spectral_radius == pytest.approx(np.abs(scipy.linalg.eigvals(matrix)).max(), rel=1e-9)

@@ -61,9 +61,12 @@ class RegimeLabel(str, Enum):
 
 @dataclass(frozen=True)
 class Substrate:
-    """A table with its propagation operator and exposure profile precomputed."""
+    """A table's propagation operator and exposure profile, precomputed.
 
-    table: IOTable
+    The table itself is not kept: the operator's matrix shares Z's index
+    arrays where it can, and Z's values are freed once the table is dropped.
+    """
+
     operator: PropagationOperator
     exposure: ExposureProfile
 
@@ -201,7 +204,7 @@ def prepare_substrate(
     """Build the operator and exposure profile once for reuse across cells."""
     operator = build_operator(table, kind)
     exposure = compute_exposure(table, B=1.0, d_floor=d_floor, c_floor=c_floor, epsilon=epsilon)
-    return Substrate(table=table, operator=operator, exposure=exposure)
+    return Substrate(operator=operator, exposure=exposure)
 
 
 def _classify(mean_S: float) -> RegimeLabel:

@@ -49,41 +49,73 @@ class ExposureRank:
     H_rel: float
 
 
-def _squares(Z: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Z's squared flows on Z's own structure, less the squares that are 0.
+# Z's squares are summed a block of whole rows at a time, of about this many
+# entries: a block's temporaries stay in cache, and none is the size of Z
+_BLOCK_ENTRIES = 1 << 14
 
-    These are the entries of Z.multiply(Z), which stores no 0 (zero flows,
-    underflows). scipy sums a row of more than 8 terms in 8 interleaved
-    partial sums, so a stored 0 would move the later terms and the bits.
-    A flow above 1e154 squares to inf, in a row and column that _hhi scales.
+
+def _row_blocks(indptr: np.ndarray):
+    """Row ranges [a, b) of a CSR matrix that split it into blocks of whole
+    rows: _BLOCK_ENTRIES entries or fewer each, or one row that holds more."""
+    n, a = indptr.size - 1, 0
+    while a < n:
+        b = int(np.searchsorted(indptr, int(indptr[a]) + _BLOCK_ENTRIES, side="right")) - 1
+        b = max(a + 1, b)
+        yield a, b
+        a = b
+
+
+def _square_sums(Z: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of Z's squared flows along each row and each column.
+
+    These are bit for bit Z.multiply(Z).sum(axis=1) and .sum(axis=0), made
+    without that Z-sized product. Z.multiply(Z) stores no 0 (zero flows,
+    underflows), and scipy reduces each row with np.add.reduceat, which sums
+    more than 8 terms in 8 interleaved partial sums: a stored 0 would move the
+    later terms and the bits, so a row's zeros are dropped before it is
+    reduced. A column is summed in stored order from 0.0, as scipy's product
+    with a row of ones does, and there a 0 changes nothing. A flow above
+    1e154 squares to inf, in a row and column that _hhi scales.
     """
-    with np.errstate(over="ignore"):
-        data = Z.data * Z.data
-    if data.all():
-        return sparse.csr_matrix((data, Z.indices, Z.indptr), shape=Z.shape)
-    squares = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
-    squares.eliminate_zeros()
-    return squares
+    rows, cols = np.zeros(Z.shape[0]), np.zeros(Z.shape[1])
+    for a, b in _row_blocks(Z.indptr):
+        lo, hi = Z.indptr[a], Z.indptr[b]
+        flows = Z.data[lo:hi]
+        with np.errstate(over="ignore"):
+            squares = flows * flows
+        np.add.at(cols, Z.indices[lo:hi], squares)
+        starts = Z.indptr[a : b + 1] - lo
+        kept = squares != 0
+        if not kept.all():
+            starts = np.concatenate(([0], np.cumsum(kept)))[starts]
+            squares = squares[kept]
+        filled = np.flatnonzero(np.diff(starts))
+        if filled.size:
+            rows[a + filled] = np.add.reduceat(squares, starts[filled])
+    return rows, cols
 
 
-def _hhi(Z: sparse.csr_matrix, totals: np.ndarray, squares, axis: int) -> np.ndarray:
+def _hhi(Z: sparse.csr_matrix, totals: np.ndarray, sq: np.ndarray, axis: int) -> np.ndarray:
     """The Herfindahl index of each row (axis=1) or column (axis=0) of Z.
 
-    totals are Z's sums along axis and squares is _squares(Z). The index is
-    sum(v**2) / t**2 where t*t is a normal float, sum((v/t)**2) where it
-    under- or overflows, and 0 where t is 0.
+    totals and sq are the sums of Z's flows and of their squares along axis.
+    The index is sq / t**2 where t*t is a normal float, sum((v/t)**2) where
+    it under- or overflows, and 0 where t is 0.
     """
-    sq = np.asarray(squares.sum(axis=axis)).ravel()
     with np.errstate(over="ignore"):
         square = totals * totals
     plain = (totals > 0) & (square >= np.finfo(np.float64).tiny) & (square < np.inf)
     hhi = np.divide(sq, square, out=np.zeros(totals.size), where=plain)
     scaled = (totals > 0) & ~plain
     if scaled.any():
-        lines = np.repeat(np.arange(Z.shape[0]), np.diff(Z.indptr)) if axis == 1 else Z.indices
-        keep = scaled[lines]
-        shares = Z.data[keep] / totals[lines[keep]]
-        hhi[scaled] = np.bincount(lines[keep], shares * shares, minlength=totals.size)[scaled]
+        sums = np.zeros(totals.size)
+        for a, b in _row_blocks(Z.indptr):
+            lo, hi = Z.indptr[a], Z.indptr[b]
+            lines = Z.indices[lo:hi] if axis == 0 else np.repeat(np.arange(a, b), np.diff(Z.indptr[a : b + 1]))
+            keep = scaled[lines]
+            shares = Z.data[lo:hi][keep] / totals[lines[keep]]
+            np.add.at(sums, lines[keep], shares * shares)
+        hhi[scaled] = sums[scaled]
     return hhi
 
 
@@ -116,7 +148,7 @@ def compute_exposure(
     outside the scaling, and if all D_raw are equal every node gets the
     floor. C = max(c_floor, 1 - HHI_in) is the inflow absorption capacity,
     at the floor for a node without inflows. Z is summed along each axis,
-    and squared, once for all of them.
+    and squared, once for all of them, and no array the size of Z is made.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -128,9 +160,15 @@ def compute_exposure(
             raise ValueError(f"floor must be in (0, 1), got {floor}")
     Z, n = table.Z, table.n
     outflows, inflows = table.outflow_totals(), table.inflow_totals()
-    I = (outflows + inflows) / (2.0 * total)
-    squares = _squares(Z)
-    HHI_out, HHI_in = _hhi(Z, outflows, squares, axis=1), _hhi(Z, inflows, squares, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        I = (outflows + inflows) / (2.0 * total)
+    # past half the float range 2 * total, or a node's two totals, overflow
+    # and the share comes out 0, inf or nan; there each total is halved first
+    over = ~np.isfinite(I) | (2.0 * total == np.inf)
+    if over.any():
+        I[over] = (0.5 * outflows[over] + 0.5 * inflows[over]) / total
+    out_sq, in_sq = _square_sums(Z)
+    HHI_out, HHI_in = _hhi(Z, outflows, out_sq, axis=1), _hhi(Z, inflows, in_sq, axis=0)
     has_out, has_in = outflows > 0, inflows > 0
     D = np.full(n, d_floor)
     raw = (1.0 - HHI_out[has_out]) / HHI_out[has_out]  # a positive total leaves a node with outflows

@@ -225,15 +225,19 @@ def build_operator(table: IOTable, kind: OperatorKind) -> PropagationOperator:
         scale = np.divide(weight, totals, out=np.zeros(table.n), where=totals > 0)
     tiny = np.isinf(scale)
     scale[tiny] = 0.0
-    data = Z.data * np.repeat(scale, np.diff(Z.indptr))
-    if tiny.any():
-        rows = np.repeat(np.arange(table.n), np.diff(Z.indptr))
-        at = np.flatnonzero(tiny[rows])
-        data[at] = Z.data[at] / totals[rows[at]] * np.broadcast_to(weight, table.n)[rows[at]]
+    data = np.repeat(scale, np.diff(Z.indptr))
+    data *= Z.data
+    weights = np.broadcast_to(weight, table.n)
+    for i in np.flatnonzero(tiny):
+        row = slice(Z.indptr[i], Z.indptr[i + 1])
+        data[row] = Z.data[row] / totals[i] * weights[i]
     # each row scaled on Z's own sorted structure: the entries of Z * c, or of
-    # diags(scale) @ Z, which stores no product that is exactly 0
-    matrix = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
-    if kind is not OperatorKind.MAX_ROW:
+    # diags(scale) @ Z, which stores no product that is exactly 0. The matrix
+    # shares Z's index arrays unless a 0 has to be dropped from them.
+    if kind is OperatorKind.MAX_ROW or data.all():
+        matrix = sparse.csr_matrix((data, Z.indices, Z.indptr), shape=Z.shape)
+    else:
+        matrix = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
         matrix.eliminate_zeros()
     rho = spectral_radius(matrix)
     return PropagationOperator(kind=kind, matrix=matrix, spectral_radius=rho, year=table.year)

@@ -1,6 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from hallsand import exposure
 from hallsand.exposure import (
     DEFAULT_EPSILON,
     DEFAULT_FLOOR,
@@ -9,6 +13,7 @@ from hallsand.exposure import (
     rank_exposure,
 )
 from hallsand.ingest import synth_substrate
+from hallsand.operators import OperatorKind, build_operator
 
 from conftest import table_from_dense
 
@@ -37,6 +42,40 @@ def test_flow_share_sums_to_one_random():
 def test_flow_share_empty_table_rejected():
     with pytest.raises(ValueError):
         compute_exposure(table_from_dense(np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize(
+    "dense, want",
+    [([[1e308, 0], [1, 0]], [1.0, 5e-309]), ([[0, 8e307], [8e307, 0]], [0.5, 0.5])],
+    ids=["self-loop", "two-cycle"],
+)
+def test_flow_share_of_a_total_past_half_the_float_range(dense, want):
+    # 2 * total overflows, and in the self-loop a node's two totals as well;
+    # the shares stay finite and sum to one, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = compute_exposure(table_from_dense(np.array(dense)))
+    assert prof.I.tolist() == want
+    assert prof.I.sum() == 1.0
+    for name in ("I", "HHI_out", "HHI_in", "D", "C", "R", "H", "H_rel"):
+        assert np.isfinite(getattr(prof, name)).all(), name
+
+
+def test_substrate_build_makes_no_array_the_size_of_z():
+    # the exposure holds a block of squares at a time, and an operator its
+    # values on Z's own index arrays; the table spans many blocks
+    table = synth_substrate(1000, 0.3, 3)
+    assert table.Z.nnz >= 16 * exposure._BLOCK_ENTRIES
+    builds = [(lambda: compute_exposure(table), 0.5)]
+    builds += [(lambda kind=kind: build_operator(table, kind), 1.3) for kind in OperatorKind]
+    for build, bound in builds:
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * table.Z.data.nbytes
 
 
 def test_hhi_oracle_small():

@@ -1,11 +1,12 @@
 """The operator and exposure constructions against the ones they replaced.
 
 build_operator scales Z's stored values row by row on Z's own structure,
-compute_exposure squares them there and derives D and C in one pass, and
+compute_exposure sums their squares a block of rows at a time and derives D
+and C in one pass, and
 _cyclic_components decides a strongly connected matrix by two reachability
 sweeps. Each must give the same bytes as its reference, kept here:
 diags(scale) @ Z (row-share, leakage-adjusted) and Z * c (max-row) with
-sorted indices, Z.multiply(Z), the stand-alone redundancy and capacity
+sorted indices, the sums of Z.multiply(Z), the stand-alone redundancy and capacity
 formulas, and scipy.sparse.csgraph's strong components.
 
 The drawn tables have explicit zero flows, rows without outflows, and flows
@@ -28,8 +29,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from hallsand.exposure import DEFAULT_FLOOR, compute_exposure  # noqa: E402
 from hallsand.ingest import IOTable, NodeId  # noqa: E402
-from hallsand import operators  # noqa: E402
+from hallsand import exposure, operators  # noqa: E402
 from hallsand.operators import OperatorKind, _cyclic_components, build_operator, leakage_profile  # noqa: E402
+
+from conftest import table_from_dense  # noqa: E402
 
 
 def reference_cyclic_components(matrix):
@@ -65,9 +68,14 @@ def reference_operator_matrix(table, kind):
     return matrix
 
 
+def reference_square_sums(Z, axis):
+    """The sums of Z's squared flows as they were: from Z.multiply(Z)."""
+    return np.asarray(Z.multiply(Z).sum(axis=axis)).ravel()
+
+
 def reference_hhi(totals, Z, axis):
     """The HHIs as they were: from Z.multiply(Z)."""
-    sq = np.asarray(Z.multiply(Z).sum(axis=axis)).ravel()
+    sq = reference_square_sums(Z, axis)
     hhi = np.zeros(totals.size)
     pos = totals > 0
     hhi[pos] = sq[pos] / (totals[pos] * totals[pos])
@@ -130,9 +138,19 @@ def tables(draw):
     return IOTable(year=2014, n=n, Z=Z, row_use_total=outflows * headroom, nodes=nodes)
 
 
+def z_bytes(table):
+    return [a.tobytes() for a in (table.Z.data, table.Z.indices, table.Z.indptr)]
+
+
+# blocks of a few entries: a table spans many, and a row longer than a block
+# is a block of its own
+BLOCK = st.integers(1, 8)
+
+
 @settings(max_examples=100)
-@given(tables())
-def test_operators_and_exposure_match_reference_constructions(table):
+@given(tables(), BLOCK)
+def test_operators_and_exposure_match_reference_constructions(table, block):
+    before = z_bytes(table)
     # The radius is a function of the matrix's bytes, and on these badly scaled
     # tables power iteration can take millions of steps, so it is not computed.
     with mock.patch.object(operators, "spectral_radius", lambda matrix: 0.0):
@@ -141,12 +159,68 @@ def test_operators_and_exposure_match_reference_constructions(table):
     outflows, inflows = table.outflow_totals(), table.inflow_totals()
     if table.total_flow() <= 0:
         return  # no flow shares: compute_exposure refuses the table
-    prof = compute_exposure(table)
+    with mock.patch.object(exposure, "_BLOCK_ENTRIES", block):
+        prof = compute_exposure(table)
+    # the operators share Z's index arrays, and nothing writes to them
+    assert z_bytes(table) == before
     hhi_out, hhi_in = reference_hhi(outflows, table.Z, 1), reference_hhi(inflows, table.Z, 0)
     assert prof.HHI_out.tobytes() == hhi_out.tobytes()
     assert prof.HHI_in.tobytes() == hhi_in.tobytes()
     assert prof.D.tobytes() == reference_redundancy(hhi_out, outflows > 0).tobytes()
     assert prof.C.tobytes() == reference_capacity(hhi_in, inflows > 0).tobytes()
+
+
+# squares of 0 (stored zeros, subnormal and tiny flows), normal squares, and
+# squares of inf (flows above 1e154)
+SQUARED = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-170, 1e-9, 0.25, 1.0, 3.7, 1e6, 1e155, 1e200]),
+    st.floats(1e-3, 1e3),
+)
+
+
+@st.composite
+def flow_matrices(draw):
+    n = draw(st.integers(1, 20))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), SQUARED, max_size=4 * n))
+    # full rows of more than 8 terms, which np.add.reduceat sums pairwise, and
+    # full columns, whose order of summation shows in the bits
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        cells.update({(row, j): draw(SQUARED) for j in range(n)})
+    for col in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        cells.update({(i, col): draw(SQUARED) for i in range(n)})
+    # empty rows and columns: no stored entry
+    lines = st.sets(st.integers(0, n - 1), max_size=2)
+    empty_rows, empty_cols = draw(lines), draw(lines)
+    cells = {(i, j): v for (i, j), v in cells.items() if i not in empty_rows and j not in empty_cols}
+    rows = [i for i, _ in cells]
+    cols = [j for _, j in cells]
+    Z = sparse.csr_matrix((list(cells.values()), (rows, cols)), shape=(n, n))
+    assert Z.has_canonical_format  # as IOTable holds it
+    return Z
+
+
+@settings(max_examples=100)
+@given(flow_matrices(), BLOCK)
+def test_square_sums_match_the_squared_matrix(Z, block):
+    with mock.patch.object(exposure, "_BLOCK_ENTRIES", block):
+        rows, cols = exposure._square_sums(Z)
+    assert rows.tobytes() == reference_square_sums(Z, 1).tobytes()
+    assert cols.tobytes() == reference_square_sums(Z, 0).tobytes()
+
+
+def test_operator_copies_z_structure_only_to_drop_a_zero():
+    # node 0's leak share 1e-300 / 1e100 underflows to 0: its leakage-adjusted
+    # row is all zeros and is dropped, on copies of Z's index arrays
+    dense = np.array([[0.0, 1e-300, 0.0], [1.0, 0.0, 2.0], [3.0, 1.0, 0.0]])
+    table = table_from_dense(dense, row_use=[1e100, 3.0, 4.0])
+    before = z_bytes(table)
+    assert leakage_profile(table).values[0] == 0.0
+    for kind in OperatorKind:
+        matrix = build_operator(table, kind).matrix
+        shared = np.shares_memory(matrix.indices, table.Z.indices)
+        assert shared == (kind is not OperatorKind.LEAKAGE_ADJUSTED)
+        assert shared == (matrix.nnz == table.Z.nnz)
+    assert z_bytes(table) == before
 
 
 WEIGHT = st.sampled_from([1.0, 0.5, 2.0, np.inf, np.nan])

@@ -2,18 +2,20 @@
 
 build_operator scales Z's stored values row by row on Z's own structure,
 compute_exposure sums their squares a block of rows at a time and derives D
-and C in one pass, and
-_cyclic_components decides a strongly connected matrix by two reachability
-sweeps. Each must give the same bytes as its reference, kept here:
-diags(scale) @ Z (row-share, leakage-adjusted) and Z * c (max-row) with
-sorted indices, the sums of Z.multiply(Z), the stand-alone redundancy and capacity
-formulas, and scipy.sparse.csgraph's strong components.
+and C in one pass, and _cyclic_components decides a strongly connected
+matrix by two reachability sweeps. Each must give the same bytes as its
+reference, kept here: diags(scale) @ Z (row-share, leakage-adjusted) and
+Z * c (max-row) with sorted indices, the sums of Z.multiply(Z), the
+stand-alone redundancy and capacity formulas, and scipy.sparse.csgraph's
+strong components.
 
 The drawn tables have explicit zero flows, rows without outflows, and flows
 so small that their scaled or squared values underflow to 0; the drawn
 structures are strongly connected or reducible, a lone node with and
 without a self-loop, a source or sink node hung on a strongly connected
-core, with stored zeros and with inf and nan weights.
+core, with stored zeros and with inf and nan weights. The matrices for the
+square sums add flows whose squares overflow, full rows and columns, and
+empty ones, summed in blocks of a few entries.
 """
 
 from unittest import mock

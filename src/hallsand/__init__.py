@@ -16,7 +16,6 @@ from .experiments import (
     PRESETS,
     CellDiagnostics,
     CellStats,
-    PhaseGridSpec,
     RegimeLabel,
     ScenarioResult,
     ScenarioSpec,
@@ -24,11 +23,10 @@ from .experiments import (
     Substrate,
     child_seed,
     convergence_report,
-    default_phase_grid,
+    grid_scenarios,
     make_cell_stats,
     prepare_substrate,
     preset_scenarios,
-    run_phase_grid,
     run_scenarios,
 )
 from .exposure import (

@@ -25,16 +25,16 @@ from .dynamics import Params
 from .exposure import DEFAULT_EPSILON, DEFAULT_FIELD, DEFAULT_FLOOR, compute_exposure, rank_exposure
 from .experiments import (
     DEFAULT_B_AXIS,
+    DEFAULT_GRID_REPLICATIONS,
     DEFAULT_SIGMA_B_RATIO,
     DEFAULT_SIGMA_D_AXIS,
     PRESETS,
-    PhaseGridSpec,
     ScenarioSpec,
     Substrate,
     convergence_report,
+    grid_scenarios,
     preset_scenarios,
     prepare_substrate,
-    run_phase_grid,
     run_scenarios,
 )
 from .ingest import (
@@ -67,8 +67,10 @@ def _cells(values: list) -> list[str]:
 
 def _emit(out_dir: Path, name: str, header: tuple[str, ...], columns: list, as_json: bool) -> Path:
     """Write a table, given as one array or sequence per header name, as CSV,
-    and with as_json as a JSON list of row objects beside it."""
+    and with as_json as a JSON list of row objects beside it. out_dir is made
+    here, so a command that fails before its first write leaves none."""
     values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -88,12 +90,6 @@ def _table(getters: dict, objs, **leading) -> tuple[tuple[str, ...], list]:
     header -> getter entry, read off each object."""
     columns = [[get(obj) for obj in objs] for get in getters.values()]
     return (*leading, *getters), [*leading.values(), *columns]
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _add_substrate_args(p: argparse.ArgumentParser) -> None:
@@ -188,13 +184,12 @@ def _add_exposure_args(p: argparse.ArgumentParser, *, field: bool = False, epsil
         g.add_argument("--exposure-epsilon", type=float, default=DEFAULT_EPSILON, help="stress-loading denominator regularizer")
 
 
-def _add_protocol_args(p: argparse.ArgumentParser, spec: type, unit: str) -> None:
-    """The run protocol of simulate and phase-grid, with spec's defaults."""
-    d = {f.name: f.default for f in fields(spec)}
+def _add_protocol_args(p: argparse.ArgumentParser, replications: int, unit: str) -> None:
+    """The run protocol of simulate and phase-grid, with ScenarioSpec's periods."""
     g = p.add_argument_group("run protocol")
-    g.add_argument("--replications", type=int, default=d["replications"], help=f"replications per {unit}")
-    g.add_argument("--t-burn", type=int, default=d["T_burn"], help="burn-in periods")
-    g.add_argument("--t-stat", type=int, default=d["T_stat"], help="post-burn periods kept")
+    g.add_argument("--replications", type=int, default=replications, help=f"replications per {unit}")
+    g.add_argument("--t-burn", type=int, default=ScenarioSpec.T_burn, help="burn-in periods")
+    g.add_argument("--t-stat", type=int, default=ScenarioSpec.T_stat, help="post-burn periods kept")
     g.add_argument("--master-seed", type=int, default=0, help="root of the seed tree")
     g.add_argument("--sigma-b-ratio", type=float, default=DEFAULT_SIGMA_B_RATIO, help="field volatility as a share of B_bar")
     g.add_argument("--threads", type=int, default=None, help="worker processes (default: HALLSAND_THREADS or CPU count)")
@@ -221,7 +216,7 @@ def cmd_ingest(args) -> int:
         f"total {table.total_flow():.6g}, mean leakage {leak.mean_leakage:.4f}"
     )
     if args.out_dir is not None:
-        out = _out_dir(args)
+        out = Path(args.out_dir)
         write_io_table(table, out / "flows.csv", out / "row_use.csv")
         print(f"wrote normalized copy to {out}")
     return 0
@@ -231,7 +226,7 @@ def cmd_synth(args) -> int:
     table = synth_substrate(
         args.nodes, args.density, args.seed, year=args.year, mean_leakage=args.mean_leakage
     )
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     write_io_table(table, out / "flows.csv", out / "row_use.csv")
     leak = leakage_profile(table)
     print(
@@ -257,14 +252,19 @@ PANEL = {
 def cmd_network_panel(args) -> int:
     if args.flows is None:
         raise TableError("--flows is required")
-    given = [int(y) for y in args.years.split(",")] if args.years else None
-    for k, year in enumerate(given or []):
-        if year in given[:k]:
+    given = []  # the --years, checked before anything is read
+    for text in args.years.split(",") if args.years else ():
+        try:
+            year = int(text)
+        except ValueError:
+            raise ValueError(f"--years: bad year {text!r}") from None
+        if year in given:
             raise TableError(f"--years names {year} twice")
+        given.append(year)
     # one read of flows.csv and row_use.csv serves every year
     panel = FlowPanel(args.flows, row_use_path=args.row_use)
     years = []
-    for year in panel.years() if given is None else given:
+    for year in given or panel.years():
         table = panel.table(year)  # one table at a time; only its values are kept
         # H_rel does not depend on the scale of B, so the panel keeps the default field
         prof = compute_exposure(
@@ -272,8 +272,7 @@ def cmd_network_panel(args) -> int:
         )
         rho = {kind: build_operator(table, kind).spectral_radius for kind in OperatorKind}
         years.append(SimpleNamespace(year=year, rho=rho, leak=leakage_profile(table), H_rel=prof.H_rel))
-    out = _out_dir(args)
-    path = _emit(out, "panel.csv", *_table(PANEL, years), args.json)
+    path = _emit(Path(args.out_dir), "panel.csv", *_table(PANEL, years), args.json)
     print(f"wrote {path} ({len(years)} year(s))")
     return 0
 
@@ -309,7 +308,7 @@ def cmd_exposure(args) -> int:
         [nd.sector for nd in table.nodes],
         *(getattr(prof, name)[index] for name in EXPOSURE_HEADER[3:]),
     ]
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     path = _emit(out, "exposure.csv", EXPOSURE_HEADER, columns, args.json)
     top = [(table.nodes[r.index], r) for r in rank_exposure(prof, args.top)]
     _emit(out, "top_nodes.csv", *_table(TOP_NODES, top, rank=range(1, len(top) + 1)), args.json)
@@ -361,15 +360,12 @@ def cmd_simulate(args) -> int:
     if not specs:
         raise ValueError("nothing to run: presets are 'none' and no --cell given")
 
-    out = _out_dir(args)
-    keep = not args.no_series
+    out = Path(args.out_dir)
     names, stats = [], []
-    for result in run_scenarios(
-        specs, substrate, params, args.sigma_b_ratio, keep_series=keep, threads=args.threads
-    ):
+    for result in run_scenarios(specs, substrate, params, args.sigma_b_ratio, threads=args.threads):
         names.append(result.name)
         stats.append(result.stats)
-        if keep:
+        if not args.no_series:
             R, T = result.series.shape
             series = [
                 np.repeat(np.arange(R), T),
@@ -415,18 +411,12 @@ def cmd_phase_grid(args) -> int:
     B_values, sigmaD_values = _grid_axis(args, "b"), _grid_axis(args, "sigma")
     substrate = _load_substrate(args)
     params = _params_from(args)
-    spec = PhaseGridSpec(
-        B_values=B_values,
-        sigmaD_values=sigmaD_values,
-        master_seed=args.master_seed,
-        T_burn=args.t_burn,
-        T_stat=args.t_stat,
-        replications=args.replications,
+    specs = grid_scenarios(
+        B_values, sigmaD_values, args.master_seed, args.t_burn, args.t_stat, args.replications
     )
-    cells = run_phase_grid(
-        spec, substrate, params, sigma_b_ratio=args.sigma_b_ratio, threads=args.threads
-    )
-    out = _out_dir(args)
+    results = run_scenarios(specs, substrate, params, args.sigma_b_ratio, threads=args.threads)
+    cells = [result.stats for result in results]
+    out = Path(args.out_dir)
     path = _emit(out, "phase_grid.csv", *_table(CELL_STATS, cells), args.json)
     if args.convergence:
         _emit(out, "convergence.csv", *_table(CONVERGENCE, convergence_report(cells)), args.json)
@@ -497,7 +487,7 @@ def cmd_tail_fit(args) -> int:
             raise TailError(f"{path}: no positive cascade sizes to fit")
         fits.append(select_xmin(positive, min_tail=args.min_tail, x_min=args.x_min))
         tails.append(positive)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     for name, positive in zip(paths, tails):
         _emit(out, f"ccdf_{name}.csv", *_table(CCDF, ccdf(positive)), args.json)
     path = _emit(out, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=list(paths)), args.json)
@@ -562,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="extra scenario NAME:B_BAR:SIGMA_D (repeatable)",
     )
-    _add_protocol_args(p, ScenarioSpec, "scenario")
+    _add_protocol_args(p, ScenarioSpec.replications, "scenario")
     p.add_argument("--no-series", action="store_true", help="skip the per-period avalanche files")
     _add_output_args(p)
 
@@ -579,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-min", type=float, default=sigma_min, help="lowest dispersion")
     p.add_argument("--sigma-max", type=float, default=sigma_max, help="highest dispersion")
     p.add_argument("--sigma-steps", type=int, default=sigma_steps, help="dispersion values")
-    _add_protocol_args(p, PhaseGridSpec, "cell")
+    _add_protocol_args(p, DEFAULT_GRID_REPLICATIONS, "cell")
     p.add_argument("--convergence", action="store_true", help="also write convergence.csv diagnostics")
     _add_output_args(p)
 

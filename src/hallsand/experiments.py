@@ -21,7 +21,7 @@ from .dynamics import (
     contraction_check,
     run_batch,
 )
-from .exposure import DEFAULT_EPSILON, DEFAULT_FLOOR, ExposureProfile, compute_exposure
+from .exposure import DEFAULT_FLOOR, ExposureProfile, compute_exposure
 from .ingest import IOTable
 from .operators import OperatorKind, PropagationOperator, build_operator
 
@@ -39,6 +39,8 @@ DEFAULT_SIGMA_B_RATIO = 0.10
 # The default phase grid's axes, as np.linspace (low, high, steps).
 DEFAULT_B_AXIS = (0.25, 2.0, 10)
 DEFAULT_SIGMA_D_AXIS = (0.5, 2.5, 9)
+# Replications per phase-grid cell.
+DEFAULT_GRID_REPLICATIONS = 50
 
 # Regime bands on mean cascade size; each boundary belongs to the band above it.
 _ABSORPTION_MAX = 0.30
@@ -114,39 +116,14 @@ class CellStats:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """A scenario's statistics and, when kept, its post-burn cascade sizes,
-    realised fields and relaxation rounds as (replications, T_stat) arrays."""
+    """A scenario's statistics and its post-burn cascade sizes, realised
+    fields and relaxation rounds as (replications, T_stat) arrays."""
 
     name: str
     stats: CellStats
-    series: np.ndarray | None
-    B_realised: np.ndarray | None = None
-    relax_rounds: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class PhaseGridSpec:
-    """Cartesian sweep over field levels and dispersion values."""
-
-    B_values: tuple[float, ...]
-    sigmaD_values: tuple[float, ...]
-    master_seed: int
-    T_burn: int = 50
-    T_stat: int = 150
-    replications: int = 50
-
-    def validate(self) -> None:
-        for name, axis in (("B_values", self.B_values), ("sigmaD_values", self.sigmaD_values)):
-            if len(axis) == 0:
-                raise ValueError(f"{name} must be non-empty")
-            if not all(math.isfinite(v) for v in axis):
-                raise ValueError(f"{name} must be finite, got {list(axis)}")
-            if list(axis) != sorted(set(axis)):
-                raise ValueError(f"{name} must be strictly ascending")
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.B_values) * len(self.sigmaD_values)
+    series: np.ndarray
+    B_realised: np.ndarray
+    relax_rounds: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -183,27 +160,15 @@ def child_seed(master: int, *indices: int) -> int:
     return state
 
 
-def default_phase_grid(master_seed: int, replications: int = 50) -> PhaseGridSpec:
-    """The 90-cell sweep: 10 field levels on [0.25, 2.0] by 9 dispersion
-    values on [0.5, 2.5]."""
-    return PhaseGridSpec(
-        B_values=tuple(float(b) for b in np.linspace(*DEFAULT_B_AXIS)),
-        sigmaD_values=tuple(float(s) for s in np.linspace(*DEFAULT_SIGMA_D_AXIS)),
-        master_seed=master_seed,
-        replications=replications,
-    )
-
-
 def prepare_substrate(
     table: IOTable,
     kind: OperatorKind = OperatorKind.LEAKAGE_ADJUSTED,
     d_floor: float = DEFAULT_FLOOR,
     c_floor: float = DEFAULT_FLOOR,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> Substrate:
     """Build the operator and exposure profile once for reuse across cells."""
     operator = build_operator(table, kind)
-    exposure = compute_exposure(table, B=1.0, d_floor=d_floor, c_floor=c_floor, epsilon=epsilon)
+    exposure = compute_exposure(table, B=1.0, d_floor=d_floor, c_floor=c_floor)
     return Substrate(operator=operator, exposure=exposure)
 
 
@@ -368,7 +333,6 @@ def run_scenarios(
     substrate: Substrate,
     params: Params,
     sigma_b_ratio: float = DEFAULT_SIGMA_B_RATIO,
-    keep_series: bool = False,
     threads: int | None = 1,
 ) -> Iterator[ScenarioResult]:
     """Run every replication of every spec; yield one result per spec, in spec order.
@@ -387,12 +351,6 @@ def run_scenarios(
     contraction check runs once per call, here, when it is made, not in the
     workers.
     """
-    return _start(specs, substrate, params, sigma_b_ratio, keep_series, threads)
-
-
-def _start(specs, substrate, params, sigma_b_ratio, keep_series, threads) -> Iterator[ScenarioResult]:
-    # Validates and warns before the first result is asked for; the warning
-    # names the line that called the public function that called this one.
     for spec in specs:
         spec.validate()
     params.validate()
@@ -407,12 +365,12 @@ def _start(specs, substrate, params, sigma_b_ratio, keep_series, threads) -> Ite
             f"contraction check failed: beta={params.beta} >= bound={check.bound:.4g}; "
             "stress feedback may not be stable",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    return _results(specs, substrate, params, sigma_b_ratio, keep_series, n_workers)
+    return _results(specs, substrate, params, sigma_b_ratio, n_workers)
 
 
-def _results(specs, substrate, params, sigma_b_ratio, keep_series, n_workers) -> Iterator[ScenarioResult]:
+def _results(specs, substrate, params, sigma_b_ratio, n_workers) -> Iterator[ScenarioResult]:
     tasks, counts = _plan(specs, n_workers, substrate.operator.n)
     n_workers = min(n_workers, len(tasks))
     context = (substrate, params, sigma_b_ratio)
@@ -428,45 +386,7 @@ def _results(specs, substrate, params, sigma_b_ratio, keep_series, n_workers) ->
         for spec, count in zip(specs, counts):
             done = list(islice(blocks, count))
             S, B, rounds = (np.concatenate([block[k] for block in done]) for k in range(3))
-            stats = make_cell_stats(spec.B_bar, spec.sigma_D, S)
-            if keep_series:
-                yield ScenarioResult(spec.name, stats, S, B_realised=B, relax_rounds=rounds)
-            else:
-                yield ScenarioResult(spec.name, stats, series=None)
-
-
-def run_phase_grid(
-    spec: PhaseGridSpec,
-    substrate: Substrate,
-    params: Params,
-    sigma_b_ratio: float = DEFAULT_SIGMA_B_RATIO,
-    threads: int | None = 1,
-) -> tuple[CellStats, ...]:
-    """Sweep the grid and return its cells row-major (field outer, dispersion
-    inner): cell (i, j) is at i * len(sigmaD_values) + j.
-
-    The cell at index c runs as a ScenarioSpec with master seed
-    child_seed(grid_seed, c), and all replications of all cells share one
-    pool with an index-ordered fold.
-    """
-    spec.validate()
-    cells: list[ScenarioSpec] = []
-    for i, B_bar in enumerate(spec.B_values):
-        for j, sigma_D in enumerate(spec.sigmaD_values):
-            index = i * len(spec.sigmaD_values) + j
-            cells.append(
-                ScenarioSpec(
-                    name=f"cell_{i}_{j}",
-                    B_bar=B_bar,
-                    sigma_D=sigma_D,
-                    master_seed=child_seed(spec.master_seed, index),
-                    T_burn=spec.T_burn,
-                    T_stat=spec.T_stat,
-                    replications=spec.replications,
-                )
-            )
-    results = _start(cells, substrate, params, sigma_b_ratio, False, threads)
-    return tuple(r.stats for r in results)
+            yield ScenarioResult(spec.name, make_cell_stats(spec.B_bar, spec.sigma_D, S), S, B, rounds)
 
 
 def convergence_report(cells: Iterable[CellStats]) -> list[CellDiagnostics]:
@@ -502,9 +422,9 @@ def convergence_report(cells: Iterable[CellStats]) -> list[CellDiagnostics]:
 
 def preset_scenarios(
     master_seed: int,
-    T_burn: int = 50,
-    T_stat: int = 150,
-    replications: int = 100,
+    T_burn: int = ScenarioSpec.T_burn,
+    T_stat: int = ScenarioSpec.T_stat,
+    replications: int = ScenarioSpec.replications,
     names: list[str] | None = None,
     cells: Iterable[tuple[str, float, float]] = (),
 ) -> list[ScenarioSpec]:
@@ -539,3 +459,36 @@ def preset_scenarios(
             )
         )
     return specs
+
+
+def grid_scenarios(
+    B_values: tuple[float, ...],
+    sigmaD_values: tuple[float, ...],
+    master_seed: int,
+    T_burn: int = ScenarioSpec.T_burn,
+    T_stat: int = ScenarioSpec.T_stat,
+    replications: int = DEFAULT_GRID_REPLICATIONS,
+) -> list[ScenarioSpec]:
+    """The phase grid's cells as runnable scenario specs, row-major (field
+    outer, dispersion inner): cell (i, j), at index c = i * len(sigmaD_values)
+    + j, is named cell_i_j and seeded child_seed(master_seed, c)."""
+    for name, axis in (("B_values", B_values), ("sigmaD_values", sigmaD_values)):
+        if len(axis) == 0:
+            raise ValueError(f"{name} must be non-empty")
+        if not all(math.isfinite(v) for v in axis):
+            raise ValueError(f"{name} must be finite, got {list(axis)}")
+        if list(axis) != sorted(set(axis)):
+            raise ValueError(f"{name} must be strictly ascending")
+    return [
+        ScenarioSpec(
+            name=f"cell_{i}_{j}",
+            B_bar=B_bar,
+            sigma_D=sigma_D,
+            master_seed=child_seed(master_seed, i * len(sigmaD_values) + j),
+            T_burn=T_burn,
+            T_stat=T_stat,
+            replications=replications,
+        )
+        for i, B_bar in enumerate(B_values)
+        for j, sigma_D in enumerate(sigmaD_values)
+    ]

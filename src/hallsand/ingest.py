@@ -541,13 +541,16 @@ def write_io_table(
     Floats are written with repr so re-parsing reproduces the sparse
     structure bit for bit. The flows format names a node only through its
     flows, so a node without any raises TableError before either file is
-    opened.
+    opened, or a missing directory made.
     """
     has_flow = np.diff(table.Z.indptr) > 0
     has_flow[table.Z.indices] = True
     if not has_flow.all():
         node = table.nodes[int(np.argmin(has_flow))]
         raise TableError(f"node {node.label} has no flows; the flows format cannot carry it")
+    for path in (flows_path, row_use_path):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     # each node's country,sector cells go through csv.writer once, so quoting
     # stays exact; floats are written with repr
     year = _csv_lines([(table.year,)])[0]

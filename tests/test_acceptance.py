@@ -27,12 +27,11 @@ from hallsand.dynamics import (
     run_batch,
 )
 from hallsand.experiments import (
-    PhaseGridSpec,
     RegimeLabel,
     child_seed,
+    grid_scenarios,
     prepare_substrate,
     preset_scenarios,
-    run_phase_grid,
     run_scenarios,
 )
 from hallsand.exposure import compute_exposure, rank_exposure
@@ -247,14 +246,11 @@ def test_criterion_6_preset_regime_ordering(desk_substrate):
 
 
 def test_criterion_7_phase_monotonicity(desk_substrate):
-    spec = PhaseGridSpec(
-        B_values=tuple(float(b) for b in np.linspace(0.25, 2.0, 6)),
-        sigmaD_values=tuple(float(v) for v in np.linspace(0.5, 2.5, 6)),
-        master_seed=77001,
-        replications=20,
-    )
-    cells = run_phase_grid(spec, desk_substrate, Params(), threads=1)
-    nB, nS = len(spec.B_values), len(spec.sigmaD_values)
+    B_values = tuple(float(b) for b in np.linspace(0.25, 2.0, 6))
+    sigmaD_values = tuple(float(v) for v in np.linspace(0.5, 2.5, 6))
+    specs = grid_scenarios(B_values, sigmaD_values, master_seed=77001, replications=20)
+    cells = [r.stats for r in run_scenarios(specs, desk_substrate, Params(), threads=1)]
+    nB, nS = len(B_values), len(sigmaD_values)
     pairs = 0
     violations = 0
     for i in range(nB):

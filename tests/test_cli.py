@@ -14,7 +14,7 @@ import hallsand
 from hallsand import cli, experiments, ingest
 from hallsand.cli import build_parser, main
 from hallsand.dynamics import Params
-from hallsand.experiments import DEFAULT_SIGMA_B_RATIO, PhaseGridSpec, ScenarioSpec
+from hallsand.experiments import DEFAULT_GRID_REPLICATIONS, DEFAULT_SIGMA_B_RATIO, ScenarioSpec
 from hallsand.exposure import DEFAULT_EPSILON, DEFAULT_FLOOR
 from hallsand.ingest import DEFAULT_MEAN_LEAKAGE, DEFAULT_SYNTH_DENSITY
 from hallsand.tail import DEFAULT_MIN_TAIL
@@ -124,6 +124,14 @@ def test_network_panel_refuses_a_repeated_year(substrate_dir, tmp_path, capsys):
     assert main([*argv, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert "--years" in err and "2014" in err
+    assert not out.exists()
+
+
+def test_network_panel_refuses_a_bad_year_before_reading(tmp_path, capsys):
+    out = tmp_path / "panel"
+    argv = ["network-panel", "--flows", str(tmp_path / "absent.csv"), "--years", "2014,abc"]
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --years: bad year 'abc'\n"
     assert not out.exists()
 
 
@@ -587,6 +595,24 @@ def test_config_unknown_section_exit_1(substrate_dir, tmp_path):
     assert main(["--config", str(cfg), "simulate", "--synth-nodes", "10"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--synth-nodes", "10", "--delta", "1.5"],
+        ["simulate", "--synth-nodes", "10", "--threads", "0"],
+        ["simulate", "--synth-nodes", "10", "--replications", "0"],
+        ["simulate", "--synth-nodes", "10", "--sigma-b-ratio", "-1"],
+        ["synth", "--nodes", "12"],  # a node without flows
+    ],
+    ids=["delta", "threads", "replications", "sigma_b_ratio", "synth-no-flows"],
+)
+def test_exit_1_leaves_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "out" / "nested"
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_node_without_flows_exit_1(tmp_path, capsys):
     # 10 of these 30 nodes have no flows, which the flows format cannot carry
     out = tmp_path / "sparse"
@@ -676,14 +702,16 @@ def test_flag_that_reaches_no_output_is_rejected(substrate_dir, tmp_path, capsys
 
 def test_parser_defaults_are_the_library_defaults():
     commands = build_parser()._command_map
-    for command, spec in (("simulate", ScenarioSpec), ("phase-grid", PhaseGridSpec)):
+    for command, replications, pinned in (
+        ("simulate", ScenarioSpec.replications, 100),
+        ("phase-grid", DEFAULT_GRID_REPLICATIONS, 50),
+    ):
         p = commands[command]
         for f in fields(Params):
             assert p.get_default(f.name) == f.default, (command, f.name)
-        protocol = {f.name: f.default for f in fields(spec)}
-        assert p.get_default("replications") == protocol["replications"]
-        assert p.get_default("t_burn") == protocol["T_burn"]
-        assert p.get_default("t_stat") == protocol["T_stat"]
+        assert p.get_default("replications") == replications == pinned
+        assert p.get_default("t_burn") == ScenarioSpec.T_burn == 50
+        assert p.get_default("t_stat") == ScenarioSpec.T_stat == 150
         assert p.get_default("sigma_b_ratio") == DEFAULT_SIGMA_B_RATIO
     for command in ("network-panel", "exposure", "simulate", "phase-grid"):
         assert commands[command].get_default("d_floor") == DEFAULT_FLOOR
@@ -697,13 +725,19 @@ def test_phase_grid_default_axes_are_the_default_grid(monkeypatch):
     class Captured(Exception):
         pass
 
-    def capture(spec, *args, **kwargs):
-        raise Captured(spec)
+    def capture(specs, *args, **kwargs):
+        raise Captured(specs)
 
-    monkeypatch.setattr(cli, "run_phase_grid", capture)
+    monkeypatch.setattr(cli, "run_scenarios", capture)
     with pytest.raises(Captured) as caught:
         main(["phase-grid", "--synth-nodes", "10", "--master-seed", "9"])
-    assert caught.value.args[0] == experiments.default_phase_grid(9)
+    specs = caught.value.args[0]
+    # 10 field levels on [0.25, 2.0] by 9 dispersion values on [0.5, 2.5], 50 replications each
+    B_values = tuple(float(b) for b in np.linspace(0.25, 2.0, 10))
+    sigmaD_values = tuple(float(s) for s in np.linspace(0.5, 2.5, 9))
+    assert specs == experiments.grid_scenarios(B_values, sigmaD_values, 9, replications=50)
+    assert len(specs) == 90
+    assert (specs[0].B_bar, specs[0].sigma_D, specs[-1].B_bar, specs[-1].sigma_D) == (0.25, 0.5, 2.0, 2.5)
 
 
 def test_network_panel_reads_each_input_once(tmp_path, monkeypatch):

@@ -96,7 +96,7 @@ def test_run_scenarios_equals_replications_one_by_one(case):
     # so each relaxation product is forced in turn
     for threshold in (FORCE_SLICED, FORCE_FULL):
         with relaxation_products(threshold):
-            got = run_scenarios(specs, sub, params, sigma_b_ratio, keep_series=True, threads=1)
+            got = run_scenarios(specs, sub, params, sigma_b_ratio, threads=1)
             if error is not None:
                 with pytest.raises(SimulationError) as exc:
                     list(got)

@@ -91,9 +91,9 @@ DYNAMICS_NAMES = """
 PACKAGE_NAMES = DYNAMICS_NAMES + """
     config dynamics experiments exposure ingest operators tail
     ConfigError load_config section_for
-    PRESETS CellDiagnostics CellStats PhaseGridSpec RegimeLabel ScenarioResult
-    ScenarioSpec SimulationError Substrate child_seed convergence_report default_phase_grid
-    make_cell_stats prepare_substrate preset_scenarios run_phase_grid run_scenarios
+    PRESETS CellDiagnostics CellStats RegimeLabel ScenarioResult
+    ScenarioSpec SimulationError Substrate child_seed convergence_report grid_scenarios
+    make_cell_stats prepare_substrate preset_scenarios run_scenarios
     ExposureProfile ExposureRank compute_exposure hall_stress rank_exposure
     FlowPanel IOTable NodeId TableError list_years parse_io_table synth_substrate write_io_table
     LeakageProfile OperatorKind PropagationOperator SpectralConvergenceError build_operator

@@ -14,17 +14,15 @@ from hallsand.experiments import (
     SimulationError,
     PRESETS,
     CellStats,
-    PhaseGridSpec,
     RegimeLabel,
     ScenarioSpec,
     child_seed,
     convergence_report,
-    default_phase_grid,
+    grid_scenarios,
     make_cell_stats,
     prepare_substrate,
     preset_scenarios,
     resolve_threads,
-    run_phase_grid,
     run_scenarios,
 )
 from hallsand.ingest import synth_substrate
@@ -108,26 +106,17 @@ def test_scenario_spec_validation():
 
 
 def test_phase_grid_spec_validation():
-    PhaseGridSpec((0.5, 1.0), (0.5, 1.0), 1).validate()
-    with pytest.raises(ValueError):
-        PhaseGridSpec((1.0, 0.5), (0.5, 1.0), 1).validate()
-    with pytest.raises(ValueError):
-        PhaseGridSpec((0.5, 0.5), (0.5, 1.0), 1).validate()
-    with pytest.raises(ValueError):
-        PhaseGridSpec((), (0.5,), 1).validate()
-    with pytest.raises(ValueError, match="B_values"):
-        PhaseGridSpec((0.5, math.inf), (0.5, 1.0), 1).validate()
-    with pytest.raises(ValueError, match="sigmaD_values"):
-        PhaseGridSpec((0.5, 1.0), (0.5, math.nan), 1).validate()
-
-
-def test_default_phase_grid_shape():
-    spec = default_phase_grid(1)
-    assert len(spec.B_values) == 10
-    assert len(spec.sigmaD_values) == 9
-    assert spec.n_cells == 90
-    assert spec.B_values[0] == 0.25 and spec.B_values[-1] == 2.0
-    assert spec.sigmaD_values[0] == 0.5 and spec.sigmaD_values[-1] == 2.5
+    assert len(grid_scenarios((0.5, 1.0), (0.5, 1.0), 1)) == 4
+    with pytest.raises(ValueError, match="B_values must be strictly ascending"):
+        grid_scenarios((1.0, 0.5), (0.5, 1.0), 1)
+    with pytest.raises(ValueError, match="B_values must be strictly ascending"):
+        grid_scenarios((0.5, 0.5), (0.5, 1.0), 1)
+    with pytest.raises(ValueError, match="B_values must be non-empty"):
+        grid_scenarios((), (0.5,), 1)
+    with pytest.raises(ValueError, match=re.escape("B_values must be finite, got [0.5, inf]")):
+        grid_scenarios((0.5, math.inf), (0.5, 1.0), 1)
+    with pytest.raises(ValueError, match=re.escape("sigmaD_values must be finite, got [0.5, nan]")):
+        grid_scenarios((0.5, 1.0), (0.5, math.nan), 1)
 
 
 def test_make_cell_stats_hand_values():
@@ -154,7 +143,7 @@ def test_make_cell_stats_single_replication_zero_se():
 
 def test_run_scenario_protocol(small_substrate):
     spec = ScenarioSpec("probe", 1.0, 1.5, master_seed=42, T_burn=10, T_stat=30, replications=4)
-    (res,) = run_scenarios([spec], small_substrate, Params(), keep_series=True)
+    (res,) = run_scenarios([spec], small_substrate, Params())
     assert res.name == "probe"
     assert res.stats.n_obs == 4 * 30
     assert res.series.shape == res.B_realised.shape == res.relax_rounds.shape == (4, 30)
@@ -170,9 +159,9 @@ def test_run_scenario_deterministic(small_substrate):
 
 def test_run_scenario_parallel_matches_serial(small_substrate):
     spec = ScenarioSpec("probe", 1.2, 1.5, master_seed=31, T_burn=5, T_stat=20, replications=4)
-    (serial,) = run_scenarios([spec], small_substrate, Params(), keep_series=True, threads=1)
+    (serial,) = run_scenarios([spec], small_substrate, Params(), threads=1)
     # two workers split the one spec into two tasks, joined again in order
-    (parallel,) = run_scenarios([spec], small_substrate, Params(), keep_series=True, threads=2)
+    (parallel,) = run_scenarios([spec], small_substrate, Params(), threads=2)
     assert serial.stats == parallel.stats
     for field in ("series", "B_realised", "relax_rounds"):
         a, b = getattr(serial, field), getattr(parallel, field)
@@ -184,10 +173,10 @@ def test_run_scenario_parallel_matches_serial(small_substrate):
 def test_run_scenarios_equals_run_scenario_per_spec(small_substrate, threads):
     specs = preset_scenarios(17, T_burn=5, T_stat=15, replications=3, names=["latent", "avalanche"])
     specs.append(ScenarioSpec("extra", 1.1, 1.9, master_seed=23, T_burn=2, T_stat=10, replications=2))
-    together = list(run_scenarios(specs, small_substrate, Params(), keep_series=True, threads=threads))
+    together = list(run_scenarios(specs, small_substrate, Params(), threads=threads))
     assert [r.name for r in together] == [s.name for s in specs]
     for spec, got in zip(specs, together):
-        (want,) = run_scenarios([spec], small_substrate, Params(), keep_series=True, threads=1)
+        (want,) = run_scenarios([spec], small_substrate, Params(), threads=1)
         assert got.stats == want.stats
         for field in ("series", "B_realised", "relax_rounds"):
             assert len(getattr(got, field)) == spec.replications
@@ -213,28 +202,33 @@ def test_run_scenarios_closed_early_cancels_queued_tasks(small_substrate, monkey
 
 
 def test_run_phase_grid_layout(small_substrate):
-    spec = PhaseGridSpec((0.5, 1.5), (0.8, 1.6, 2.4), master_seed=7, T_burn=5, T_stat=15, replications=2)
-    cells = run_phase_grid(spec, small_substrate, Params())
-    assert isinstance(cells, tuple)
-    # row-major: cell (i, j) at i * len(sigmaD_values) + j
-    assert [(c.B_bar, c.sigma_D) for c in cells] == list(itertools.product(spec.B_values, spec.sigmaD_values))
+    B_values, sigmaD_values = (0.5, 1.5), (0.8, 1.6, 2.4)
+    specs = grid_scenarios(B_values, sigmaD_values, master_seed=7, T_burn=5, T_stat=15, replications=2)
+    # row-major: cell (i, j) at i * len(sigmaD_values) + j, seeded from that index
+    assert [(s.name, s.B_bar, s.sigma_D, s.master_seed) for s in specs] == [
+        (f"cell_{i}_{j}", B_values[i], sigmaD_values[j], child_seed(7, 3 * i + j))
+        for i, j in itertools.product(range(2), range(3))
+    ]
+    assert {(s.T_burn, s.T_stat, s.replications) for s in specs} == {(5, 15, 2)}
+    cells = [r.stats for r in run_scenarios(specs, small_substrate, Params())]
+    assert [(c.B_bar, c.sigma_D) for c in cells] == list(itertools.product(B_values, sigmaD_values))
 
 
 def test_single_cell_grid_equals_scenario(small_substrate):
     grid_seed = 555
-    spec = PhaseGridSpec((1.0,), (1.5,), master_seed=grid_seed, T_burn=5, T_stat=25, replications=3)
-    grid = run_phase_grid(spec, small_substrate, Params())
+    (cell,) = grid_scenarios((1.0,), (1.5,), master_seed=grid_seed, T_burn=5, T_stat=25, replications=3)
+    (grid,) = run_scenarios([cell], small_substrate, Params())
     scen = ScenarioSpec(
         "cell", 1.0, 1.5, master_seed=child_seed(grid_seed, 0), T_burn=5, T_stat=25, replications=3
     )
     (res,) = run_scenarios([scen], small_substrate, Params())
-    assert grid == (res.stats,)
+    assert grid.stats == res.stats
 
 
 def test_run_phase_grid_parallel_matches_serial(small_substrate):
-    spec = PhaseGridSpec((0.5, 1.5), (0.8, 2.0), master_seed=99, T_burn=5, T_stat=15, replications=2)
-    serial = run_phase_grid(spec, small_substrate, Params(), threads=1)
-    parallel = run_phase_grid(spec, small_substrate, Params(), threads=2)
+    specs = grid_scenarios((0.5, 1.5), (0.8, 2.0), master_seed=99, T_burn=5, T_stat=15, replications=2)
+    serial = [r.stats for r in run_scenarios(specs, small_substrate, Params(), threads=1)]
+    parallel = [r.stats for r in run_scenarios(specs, small_substrate, Params(), threads=2)]
     assert serial == parallel
 
 
@@ -243,13 +237,13 @@ def test_contraction_warning_names_the_callers_line():
     # run_scenarios warns when called, before its first result is asked for
     sub = prepare_substrate(table_from_dense([[0, 2], [5, 0]]), kind=OperatorKind.ROW_SHARE)
     spec = ScenarioSpec("cycle", 0.5, 1.0, master_seed=3, T_burn=0, T_stat=2, replications=1)
-    grid = PhaseGridSpec((0.5,), (1.0,), master_seed=3, T_burn=0, T_stat=2, replications=1)
+    grid = grid_scenarios((0.5,), (1.0,), master_seed=3, T_burn=0, T_stat=2, replications=1)
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
         results = run_scenarios([spec], sub, Params())
         assert [x.filename for x in w] == [__file__]
         list(results)
-        run_phase_grid(grid, sub, Params())
+        list(run_scenarios(grid, sub, Params()))
     assert [x.filename for x in w] == [__file__] * 2
     assert all("contraction check failed" in str(x.message) for x in w)
 
@@ -269,8 +263,8 @@ def test_engine_failure_in_pool_names_scenario_replication_period(grid, calm_fir
     for threads in (1, 2):
         with pytest.raises(SimulationError) as exc:
             if grid:
-                cells = PhaseGridSpec((6.0,), (2.0,), master_seed=5, T_burn=5, T_stat=20, replications=4)
-                run_phase_grid(cells, hot, params, threads=threads)
+                cells = grid_scenarios((6.0,), (2.0,), master_seed=5, T_burn=5, T_stat=20, replications=4)
+                list(run_scenarios(cells, hot, params, threads=threads))
             elif calm_first:
                 calm = ScenarioSpec("calm", 0.0, 1.0, master_seed=4, T_burn=0, T_stat=1, replications=2)
                 list(run_scenarios([calm, spec], hot, params, threads=threads))
@@ -338,8 +332,8 @@ def test_resolve_threads_precedence(monkeypatch):
 
 
 def test_convergence_report_flags(small_substrate):
-    spec = PhaseGridSpec((0.4, 1.8), (0.7, 2.2), master_seed=3, T_burn=10, T_stat=40, replications=4)
-    cells = run_phase_grid(spec, small_substrate, Params())
+    specs = grid_scenarios((0.4, 1.8), (0.7, 2.2), master_seed=3, T_burn=10, T_stat=40, replications=4)
+    cells = [r.stats for r in run_scenarios(specs, small_substrate, Params())]
     report = convergence_report(cells)
     assert len(report) == 4
     for diag, stats in zip(report, cells):
@@ -417,7 +411,7 @@ def test_packing_bound_changes_no_output(monkeypatch, hot):
         try:
             return [
                 (r.stats, [a.tobytes() for a in (*r.series, *r.B_realised, *r.relax_rounds)])
-                for r in run_scenarios(specs, sub, params, keep_series=True, threads=1)
+                for r in run_scenarios(specs, sub, params, threads=1)
             ]
         except SimulationError as err:
             return str(err)

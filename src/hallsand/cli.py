@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import re
@@ -48,6 +49,8 @@ from .ingest import (
 )
 from .operators import OperatorKind, build_operator, leakage_profile
 from .tail import DEFAULT_MIN_TAIL, TailError, ccdf, select_xmin
+
+gc.freeze()  # imported modules live as long as the process: keep them out of every collection, the last one at exit too
 
 _CELL_RE = re.compile(r"^([A-Za-z0-9_-]+):([0-9.eE+-]+):([0-9.eE+-]+)$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")

@@ -880,3 +880,24 @@ def test_import_leaves_yaml_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False True False False", "True False False", "1.0 True True"]
+
+
+def test_cli_import_freezes_the_import_heap_and_the_package_import_does_not():
+    # a library import leaves its caller's GC state alone; the CLI freezes what the
+    # imports made, and a cycle made after that is still collected
+    env = {**os.environ, "PYTHONPATH": str(Path(hallsand.__file__).parent.parent)}
+    code = "\n".join([
+        "import gc, weakref",
+        "enabled = gc.isenabled()",
+        "import hallsand",
+        "print(gc.get_freeze_count() == 0, gc.isenabled() == enabled)",
+        "import hallsand.cli",
+        "print(gc.get_freeze_count() > 0, gc.isenabled())",
+        "class Node: pass",
+        "node = Node(); node.self = node; ref = weakref.ref(node); del node",
+        "gc.collect()",
+        "print(ref() is None)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True True", "True True", "True"]

@@ -201,7 +201,7 @@ def test_run_scenarios_closed_early_cancels_queued_tasks(small_substrate, monkey
     assert shutdowns == [True]
 
 
-def test_run_phase_grid_layout(small_substrate):
+def test_grid_scenarios_layout(small_substrate):
     B_values, sigmaD_values = (0.5, 1.5), (0.8, 1.6, 2.4)
     specs = grid_scenarios(B_values, sigmaD_values, master_seed=7, T_burn=5, T_stat=15, replications=2)
     # row-major: cell (i, j) at i * len(sigmaD_values) + j, seeded from that index
@@ -225,7 +225,7 @@ def test_single_cell_grid_equals_scenario(small_substrate):
     assert grid.stats == res.stats
 
 
-def test_run_phase_grid_parallel_matches_serial(small_substrate):
+def test_grid_parallel_matches_serial(small_substrate):
     specs = grid_scenarios((0.5, 1.5), (0.8, 2.0), master_seed=99, T_burn=5, T_stat=15, replications=2)
     serial = [r.stats for r in run_scenarios(specs, small_substrate, Params(), threads=1)]
     parallel = [r.stats for r in run_scenarios(specs, small_substrate, Params(), threads=2)]

@@ -27,10 +27,12 @@ from .exposure import DEFAULT_EPSILON, DEFAULT_FIELD, DEFAULT_FLOOR, compute_exp
 from .experiments import (
     DEFAULT_B_AXIS,
     DEFAULT_GRID_REPLICATIONS,
+    DEFAULT_REPLICATIONS,
     DEFAULT_SIGMA_B_RATIO,
     DEFAULT_SIGMA_D_AXIS,
+    DEFAULT_T_BURN,
+    DEFAULT_T_STAT,
     PRESETS,
-    ScenarioSpec,
     Substrate,
     convergence_report,
     grid_scenarios,
@@ -188,14 +190,19 @@ def _add_exposure_args(p: argparse.ArgumentParser, *, field: bool = False, epsil
 
 
 def _add_protocol_args(p: argparse.ArgumentParser, replications: int, unit: str) -> None:
-    """The run protocol of simulate and phase-grid, with ScenarioSpec's periods."""
+    """The run protocol of simulate and phase-grid, with the library's default periods."""
     g = p.add_argument_group("run protocol")
     g.add_argument("--replications", type=int, default=replications, help=f"replications per {unit}")
-    g.add_argument("--t-burn", type=int, default=ScenarioSpec.T_burn, help="burn-in periods")
-    g.add_argument("--t-stat", type=int, default=ScenarioSpec.T_stat, help="post-burn periods kept")
+    g.add_argument("--t-burn", type=int, default=DEFAULT_T_BURN, help="burn-in periods")
+    g.add_argument("--t-stat", type=int, default=DEFAULT_T_STAT, help="post-burn periods kept")
     g.add_argument("--master-seed", type=int, default=0, help="root of the seed tree")
     g.add_argument("--sigma-b-ratio", type=float, default=DEFAULT_SIGMA_B_RATIO, help="field volatility as a share of B_bar")
     g.add_argument("--threads", type=int, default=None, help="worker processes (default: HALLSAND_THREADS or CPU count)")
+
+
+def _protocol(args) -> dict[str, int]:
+    """The run protocol flags as run_scenarios' keywords."""
+    return {"T_burn": args.t_burn, "T_stat": args.t_stat, "replications": args.replications}
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -354,9 +361,6 @@ def cmd_simulate(args) -> int:
     presets = [] if args.presets.strip().lower() == "none" else args.presets.split(",")
     specs = preset_scenarios(
         args.master_seed,
-        T_burn=args.t_burn,
-        T_stat=args.t_stat,
-        replications=args.replications,
         names=[n.strip() for n in presets if n.strip()],
         cells=map(_parse_cell, args.cell or []),  # parsed after the preset names are checked
     )
@@ -365,7 +369,7 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out_dir)
     names, stats = [], []
-    for result in run_scenarios(specs, substrate, params, args.sigma_b_ratio, threads=args.threads):
+    for result in run_scenarios(specs, substrate, params, args.sigma_b_ratio, args.threads, **_protocol(args)):
         names.append(result.name)
         stats.append(result.stats)
         if not args.no_series:
@@ -414,10 +418,8 @@ def cmd_phase_grid(args) -> int:
     B_values, sigmaD_values = _grid_axis(args, "b"), _grid_axis(args, "sigma")
     substrate = _load_substrate(args)
     params = _params_from(args)
-    specs = grid_scenarios(
-        B_values, sigmaD_values, args.master_seed, args.t_burn, args.t_stat, args.replications
-    )
-    results = run_scenarios(specs, substrate, params, args.sigma_b_ratio, threads=args.threads)
+    specs = grid_scenarios(B_values, sigmaD_values, args.master_seed)
+    results = run_scenarios(specs, substrate, params, args.sigma_b_ratio, args.threads, **_protocol(args))
     cells = [result.stats for result in results]
     out = Path(args.out_dir)
     path = _emit(out, "phase_grid.csv", *_table(CELL_STATS, cells), args.json)
@@ -488,7 +490,10 @@ def cmd_tail_fit(args) -> int:
         positive = sizes[sizes >= 1]
         if positive.size == 0:
             raise TailError(f"{path}: no positive cascade sizes to fit")
-        fits.append(select_xmin(positive, min_tail=args.min_tail, x_min=args.x_min))
+        try:
+            fits.append(select_xmin(positive, min_tail=args.min_tail, x_min=args.x_min))
+        except TailError as err:  # such as too few sizes at or above --x-min
+            raise TailError(f"{path}: {err}") from None
         tails.append(positive)
     out = Path(args.out_dir)
     for name, positive in zip(paths, tails):
@@ -555,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="extra scenario NAME:B_BAR:SIGMA_D (repeatable)",
     )
-    _add_protocol_args(p, ScenarioSpec.replications, "scenario")
+    _add_protocol_args(p, DEFAULT_REPLICATIONS, "scenario")
     p.add_argument("--no-series", action="store_true", help="skip the per-period avalanche files")
     _add_output_args(p)
 

@@ -39,7 +39,10 @@ DEFAULT_SIGMA_B_RATIO = 0.10
 # The default phase grid's axes, as np.linspace (low, high, steps).
 DEFAULT_B_AXIS = (0.25, 2.0, 10)
 DEFAULT_SIGMA_D_AXIS = (0.5, 2.5, 9)
-# Replications per phase-grid cell.
+# The run protocol: burn-in and kept periods, replications per scenario and per phase-grid cell.
+DEFAULT_T_BURN = 50
+DEFAULT_T_STAT = 150
+DEFAULT_REPLICATIONS = 100
 DEFAULT_GRID_REPLICATIONS = 50
 
 # Regime bands on mean cascade size; each boundary belongs to the band above it.
@@ -75,25 +78,18 @@ class Substrate:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One Monte Carlo cell: field level, dispersion, and the run protocol."""
+    """One Monte Carlo cell: field level, dispersion and seed; the run protocol is per call."""
 
     name: str
     B_bar: float
     sigma_D: float
     master_seed: int
-    T_burn: int = 50
-    T_stat: int = 150
-    replications: int = 100
 
     def validate(self) -> None:
         if not 0.0 <= self.B_bar < math.inf:
             raise ValueError(f"B_bar must be finite and non-negative, got {self.B_bar}")
         if not 0.0 < self.sigma_D < math.inf:
             raise ValueError(f"sigma_D must be finite and positive, got {self.sigma_D}")
-        if self.T_burn < 0 or self.T_stat < 1:
-            raise ValueError(f"bad protocol: T_burn={self.T_burn}, T_stat={self.T_stat}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
 
 
 @dataclass(frozen=True)
@@ -221,45 +217,38 @@ _PACK_VALUES = 1 << 16
 _MAX_BATCH_VALUES = 1 << 20
 
 
-def _plan(specs: list[ScenarioSpec], n_workers: int, n: int) -> tuple[list[list[Block]], list[int]]:
+def _plan(specs: list[ScenarioSpec], replications: int, n_workers: int, n: int) -> tuple[list[list[Block]], int]:
     """Group the specs' replications into tasks, each run as one batch.
 
-    Each spec is one block, or several contiguous blocks when there are fewer
-    specs than workers or it is wider than the widest batch. Consecutive
-    blocks with the same protocol share a task up to _PACK_VALUES stress
-    values, and to no more than an even share of the columns per worker,
-    since a batch's cost per column falls with its width until its arrays
-    outgrow the cache. Returns the tasks, in spec order, and the number of
-    blocks of each spec.
+    Each spec is one block, or the same number of contiguous blocks when
+    there are fewer specs than workers or the replications are wider than
+    the widest batch. Consecutive blocks share a task up to _PACK_VALUES
+    stress values, and to no more than an even share of the columns per
+    worker, since a batch's cost per column falls with its width until its
+    arrays outgrow the cache. Returns the tasks, in spec order, and the
+    number of blocks per spec.
     """
     widest = max(1, _MAX_BATCH_VALUES // n)
-    parts = -(-n_workers // len(specs))
-    blocks: list[Block] = []
-    counts = []
-    for spec in specs:
-        k = max(parts, -(-spec.replications // widest))
-        bounds = sorted({spec.replications * i // k for i in range(k + 1)})
-        blocks += [(spec, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        counts.append(len(bounds) - 1)
-    total = sum(hi - lo for _, lo, hi in blocks)
+    k = max(-(-n_workers // len(specs)), -(-replications // widest))
+    bounds = sorted({replications * i // k for i in range(k + 1)})
+    blocks = [(spec, lo, hi) for spec in specs for lo, hi in zip(bounds, bounds[1:])]
+    total = len(specs) * replications
     pack = min(max(1, _PACK_VALUES // n), -(-total // n_workers))  # every worker gets a task
     tasks: list[list[Block]] = []
     width = 0
     for block in blocks:
-        spec, lo, hi = block
-        last = tasks[-1][-1][0] if tasks else None
-        same = last is not None and (last.T_burn, last.T_stat) == (spec.T_burn, spec.T_stat)
-        if same and width + hi - lo <= pack:
+        _, lo, hi = block
+        if tasks and width + hi - lo <= pack:
             tasks[-1].append(block)
             width += hi - lo
         else:
             tasks.append([block])
             width = hi - lo
-    return tasks, counts
+    return tasks, len(bounds) - 1
 
 
 def _run_task(
-    substrate: Substrate, params: Params, sigma_b_ratio: float, task: list[Block]
+    substrate: Substrate, params: Params, sigma_b_ratio: float, T_burn: int, T_stat: int, task: list[Block]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run a task's blocks as one batch; per block, post-burn S, B_t and rounds, a row per replication."""
     owners = [(spec, rep) for spec, lo, hi in task for rep in range(lo, hi)]
@@ -271,15 +260,9 @@ def _run_task(
         )
         for spec, rep in owners
     ]
-    protocol = task[0][0]  # every block of a task has the same T_burn and T_stat
     try:
         S, B, rounds = run_batch(
-            substrate.operator,
-            substrate.exposure,
-            params,
-            columns,
-            protocol.T_burn + protocol.T_stat,
-            keep_from=protocol.T_burn,
+            substrate.operator, substrate.exposure, params, columns, T_burn + T_stat, keep_from=T_burn
         )
     except RelaxationBudgetError as err:
         spec, rep = owners[err.column]
@@ -296,7 +279,7 @@ def _run_task(
     return out
 
 
-# (substrate, params, sigma_b_ratio), set once in each pool worker by _init_worker,
+# (substrate, params, sigma_b_ratio, T_burn, T_stat), set once in each pool worker by _init_worker,
 # so that a task carries only its blocks.
 _worker_context: tuple = ()
 
@@ -334,15 +317,22 @@ def run_scenarios(
     params: Params,
     sigma_b_ratio: float = DEFAULT_SIGMA_B_RATIO,
     threads: int | None = 1,
+    *,
+    T_burn: int,
+    T_stat: int,
+    replications: int,
 ) -> Iterator[ScenarioResult]:
     """Run every replication of every spec; yield one result per spec, in spec order.
+
+    The run protocol is per call: every spec runs `replications` replications
+    of T_burn burn-in periods, then T_stat periods kept as its series.
 
     Replication r runs on its own stream seeded child_seed(master_seed, r),
     so results are independent of execution order; the fold over
     replications is by index, making serial and parallel runs identical.
     Each task runs its replications together as one batch (see run_batch):
     a spec, a block of a spec's replications when there are fewer specs than
-    workers, or a run of narrow specs with the same protocol (see _plan).
+    workers, or a run of consecutive narrow specs (see _plan).
     With more than one worker, one process pool runs the tasks and receives
     the substrate once per worker through its initializer. Each spec's
     result is yielded as soon as its task is done, so a caller can write or
@@ -353,9 +343,18 @@ def run_scenarios(
     """
     for spec in specs:
         spec.validate()
+    if T_burn < 0 or T_stat < 1:
+        raise ValueError(f"bad protocol: T_burn={T_burn}, T_stat={T_stat}")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     params.validate()
     if not 0.0 <= sigma_b_ratio < math.inf:
         raise ValueError(f"sigma_b_ratio must be finite and non-negative, got {sigma_b_ratio}")
+    for spec in specs:
+        if math.isinf(sigma_b_ratio * spec.B_bar):  # the field volatility sigma_B
+            raise ValueError(
+                f"scenario {spec.name!r}: sigma_b_ratio={sigma_b_ratio} times B_bar={spec.B_bar} overflows"
+            )
     if not specs:
         return iter(())
     n_workers = resolve_threads(threads)
@@ -367,13 +366,12 @@ def run_scenarios(
             RuntimeWarning,
             stacklevel=2,
         )
-    return _results(specs, substrate, params, sigma_b_ratio, n_workers)
+    tasks, count = _plan(specs, replications, n_workers, substrate.operator.n)
+    return _results(specs, tasks, count, n_workers, (substrate, params, sigma_b_ratio, T_burn, T_stat))
 
 
-def _results(specs, substrate, params, sigma_b_ratio, n_workers) -> Iterator[ScenarioResult]:
-    tasks, counts = _plan(specs, n_workers, substrate.operator.n)
+def _results(specs, tasks, count, n_workers, context) -> Iterator[ScenarioResult]:
     n_workers = min(n_workers, len(tasks))
-    context = (substrate, params, sigma_b_ratio)
     with ExitStack() as stack:
         if n_workers > 1:
             pool = ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context)
@@ -383,7 +381,7 @@ def _results(specs, substrate, params, sigma_b_ratio, n_workers) -> Iterator[Sce
         else:
             results = (_run_task(*context, task) for task in tasks)
         blocks = (block for task_result in results for block in task_result)
-        for spec, count in zip(specs, counts):
+        for spec in specs:
             done = list(islice(blocks, count))
             S, B, rounds = (np.concatenate([block[k] for block in done]) for k in range(3))
             yield ScenarioResult(spec.name, make_cell_stats(spec.B_bar, spec.sigma_D, S), S, B, rounds)
@@ -422,9 +420,6 @@ def convergence_report(cells: Iterable[CellStats]) -> list[CellDiagnostics]:
 
 def preset_scenarios(
     master_seed: int,
-    T_burn: int = ScenarioSpec.T_burn,
-    T_stat: int = ScenarioSpec.T_stat,
-    replications: int = ScenarioSpec.replications,
     names: list[str] | None = None,
     cells: Iterable[tuple[str, float, float]] = (),
 ) -> list[ScenarioSpec]:
@@ -447,17 +442,7 @@ def preset_scenarios(
     for name, B_bar, sigma_D, position in placed:
         if any(spec.name == name for spec in specs):
             raise ValueError(f"duplicate scenario name {name!r}")
-        specs.append(
-            ScenarioSpec(
-                name=name,
-                B_bar=B_bar,
-                sigma_D=sigma_D,
-                master_seed=child_seed(master_seed, position),
-                T_burn=T_burn,
-                T_stat=T_stat,
-                replications=replications,
-            )
-        )
+        specs.append(ScenarioSpec(name, B_bar, sigma_D, child_seed(master_seed, position)))
     return specs
 
 
@@ -465,9 +450,6 @@ def grid_scenarios(
     B_values: tuple[float, ...],
     sigmaD_values: tuple[float, ...],
     master_seed: int,
-    T_burn: int = ScenarioSpec.T_burn,
-    T_stat: int = ScenarioSpec.T_stat,
-    replications: int = DEFAULT_GRID_REPLICATIONS,
 ) -> list[ScenarioSpec]:
     """The phase grid's cells as runnable scenario specs, row-major (field
     outer, dispersion inner): cell (i, j), at index c = i * len(sigmaD_values)
@@ -480,15 +462,7 @@ def grid_scenarios(
         if list(axis) != sorted(set(axis)):
             raise ValueError(f"{name} must be strictly ascending")
     return [
-        ScenarioSpec(
-            name=f"cell_{i}_{j}",
-            B_bar=B_bar,
-            sigma_D=sigma_D,
-            master_seed=child_seed(master_seed, i * len(sigmaD_values) + j),
-            T_burn=T_burn,
-            T_stat=T_stat,
-            replications=replications,
-        )
+        ScenarioSpec(f"cell_{i}_{j}", B_bar, sigma_D, child_seed(master_seed, i * len(sigmaD_values) + j))
         for i, B_bar in enumerate(B_values)
         for j, sigma_D in enumerate(sigmaD_values)
     ]

@@ -227,8 +227,9 @@ def test_criterion_5_long_run_boundedness():
 
 def test_criterion_6_preset_regime_ordering(desk_substrate):
     t0 = time.perf_counter()
-    specs = preset_scenarios(20140825, T_burn=50, T_stat=150, replications=30)
-    stats = [r.stats for r in run_scenarios(specs, desk_substrate, Params(), threads=1)]
+    specs = preset_scenarios(20140825)
+    results = run_scenarios(specs, desk_substrate, Params(), threads=1, T_burn=50, T_stat=150, replications=30)
+    stats = [r.stats for r in results]
     elapsed = time.perf_counter() - t0
     means = [s.mean_S for s in stats]
     pr5 = [s.pr_ge[5] for s in stats]
@@ -248,8 +249,9 @@ def test_criterion_6_preset_regime_ordering(desk_substrate):
 def test_criterion_7_phase_monotonicity(desk_substrate):
     B_values = tuple(float(b) for b in np.linspace(0.25, 2.0, 6))
     sigmaD_values = tuple(float(v) for v in np.linspace(0.5, 2.5, 6))
-    specs = grid_scenarios(B_values, sigmaD_values, master_seed=77001, replications=20)
-    cells = [r.stats for r in run_scenarios(specs, desk_substrate, Params(), threads=1)]
+    specs = grid_scenarios(B_values, sigmaD_values, master_seed=77001)
+    results = run_scenarios(specs, desk_substrate, Params(), threads=1, T_burn=50, T_stat=150, replications=20)
+    cells = [r.stats for r in results]
     nB, nS = len(B_values), len(sigmaD_values)
     pairs = 0
     violations = 0
@@ -343,8 +345,8 @@ def test_criterion_9_real_table_replication():
         ("top_node_intensity", 2.0 * top.I, 0.0215, 0.0005),
     ]
     references = {"stable": 0.084, "latent": 0.489, "critical": 2.036, "avalanche": 5.811}
-    specs = preset_scenarios(20140825, T_burn=200, T_stat=1500, replications=10)
-    for result in run_scenarios(specs, sub, Params(), threads=None):
+    specs = preset_scenarios(20140825)
+    for result in run_scenarios(specs, sub, Params(), threads=None, T_burn=200, T_stat=1500, replications=10):
         ref = references[result.name]
         checks.append((f"mean_S[{result.name}]", result.stats.mean_S, ref, 0.15 * ref))
     failed = [name for name, value, ref, tol in checks if abs(value - ref) > tol]

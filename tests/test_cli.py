@@ -14,7 +14,13 @@ import hallsand
 from hallsand import cli, experiments, ingest
 from hallsand.cli import build_parser, main
 from hallsand.dynamics import Params
-from hallsand.experiments import DEFAULT_GRID_REPLICATIONS, DEFAULT_SIGMA_B_RATIO, ScenarioSpec
+from hallsand.experiments import (
+    DEFAULT_GRID_REPLICATIONS,
+    DEFAULT_REPLICATIONS,
+    DEFAULT_SIGMA_B_RATIO,
+    DEFAULT_T_BURN,
+    DEFAULT_T_STAT,
+)
 from hallsand.exposure import DEFAULT_EPSILON, DEFAULT_FLOOR
 from hallsand.ingest import DEFAULT_MEAN_LEAKAGE, DEFAULT_SYNTH_DENSITY
 from hallsand.tail import DEFAULT_MIN_TAIL
@@ -483,6 +489,18 @@ def test_tail_fit_cell_beyond_the_csv_field_limit_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_tail_fit_x_min_above_a_series_names_its_file(tmp_path, capsys):
+    # only the second series has no size at or above the cutoff
+    paths = [tmp_path / "avalanches_a.csv", tmp_path / "avalanches_b.csv"]
+    for path, top in zip(paths, (20, 11)):
+        path.write_text("replication,period,S\n" + "".join(f"0,{t},{t % top + 1}\n" for t in range(60)))
+    out = tmp_path / "out"
+    assert main(["tail-fit", *map(str, paths), "--x-min", "12", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {paths[1]}: only 0 sample(s) at or above x_min=12\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["2.7", "nan", "inf", "1e19"])
 def test_tail_fit_non_integer_size_exit_1(tmp_path, capsys, bad):
     series = tmp_path / "avalanches_frac.csv"
@@ -613,6 +631,21 @@ def test_exit_1_leaves_no_out_dir(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sigma_b_ratio_overflowing_a_cells_volatility_exit_1(tmp_path, capsys, threads):
+    # 1e300 * 1e10 is past the float range: refused before any run, naming the cell
+    out = tmp_path / "out"
+    argv = [
+        "simulate", "--synth-nodes", "10", "--presets", "none", "--cell", "big:1e10:1",
+        "--sigma-b-ratio", "1e300", "--replications", "2", "--t-burn", "0", "--t-stat", "1",
+        "--threads", threads, "--out-dir", str(out),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario 'big': sigma_b_ratio=1e+300 ")
+    assert not out.exists()
+
+
 def test_synth_node_without_flows_exit_1(tmp_path, capsys):
     # 10 of these 30 nodes have no flows, which the flows format cannot carry
     out = tmp_path / "sparse"
@@ -703,15 +736,15 @@ def test_flag_that_reaches_no_output_is_rejected(substrate_dir, tmp_path, capsys
 def test_parser_defaults_are_the_library_defaults():
     commands = build_parser()._command_map
     for command, replications, pinned in (
-        ("simulate", ScenarioSpec.replications, 100),
+        ("simulate", DEFAULT_REPLICATIONS, 100),
         ("phase-grid", DEFAULT_GRID_REPLICATIONS, 50),
     ):
         p = commands[command]
         for f in fields(Params):
             assert p.get_default(f.name) == f.default, (command, f.name)
         assert p.get_default("replications") == replications == pinned
-        assert p.get_default("t_burn") == ScenarioSpec.T_burn == 50
-        assert p.get_default("t_stat") == ScenarioSpec.T_stat == 150
+        assert p.get_default("t_burn") == DEFAULT_T_BURN == 50
+        assert p.get_default("t_stat") == DEFAULT_T_STAT == 150
         assert p.get_default("sigma_b_ratio") == DEFAULT_SIGMA_B_RATIO
     for command in ("network-panel", "exposure", "simulate", "phase-grid"):
         assert commands[command].get_default("d_floor") == DEFAULT_FLOOR
@@ -726,16 +759,17 @@ def test_phase_grid_default_axes_are_the_default_grid(monkeypatch):
         pass
 
     def capture(specs, *args, **kwargs):
-        raise Captured(specs)
+        raise Captured(specs, kwargs)
 
     monkeypatch.setattr(cli, "run_scenarios", capture)
     with pytest.raises(Captured) as caught:
         main(["phase-grid", "--synth-nodes", "10", "--master-seed", "9"])
-    specs = caught.value.args[0]
+    specs, protocol = caught.value.args
     # 10 field levels on [0.25, 2.0] by 9 dispersion values on [0.5, 2.5], 50 replications each
     B_values = tuple(float(b) for b in np.linspace(0.25, 2.0, 10))
     sigmaD_values = tuple(float(s) for s in np.linspace(0.5, 2.5, 9))
-    assert specs == experiments.grid_scenarios(B_values, sigmaD_values, 9, replications=50)
+    assert specs == experiments.grid_scenarios(B_values, sigmaD_values, 9)
+    assert protocol == {"T_burn": 50, "T_stat": 150, "replications": 50}
     assert len(specs) == 90
     assert (specs[0].B_bar, specs[0].sigma_D, specs[-1].B_bar, specs[-1].sigma_D) == (0.25, 0.5, 2.0, 2.5)
 

@@ -42,33 +42,32 @@ def cases(draw):
         count_unique=draw(st.booleans()),
         max_relax_rounds=draw(st.one_of(st.none(), st.integers(1, 8))),
     )
-    protocol = (draw(st.integers(0, 4)), draw(st.integers(1, 8)))
-    specs = []
-    for i in range(draw(st.integers(1, 3))):
-        T_burn, T_stat = protocol if draw(st.booleans()) else (draw(st.integers(0, 4)), draw(st.integers(1, 8)))
-        specs.append(
-            ScenarioSpec(
-                f"s{i}",
-                B_bar=draw(st.floats(0.0, 2.5)),
-                sigma_D=draw(st.floats(0.3, 3.0)),
-                master_seed=draw(st.integers(0, 2**64 - 1)),
-                T_burn=T_burn,
-                T_stat=T_stat,
-                replications=draw(st.integers(1, 6)),
-            )
+    protocol = {
+        "T_burn": draw(st.integers(0, 4)),
+        "T_stat": draw(st.integers(1, 8)),
+        "replications": draw(st.integers(1, 6)),
+    }
+    specs = [
+        ScenarioSpec(
+            f"s{i}",
+            B_bar=draw(st.floats(0.0, 2.5)),
+            sigma_D=draw(st.floats(0.3, 3.0)),
+            master_seed=draw(st.integers(0, 2**64 - 1)),
         )
-    return prepare_substrate(table, kind=kind), params, specs, draw(st.floats(0.0, 0.5))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    return prepare_substrate(table, kind=kind), params, specs, draw(st.floats(0.0, 0.5)), protocol
 
 
-def one_by_one(sub, params, specs, sigma_b_ratio):
+def one_by_one(sub, params, specs, sigma_b_ratio, T_burn, T_stat, replications):
     """Per spec, the post-burn (S, B_realised, relax_rounds) series of each replication,
     from its own one-column run_batch; or the first error in spec and replication order."""
     results = []
     for spec in specs:
         fieldmodel = FieldModel(spec.B_bar, sigma_b_ratio * spec.B_bar)
-        periods = spec.T_burn + spec.T_stat
+        periods = T_burn + T_stat
         series = []
-        for rep in range(spec.replications):
+        for rep in range(replications):
             seed = child_seed(spec.master_seed, rep)
             column = (fieldmodel, spec.sigma_D, seed)
             try:
@@ -81,7 +80,7 @@ def one_by_one(sub, params, specs, sigma_b_ratio):
             oracle = ScalarLoopEngine(sub.operator, sub.exposure, params, sigma_D=spec.sigma_D, seed=seed)
             assert sizes[0].tolist() == oracle.run(fieldmodel.B_bar, fieldmodel.sigma_B, periods)
             assert blocks[-1][:, 0].tobytes() == np.array(oracle.s).tobytes()
-            series.append(tuple(row[0, spec.T_burn:] for row in (sizes, fields, rounds)))
+            series.append(tuple(row[0, T_burn:] for row in (sizes, fields, rounds)))
         results.append(series)
     return results, None
 
@@ -90,13 +89,13 @@ def one_by_one(sub, params, specs, sigma_b_ratio):
 @settings(max_examples=100)
 @given(cases())
 def test_run_scenarios_equals_replications_one_by_one(case):
-    sub, params, specs, sigma_b_ratio = case
-    want, error = one_by_one(sub, params, specs, sigma_b_ratio)
+    sub, params, specs, sigma_b_ratio, protocol = case
+    want, error = one_by_one(sub, params, specs, sigma_b_ratio, **protocol)
     # the drawn substrates are too small for the cost rule to slice a round,
     # so each relaxation product is forced in turn
     for threshold in (FORCE_SLICED, FORCE_FULL):
         with relaxation_products(threshold):
-            got = run_scenarios(specs, sub, params, sigma_b_ratio, threads=1)
+            got = run_scenarios(specs, sub, params, sigma_b_ratio, threads=1, **protocol)
             if error is not None:
                 with pytest.raises(SimulationError) as exc:
                     list(got)

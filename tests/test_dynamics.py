@@ -181,10 +181,10 @@ def test_round_budget_defaults_to_ten_n():
 def test_run_scenarios_warns_once_on_contraction_failure():
     table = table_from_dense([[0.0, 2.0], [5.0, 0.0]])  # row-share radius 1
     sub = prepare_substrate(table, kind=OperatorKind.ROW_SHARE)
-    specs = [ScenarioSpec(name, 0.5, 1.0, master_seed=3, T_burn=0, T_stat=2, replications=2) for name in "ab"]
+    specs = [ScenarioSpec(name, 0.5, 1.0, master_seed=3) for name in "ab"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        list(run_scenarios(specs, sub, Params()))
+        list(run_scenarios(specs, sub, Params(), T_burn=0, T_stat=2, replications=2))
     assert [str(w.message).startswith("contraction check failed") for w in caught] == [True]
     assert caught[0].category is RuntimeWarning
 

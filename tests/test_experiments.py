@@ -99,10 +99,23 @@ def test_scenario_spec_validation():
             ScenarioSpec("x", bad, 1.0, 5).validate()
         with pytest.raises(ValueError, match="sigma_D"):
             ScenarioSpec("x", 1.0, bad, 5).validate()
-    with pytest.raises(ValueError):
-        ScenarioSpec("x", 1.0, 1.0, 5, T_stat=0).validate()
-    with pytest.raises(ValueError):
-        ScenarioSpec("x", 1.0, 1.0, 5, replications=0).validate()
+
+
+@pytest.mark.parametrize(
+    "T_burn,T_stat,replications,message",
+    [
+        (0, 0, 1, "bad protocol: T_burn=0, T_stat=0"),
+        (-1, 5, 1, "bad protocol: T_burn=-1, T_stat=5"),
+        (0, 5, 0, "replications must be >= 1, got 0"),
+    ],
+    ids=["T_stat", "T_burn", "replications"],
+)
+def test_run_scenarios_validates_the_protocol(small_substrate, T_burn, T_stat, replications, message):
+    # once per call, with or without specs
+    protocol = {"T_burn": T_burn, "T_stat": T_stat, "replications": replications}
+    for specs in ([ScenarioSpec("x", 1.0, 1.0, 5)], []):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_scenarios(specs, small_substrate, Params(), **protocol)
 
 
 def test_phase_grid_spec_validation():
@@ -142,8 +155,8 @@ def test_make_cell_stats_single_replication_zero_se():
 
 
 def test_run_scenario_protocol(small_substrate):
-    spec = ScenarioSpec("probe", 1.0, 1.5, master_seed=42, T_burn=10, T_stat=30, replications=4)
-    (res,) = run_scenarios([spec], small_substrate, Params())
+    spec = ScenarioSpec("probe", 1.0, 1.5, master_seed=42)
+    (res,) = run_scenarios([spec], small_substrate, Params(), T_burn=10, T_stat=30, replications=4)
     assert res.name == "probe"
     assert res.stats.n_obs == 4 * 30
     assert res.series.shape == res.B_realised.shape == res.relax_rounds.shape == (4, 30)
@@ -151,17 +164,18 @@ def test_run_scenario_protocol(small_substrate):
 
 
 def test_run_scenario_deterministic(small_substrate):
-    spec = ScenarioSpec("probe", 1.0, 1.5, master_seed=42, T_burn=5, T_stat=20, replications=3)
-    (a,) = run_scenarios([spec], small_substrate, Params())
-    (b,) = run_scenarios([spec], small_substrate, Params())
+    spec = ScenarioSpec("probe", 1.0, 1.5, master_seed=42)
+    (a,) = run_scenarios([spec], small_substrate, Params(), T_burn=5, T_stat=20, replications=3)
+    (b,) = run_scenarios([spec], small_substrate, Params(), T_burn=5, T_stat=20, replications=3)
     assert a.stats == b.stats
 
 
 def test_run_scenario_parallel_matches_serial(small_substrate):
-    spec = ScenarioSpec("probe", 1.2, 1.5, master_seed=31, T_burn=5, T_stat=20, replications=4)
-    (serial,) = run_scenarios([spec], small_substrate, Params(), threads=1)
+    spec = ScenarioSpec("probe", 1.2, 1.5, master_seed=31)
+    protocol = {"T_burn": 5, "T_stat": 20, "replications": 4}
+    (serial,) = run_scenarios([spec], small_substrate, Params(), threads=1, **protocol)
     # two workers split the one spec into two tasks, joined again in order
-    (parallel,) = run_scenarios([spec], small_substrate, Params(), threads=2)
+    (parallel,) = run_scenarios([spec], small_substrate, Params(), threads=2, **protocol)
     assert serial.stats == parallel.stats
     for field in ("series", "B_realised", "relax_rounds"):
         a, b = getattr(serial, field), getattr(parallel, field)
@@ -171,15 +185,16 @@ def test_run_scenario_parallel_matches_serial(small_substrate):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_scenarios_equals_run_scenario_per_spec(small_substrate, threads):
-    specs = preset_scenarios(17, T_burn=5, T_stat=15, replications=3, names=["latent", "avalanche"])
-    specs.append(ScenarioSpec("extra", 1.1, 1.9, master_seed=23, T_burn=2, T_stat=10, replications=2))
-    together = list(run_scenarios(specs, small_substrate, Params(), threads=threads))
+    specs = preset_scenarios(17, names=["latent", "avalanche"])
+    specs.append(ScenarioSpec("extra", 1.1, 1.9, master_seed=23))
+    protocol = {"T_burn": 5, "T_stat": 15, "replications": 3}
+    together = list(run_scenarios(specs, small_substrate, Params(), threads=threads, **protocol))
     assert [r.name for r in together] == [s.name for s in specs]
     for spec, got in zip(specs, together):
-        (want,) = run_scenarios([spec], small_substrate, Params(), threads=1)
+        (want,) = run_scenarios([spec], small_substrate, Params(), threads=1, **protocol)
         assert got.stats == want.stats
         for field in ("series", "B_realised", "relax_rounds"):
-            assert len(getattr(got, field)) == spec.replications
+            assert len(getattr(got, field)) == 3
             for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -193,9 +208,12 @@ def test_run_scenarios_closed_early_cancels_queued_tasks(small_substrate, monkey
             super().shutdown(wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
-    quick = ScenarioSpec("quick", 0.5, 1.0, 1, T_burn=0, T_stat=2, replications=2)
-    slow = ScenarioSpec("slow", 1.35, 2.3, 2, T_burn=20, T_stat=80, replications=50)
-    results = run_scenarios([quick, slow], small_substrate, Params(), threads=2)
+    # no field and little dispersion settle at once; the avalanche preset's field keeps relaxing
+    quick = ScenarioSpec("quick", 0.0, 0.5, 1)
+    slow = ScenarioSpec("slow", 1.35, 2.3, 2)
+    results = run_scenarios(
+        [quick, slow], small_substrate, Params(), threads=2, T_burn=20, T_stat=80, replications=50
+    )
     assert next(results).name == "quick"
     results.close()  # as when writing the first result fails
     assert shutdowns == [True]
@@ -203,32 +221,32 @@ def test_run_scenarios_closed_early_cancels_queued_tasks(small_substrate, monkey
 
 def test_grid_scenarios_layout(small_substrate):
     B_values, sigmaD_values = (0.5, 1.5), (0.8, 1.6, 2.4)
-    specs = grid_scenarios(B_values, sigmaD_values, master_seed=7, T_burn=5, T_stat=15, replications=2)
+    specs = grid_scenarios(B_values, sigmaD_values, master_seed=7)
     # row-major: cell (i, j) at i * len(sigmaD_values) + j, seeded from that index
-    assert [(s.name, s.B_bar, s.sigma_D, s.master_seed) for s in specs] == [
-        (f"cell_{i}_{j}", B_values[i], sigmaD_values[j], child_seed(7, 3 * i + j))
+    assert specs == [
+        ScenarioSpec(f"cell_{i}_{j}", B_values[i], sigmaD_values[j], child_seed(7, 3 * i + j))
         for i, j in itertools.product(range(2), range(3))
     ]
-    assert {(s.T_burn, s.T_stat, s.replications) for s in specs} == {(5, 15, 2)}
-    cells = [r.stats for r in run_scenarios(specs, small_substrate, Params())]
+    results = run_scenarios(specs, small_substrate, Params(), T_burn=5, T_stat=15, replications=2)
+    cells = [r.stats for r in results]
     assert [(c.B_bar, c.sigma_D) for c in cells] == list(itertools.product(B_values, sigmaD_values))
 
 
 def test_single_cell_grid_equals_scenario(small_substrate):
     grid_seed = 555
-    (cell,) = grid_scenarios((1.0,), (1.5,), master_seed=grid_seed, T_burn=5, T_stat=25, replications=3)
-    (grid,) = run_scenarios([cell], small_substrate, Params())
-    scen = ScenarioSpec(
-        "cell", 1.0, 1.5, master_seed=child_seed(grid_seed, 0), T_burn=5, T_stat=25, replications=3
-    )
-    (res,) = run_scenarios([scen], small_substrate, Params())
+    protocol = {"T_burn": 5, "T_stat": 25, "replications": 3}
+    (cell,) = grid_scenarios((1.0,), (1.5,), master_seed=grid_seed)
+    (grid,) = run_scenarios([cell], small_substrate, Params(), **protocol)
+    scen = ScenarioSpec("cell", 1.0, 1.5, master_seed=child_seed(grid_seed, 0))
+    (res,) = run_scenarios([scen], small_substrate, Params(), **protocol)
     assert grid.stats == res.stats
 
 
 def test_grid_parallel_matches_serial(small_substrate):
-    specs = grid_scenarios((0.5, 1.5), (0.8, 2.0), master_seed=99, T_burn=5, T_stat=15, replications=2)
-    serial = [r.stats for r in run_scenarios(specs, small_substrate, Params(), threads=1)]
-    parallel = [r.stats for r in run_scenarios(specs, small_substrate, Params(), threads=2)]
+    specs = grid_scenarios((0.5, 1.5), (0.8, 2.0), master_seed=99)
+    protocol = {"T_burn": 5, "T_stat": 15, "replications": 2}
+    serial = [r.stats for r in run_scenarios(specs, small_substrate, Params(), threads=1, **protocol)]
+    parallel = [r.stats for r in run_scenarios(specs, small_substrate, Params(), threads=2, **protocol)]
     assert serial == parallel
 
 
@@ -236,14 +254,15 @@ def test_contraction_warning_names_the_callers_line():
     # the 2-cycle's row-share operator has radius 1, past the bound for beta=0.4;
     # run_scenarios warns when called, before its first result is asked for
     sub = prepare_substrate(table_from_dense([[0, 2], [5, 0]]), kind=OperatorKind.ROW_SHARE)
-    spec = ScenarioSpec("cycle", 0.5, 1.0, master_seed=3, T_burn=0, T_stat=2, replications=1)
-    grid = grid_scenarios((0.5,), (1.0,), master_seed=3, T_burn=0, T_stat=2, replications=1)
+    spec = ScenarioSpec("cycle", 0.5, 1.0, master_seed=3)
+    grid = grid_scenarios((0.5,), (1.0,), master_seed=3)
+    protocol = {"T_burn": 0, "T_stat": 2, "replications": 1}
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        results = run_scenarios([spec], sub, Params())
+        results = run_scenarios([spec], sub, Params(), **protocol)
         assert [x.filename for x in w] == [__file__]
         list(results)
-        list(run_scenarios(grid, sub, Params()))
+        list(run_scenarios(grid, sub, Params(), **protocol))
     assert [x.filename for x in w] == [__file__] * 2
     assert all("contraction check failed" in str(x.message) for x in w)
 
@@ -254,22 +273,24 @@ def test_contraction_warning_names_the_callers_line():
 )
 def test_engine_failure_in_pool_names_scenario_replication_period(grid, calm_first):
     # full redistribution over the share operator cannot settle in 3 rounds;
-    # calm_first runs a calm scenario (no field, one period) ahead of the failing one
+    # calm_first runs a calm scenario (no field, which settles over these five
+    # periods) ahead of the failing one
     table = synth_substrate(60, 0.15, 7, mean_leakage=0.22)
     hot = prepare_substrate(table, kind=OperatorKind.ROW_SHARE)
     params = Params(max_relax_rounds=3, redistribution_fraction=1.0)
-    spec = ScenarioSpec("hot", 6.0, 2.0, master_seed=5, T_burn=5, T_stat=20, replications=4)
+    spec = ScenarioSpec("hot", 6.0, 2.0, master_seed=5)
+    protocol = {"T_burn": 1, "T_stat": 4, "replications": 4}
     messages = []
     for threads in (1, 2):
         with pytest.raises(SimulationError) as exc:
             if grid:
-                cells = grid_scenarios((6.0,), (2.0,), master_seed=5, T_burn=5, T_stat=20, replications=4)
-                list(run_scenarios(cells, hot, params, threads=threads))
+                cells = grid_scenarios((6.0,), (2.0,), master_seed=5)
+                list(run_scenarios(cells, hot, params, threads=threads, **protocol))
             elif calm_first:
-                calm = ScenarioSpec("calm", 0.0, 1.0, master_seed=4, T_burn=0, T_stat=1, replications=2)
-                list(run_scenarios([calm, spec], hot, params, threads=threads))
+                calm = ScenarioSpec("calm", 0.0, 1.0, master_seed=4)
+                list(run_scenarios([calm, spec], hot, params, threads=threads, **protocol))
             else:
-                list(run_scenarios([spec], hot, params, threads=threads))
+                list(run_scenarios([spec], hot, params, threads=threads, **protocol))
         messages.append(str(exc.value))
     serial, parallel = messages
     name = "cell_0_0" if grid else "hot"
@@ -284,20 +305,20 @@ def test_budget_error_names_lowest_failing_replication_not_earliest_period():
     # run one by one in index order, replication 0 fails first, so its error is raised
     hot = prepare_substrate(synth_substrate(30, 0.2, 7, mean_leakage=0.22), kind=OperatorKind.ROW_SHARE)
     params = Params(max_relax_rounds=6, redistribution_fraction=0.7)
-    spec = ScenarioSpec("late", 0.2, 1.5, master_seed=16, T_burn=0, T_stat=30, replications=2)
+    spec = ScenarioSpec("late", 0.2, 1.5, master_seed=16)
     fieldmodel = FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar)
     periods, errors = [], []
-    for rep in range(spec.replications):
+    for rep in range(2):
         column = (fieldmodel, spec.sigma_D, child_seed(spec.master_seed, rep))
         with pytest.raises(RelaxationBudgetError) as exc:
-            run_batch(hot.operator, hot.exposure, params, [column], spec.T_burn + spec.T_stat)
+            run_batch(hot.operator, hot.exposure, params, [column], 30)
         periods.append(exc.value.period)
         errors.append(exc.value)
     assert periods[1] < periods[0]
     want = f"scenario 'late' replication 0 period {periods[0]}: {errors[0]} (seed {child_seed(16, 0)})"
     for threads in (1, 2):
         with pytest.raises(SimulationError) as exc:
-            list(run_scenarios([spec], hot, params, threads=threads))
+            list(run_scenarios([spec], hot, params, threads=threads, T_burn=0, T_stat=30, replications=2))
         assert str(exc.value) == want
 
 
@@ -306,15 +327,15 @@ def test_simulation_error_seed_alone_reproduces_the_failure():
     # replications 0-2 settle; replication 3, the batch's last column, fails
     hot = prepare_substrate(synth_substrate(30, 0.2, 7, mean_leakage=0.22), kind=OperatorKind.ROW_SHARE)
     params = Params(max_relax_rounds=15, redistribution_fraction=0.7)
-    spec = ScenarioSpec("mild", 0.2, 1.5, master_seed=1, T_burn=0, T_stat=30, replications=4)
+    spec = ScenarioSpec("mild", 0.2, 1.5, master_seed=1)
     with pytest.raises(SimulationError) as exc:
-        list(run_scenarios([spec], hot, params, threads=1))
+        list(run_scenarios([spec], hot, params, threads=1, T_burn=0, T_stat=30, replications=4))
     head, seed = re.fullmatch(r"(.*) \(seed (\d+)\)", str(exc.value)).groups()
     assert head.startswith("scenario 'mild' replication 3 period ")
     period = int(re.search(r" period (\d+): ", head).group(1))
     column = (FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar), spec.sigma_D, int(seed))
     with pytest.raises(RelaxationBudgetError) as alone:
-        run_batch(hot.operator, hot.exposure, params, [column], spec.T_burn + spec.T_stat)
+        run_batch(hot.operator, hot.exposure, params, [column], 30)
     assert (alone.value.column, alone.value.period) == (0, period)
     assert head.endswith(f" period {period}: {alone.value}")
 
@@ -332,8 +353,9 @@ def test_resolve_threads_precedence(monkeypatch):
 
 
 def test_convergence_report_flags(small_substrate):
-    specs = grid_scenarios((0.4, 1.8), (0.7, 2.2), master_seed=3, T_burn=10, T_stat=40, replications=4)
-    cells = [r.stats for r in run_scenarios(specs, small_substrate, Params())]
+    specs = grid_scenarios((0.4, 1.8), (0.7, 2.2), master_seed=3)
+    results = run_scenarios(specs, small_substrate, Params(), T_burn=10, T_stat=40, replications=4)
+    cells = [r.stats for r in results]
     report = convergence_report(cells)
     assert len(report) == 4
     for diag, stats in zip(report, cells):
@@ -350,41 +372,41 @@ def test_convergence_report_flags(small_substrate):
             )
 
 
-def plan_widths(specs, n_workers, n):
-    tasks, counts = experiments._plan(specs, n_workers, n)
+def plan_widths(specs, replications, n_workers, n):
+    tasks, count = experiments._plan(specs, replications, n_workers, n)
     # every replication of every spec runs once, in spec and replication order
     flat = [(spec.name, rep) for task in tasks for spec, lo, hi in task for rep in range(lo, hi)]
-    assert flat == [(spec.name, rep) for spec in specs for rep in range(spec.replications)]
-    assert sum(counts) == sum(len(task) for task in tasks)
+    assert flat == [(spec.name, rep) for spec in specs for rep in range(replications)]
+    assert count * len(specs) == sum(len(task) for task in tasks)
     return [sum(hi - lo for _, lo, hi in task) for task in tasks]
 
 
-def grid_cells(count, replications):
-    return [ScenarioSpec(f"cell_{k}", 1.0, 1.5, k, replications=replications) for k in range(count)]
+def grid_cells(count):
+    return [ScenarioSpec(f"cell_{k}", 1.0, 1.5, k) for k in range(count)]
 
 
 @pytest.mark.parametrize(
-    "specs,n_workers,n,widths",
+    "specs,replications,n_workers,n,widths",
     [
-        (preset_scenarios(0, replications=25), 1, 200, [100]),
-        (preset_scenarios(0, replications=25), 2, 200, [50, 50]),
-        (grid_cells(90, 2), 2, 200, [90, 90]),
-        (preset_scenarios(0, replications=4), 2, 2464, [8, 8]),
-        (preset_scenarios(0, replications=100), 2, 2464, [100] * 4),  # the paper protocol
+        (preset_scenarios(0), 25, 1, 200, [100]),
+        (preset_scenarios(0), 25, 2, 200, [50, 50]),
+        (grid_cells(90), 2, 2, 200, [90, 90]),
+        (preset_scenarios(0), 4, 2, 2464, [8, 8]),
+        (preset_scenarios(0), 100, 2, 2464, [100] * 4),  # the paper protocol
     ],
     ids=["n200-serial", "n200-two-workers", "grid", "n2464", "paper"],
 )
-def test_plan_packs_blocks_up_to_the_value_bound(specs, n_workers, n, widths):
-    assert plan_widths(specs, n_workers, n) == widths
+def test_plan_packs_blocks_up_to_the_value_bound(specs, replications, n_workers, n, widths):
+    assert plan_widths(specs, replications, n_workers, n) == widths
 
 
 def test_plan_keeps_every_task_within_the_bounds():
     for n, n_workers, replications in itertools.product(
         (5, 200, 700, 2464, 70_000), (1, 2, 3), (1, 2, 25, 100, 700)
     ):
-        specs = grid_cells(6, replications)
-        tasks, _ = experiments._plan(specs, n_workers, n)
-        for task, width in zip(tasks, plan_widths(specs, n_workers, n)):
+        specs = grid_cells(6)
+        tasks, _ = experiments._plan(specs, replications, n_workers, n)
+        for task, width in zip(tasks, plan_widths(specs, replications, n_workers, n)):
             if len(task) > 1:  # packed blocks stay within the cache-sized bound
                 assert width * n <= experiments._PACK_VALUES
             assert width == 1 or width * n <= experiments._MAX_BATCH_VALUES
@@ -393,8 +415,9 @@ def test_plan_keeps_every_task_within_the_bounds():
 @pytest.mark.filterwarnings("ignore:contraction check failed")
 @pytest.mark.parametrize("hot", [False, True], ids=["runs", "budget-failure"])
 def test_packing_bound_changes_no_output(monkeypatch, hot):
-    # one task per block against the default packing: the same bytes, or the same
-    # error; hot, "early" fails at an earlier period of the batch it shares with "late"
+    # one task per block against the default packing, which packs all three into
+    # one batch: the same bytes, or the same error; hot, "early" fails at an
+    # earlier period of the batch it shares with "late"
     table = synth_substrate(30, 0.2, 7, mean_leakage=0.22)
     if hot:
         sub = prepare_substrate(table, kind=OperatorKind.ROW_SHARE)
@@ -402,23 +425,23 @@ def test_packing_bound_changes_no_output(monkeypatch, hot):
     else:
         sub, params = prepare_substrate(table), Params()
     specs = [
-        ScenarioSpec("late", 0.2, 1.5, master_seed=16, T_burn=0, T_stat=30, replications=2),
-        ScenarioSpec("early", 3.0, 2.0, master_seed=4, T_burn=0, T_stat=30, replications=3),
-        ScenarioSpec("wide", 1.2, 2.0, master_seed=9, T_burn=2, T_stat=20, replications=4),
+        ScenarioSpec("late", 0.2, 1.5, master_seed=16),
+        ScenarioSpec("early", 3.0, 2.0, master_seed=4),
+        ScenarioSpec("wide", 1.2, 2.0, master_seed=9),
     ]
 
     def outcome():
         try:
             return [
                 (r.stats, [a.tobytes() for a in (*r.series, *r.B_realised, *r.relax_rounds)])
-                for r in run_scenarios(specs, sub, params, threads=1)
+                for r in run_scenarios(specs, sub, params, threads=1, T_burn=0, T_stat=30, replications=3)
             ]
         except SimulationError as err:
             return str(err)
 
     packed = outcome()
-    assert len(experiments._plan(specs, 1, sub.operator.n)[0]) == 2
+    assert len(experiments._plan(specs, 3, 1, sub.operator.n)[0]) == 1
     monkeypatch.setattr(experiments, "_PACK_VALUES", 1)
-    assert len(experiments._plan(specs, 1, sub.operator.n)[0]) == len(specs)
+    assert len(experiments._plan(specs, 3, 1, sub.operator.n)[0]) == len(specs)
     assert outcome() == packed
     assert packed.startswith("scenario 'late' replication 0 ") if hot else len(packed) == 3

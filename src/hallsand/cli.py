@@ -45,6 +45,9 @@ from .ingest import (
     DEFAULT_SYNTH_DENSITY,
     FlowPanel,
     TableError,
+    _Converted,
+    _float_or_nan,
+    _read_rows,
     parse_io_table,
     synth_substrate,
     write_io_table,
@@ -72,8 +75,9 @@ def _cells(values: list) -> list[str]:
 
 def _emit(out_dir: Path, name: str, header: tuple[str, ...], columns: list, as_json: bool) -> Path:
     """Write a table, given as one array or sequence per header name, as CSV,
-    and with as_json as a JSON list of row objects beside it. out_dir is made
-    here, so a command that fails before its first write leaves none."""
+    and with as_json as a JSON list of row objects beside it. JSON has no NaN
+    or infinity, so a non-finite float is null there. out_dir is made here,
+    so a command that fails before its first write leaves none."""
     values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -82,7 +86,8 @@ def _emit(out_dir: Path, name: str, header: tuple[str, ...], columns: list, as_j
         writer.writerow(header)
         writer.writerows(zip(*map(_cells, values), strict=True))
     if as_json:
-        payload = [dict(zip(header, row)) for row in zip(*values)]
+        finite = ([None if isinstance(v, float) and not math.isfinite(v) else v for v in c] for c in values)
+        payload = [dict(zip(header, row)) for row in zip(*finite)]
         jpath = path.with_suffix(".json")
         with open(jpath, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -136,7 +141,7 @@ def _load_table(args):
         if args.year is None:
             raise TableError("--year is required with --flows")
         return parse_io_table(args.flows, args.year, row_use_path=args.row_use)
-    if args.synth_nodes:
+    if args.synth_nodes is not None:
         _refuse_given(args, _FLOWS_ONLY, "--synth-nodes")
         given = {name: getattr(args, dest) for dest, name in _SYNTH_ONLY.items()}
         return synth_substrate(args.synth_nodes, **{k: v for k, v in given.items() if v is not None})
@@ -273,8 +278,11 @@ def cmd_network_panel(args) -> int:
         given.append(year)
     # one read of flows.csv and row_use.csv serves every year
     panel = FlowPanel(args.flows, row_use_path=args.row_use)
+    wanted = given or panel.years()
+    if not wanted:
+        raise TableError(f"{args.flows}: no rows")
     years = []
-    for year in given or panel.years():
+    for year in wanted:
         table = panel.table(year)  # one table at a time; only its values are kept
         # H_rel does not depend on the scale of B, so the panel keeps the default field
         prof = compute_exposure(
@@ -448,33 +456,21 @@ def _series_name(path: Path) -> str:
     return name
 
 
+def _size_or_none(cell) -> int | None:
+    value = _float_or_nan(cell)  # a cell float() refuses, nan and inf all fail is_integer()
+    return int(value) if value.is_integer() and abs(value) < 2**63 else None
+
+
 def _read_sizes(path: Path) -> np.ndarray:
-    if not path.exists():
-        raise TailError(f"series file not found: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or "S" not in header:
-                raise TailError(f"{path}: missing S column")
-            # of repeated header names the last counts, and rows are numbered
-            # with blank lines skipped, as csv.DictReader reads them
-            col = len(header) - 1 - header[::-1].index("S")
-            values = []
-            for k, row in enumerate(filter(None, reader), start=2):
-                text = row[col] if col < len(row) else None  # a short row reads None
-                try:
-                    value = float(text)
-                    if not value.is_integer() or abs(value) >= 2**63:  # also rejects nan and inf
-                        raise ValueError
-                except (TypeError, ValueError):
-                    raise TailError(f"{path} row {k}: bad S value {text!r}, not a 64-bit integer") from None
-                values.append(int(value))
-    except csv.Error as err:  # such as a cell longer than csv.field_size_limit()
-        raise TailError(f"{path}: {err}") from None
-    if not values:
+    """The S column of a series file, read with the rules of flows.csv."""
+    table = _read_rows(path, ("S",))
+    sizes = _Converted(*table.coded["S"], convert=_size_or_none)
+    k = sizes.first_bad
+    if k < len(table):  # data rows are numbered from 2, blank lines skipped
+        raise TailError(f"{path} row {k + 2}: bad S value {table.at('S', k)!r}, not a 64-bit integer")
+    if not len(table):
         raise TailError(f"{path}: no rows")
-    return np.asarray(values, dtype=np.int64)
+    return np.array(sizes.values, dtype=np.int64)[sizes.codes]
 
 
 def cmd_tail_fit(args) -> int:

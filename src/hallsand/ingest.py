@@ -116,7 +116,8 @@ class _Rows:
         self.coded = coded
 
     def __len__(self) -> int:
-        return len(next(iter(self.cells.values())))
+        # every table read has a coded column (year, or a series' S), not always a value column
+        return len(next(iter(self.coded.values()))[0])
 
     def at(self, column: str, rows):
         """The cells of one column at the given rows (or row)."""
@@ -184,11 +185,11 @@ def _chunks(fh, width: int, picks: list[int]):
     """The rows after the header, _CHUNK_ROWS at a time, as the picked columns' cells.
 
     A chunk is split at commas when it is plain: no quote, CR or NUL, one
-    comma fewer than width on every line (the header holds every required
-    column, so width > 1 and a blank line is never plain), and no line
-    longer than the csv field limit. From the first chunk that is not
-    plain, csv.reader reads the rest of the file, so quoted fields, blank
-    lines and short or long rows come out as csv.reader gives them.
+    comma fewer than width on every line, no blank line, and no line
+    longer than the csv field limit. A blank line has no comma, so only a
+    one-column header needs the blank-line test. From the first chunk that
+    is not plain, csv.reader reads the rest of the file, so quoted fields,
+    blank lines and short or long rows come out as csv.reader gives them.
     """
     limit = csv.field_size_limit()
     while lines := list(islice(fh, _CHUNK_ROWS)):
@@ -198,6 +199,7 @@ def _chunks(fh, width: int, picks: list[int]):
             or "\r" in text
             or "\0" in text
             or set(map(str.count, lines, repeat(","))) != {width - 1}
+            or (width == 1 and "\n" in lines)
             or max(map(len, lines)) > limit
         ):
             break
@@ -214,21 +216,21 @@ def _chunks(fh, width: int, picks: list[int]):
         yield [columns[k] if columns else () for k in picks]
 
 
-def _value_error(raw, path: Path, line: int, column: str) -> TableError:
-    """The error for a value cell that float() refuses, or that is non-finite or negative."""
+def _value_fault(raw, column: str) -> str:
+    """What is wrong with a value cell that float() refuses, or that is non-finite or negative."""
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        return TableError(f"{path} row {line}: non-numeric {column} {raw!r}")
+        return f"non-numeric {column} {raw!r}"
     if not math.isfinite(value):
-        return TableError(f"{path} row {line}: non-finite {column} {raw!r}")
-    return TableError(f"{path} row {line}: negative {column} {value}")
+        return f"non-finite {column} {raw!r}"
+    return f"negative {column} {value}"
 
 
 def _floats(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cells as floats, and where each one fails the value checks.
 
-    A cell float() refuses reads NaN, so it fails them too; _value_error
+    A cell float() refuses reads NaN, so it fails them too; _value_fault
     tells the three failures apart for the message.
     """
     cells = cells.tolist()
@@ -253,29 +255,51 @@ def _int_or_none(cell) -> int | None:
         return None
 
 
-class _Years:
-    """A coded year column, converted with int() once per distinct cell."""
+class _Converted:
+    """A coded column, converted once per distinct cell.
 
-    def __init__(self, codes: np.ndarray, distinct: np.ndarray):
-        self._codes = codes
-        self.values = [_int_or_none(cell) for cell in distinct.tolist()]
+    convert returns None for a cell it refuses.
+    """
+
+    def __init__(self, codes: np.ndarray, distinct: np.ndarray, convert=_int_or_none):
+        self.codes = codes
+        self.values = [convert(cell) for cell in distinct.tolist()]
         bad = np.flatnonzero(self._of([v is None for v in self.values]))
-        # the first row whose year int() refuses, len(codes) if none
+        # the first row whose cell convert refuses, len(codes) if none
         self.first_bad = int(bad[0]) if bad.size else len(codes)
 
     def _of(self, per_distinct: list[bool]) -> np.ndarray:
-        return np.array(per_distinct, dtype=bool)[self._codes]
+        return np.array(per_distinct, dtype=bool)[self.codes]
 
-    def rows(self, year: int) -> np.ndarray:
-        """The rows of one year, ascending."""
-        return np.flatnonzero(self._of([v is not None and v == year for v in self.values]))
+    def rows(self, value) -> np.ndarray:
+        """The rows whose cell converts to value, ascending."""
+        return np.flatnonzero(self._of([v is not None and v == value for v in self.values]))
 
 
-def _first_failure(rows: np.ndarray, bad: np.ndarray, first_bad_year: int) -> int:
-    """The first row that fails a check: one of rows flagged in bad, or the first bad year."""
-    if bad.any():
-        return min(int(rows[np.argmax(bad)]), first_bad_year)
-    return first_bad_year
+def _refuse_first(table: _Rows, path, years: _Converted, rows: np.ndarray, checks: list) -> None:
+    """Raise TableError naming a table's first bad row, if it has one.
+
+    A bad year fails on any row of the file. checks is an ordered list of
+    (flags, fault): flags marks bad rows among rows, and fault(k) says what
+    is wrong with rows[k]. The first row flagged is named, with the fault of
+    the first check that flags it.
+    """
+    flagged = [int(rows[np.argmax(flags)]) for flags, _ in checks if flags.any()]
+    first = min([years.first_bad, *flagged])
+    if first == len(table):
+        return
+    if first == years.first_bad:
+        fault = f"bad year {table.at('year', first)!r}"
+    else:
+        k = int(np.searchsorted(rows, first))
+        fault = next(say for flags, say in checks if flags[k])(k)
+    raise TableError(f"{path} row {table.line(first)}: {fault}")
+
+
+def _missing(table: _Rows, column: str, rows: np.ndarray) -> np.ndarray:
+    """Where a label column is None at rows: a short row reads None in its missing cells."""
+    codes, distinct = table.coded[column]
+    return np.equal(distinct, None)[codes[rows]]
 
 
 class FlowPanel:
@@ -291,18 +315,16 @@ class FlowPanel:
         self._given = path  # list_years names the path as it was given
         self.path = Path(path)
         self._flows = _read_rows(self.path, FLOWS_COLUMNS)
-        self._years = _Years(*self._flows.coded["year"])
+        self._years = _Converted(*self._flows.coded["year"])
         if row_use_path is None:
             sibling = self.path.with_name("row_use.csv")
             row_use_path = sibling if sibling.exists() else None
         self.row_use_path = None if row_use_path is None else Path(row_use_path)
-        self._row_use: tuple[_Rows, _Years] | None = None
+        self._row_use: tuple[_Rows, _Converted] | None = None
 
     def years(self) -> list[int]:
         """Distinct years present, ascending."""
-        first, flows = self._years.first_bad, self._flows
-        if first < len(flows):
-            raise TableError(f"{self._given} row {flows.line(first)}: bad year {flows.at('year', first)!r}")
+        _refuse_first(self._flows, self._given, self._years, np.empty(0, np.intp), [])
         return sorted(set(self._years.values))
 
     def table(self, year: int) -> IOTable:
@@ -310,19 +332,9 @@ class FlowPanel:
         path, flows = self.path, self._flows
         rows = self._years.rows(year)
         values, bad = _floats(flows.cells["value"][rows])
-        # a short row reads None in its missing cells
-        missing = [np.equal(flows.coded[c][1], None)[flows.coded[c][0][rows]] for c in _LABEL_COLUMNS]
-        # a bad year fails on any row, a bad value or label only on a row of this year
-        first = _first_failure(rows, np.logical_or.reduce([bad, *missing]), self._years.first_bad)
-        if first < len(flows):
-            line = flows.line(first)
-            if first == self._years.first_bad:
-                raise TableError(f"{path} row {line}: bad year {flows.at('year', first)!r}")
-            k = int(np.searchsorted(rows, first))
-            if bad[k]:
-                raise _value_error(flows.at("value", first), path, line, "value")
-            column = next(c for c, flags in zip(_LABEL_COLUMNS, missing) if flags[k])
-            raise TableError(f"{path} row {line}: missing {column}")
+        checks = [(bad, lambda k: _value_fault(flows.at("value", rows[k]), "value"))]
+        checks += [(_missing(flows, c, rows), lambda k, c=c: f"missing {c}") for c in _LABEL_COLUMNS]
+        _refuse_first(flows, path, self._years, rows, checks)
         if not rows.size:
             raise TableError(f"{path}: no edges for year {year}")
 
@@ -333,13 +345,10 @@ class FlowPanel:
         j = np.searchsorted(keys, dst)
         country, sector = np.divmod(keys, len(sectors))
         nodes = tuple(map(NodeId, countries[country].tolist(), sectors[sector].tolist(), range(n)))
-        duplicate = _repeats(i * n + j)
-        if duplicate.any():
-            k = int(np.argmax(duplicate))
-            raise TableError(
-                f"{path} row {flows.line(int(rows[k]))}: duplicate flow {nodes[i[k]].label} -> "
-                f"{nodes[j[k]].label} for year {year}"
-            )
+        _refuse_first(flows, path, self._years, rows, [
+            (_repeats(i * n + j), lambda k: f"duplicate flow {nodes[i[k]].label} -> "
+                                            f"{nodes[j[k]].label} for year {year}"),
+        ])
 
         Z = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
         Z.sort_indices()
@@ -355,7 +364,7 @@ class FlowPanel:
         """Gross row use per node from the row-use file; nodes it leaves out keep their outflows."""
         if self._row_use is None:
             table = _read_rows(self.row_use_path, ROW_USE_COLUMNS)
-            self._row_use = (table, _Years(*table.coded["year"]))
+            self._row_use = (table, _Converted(*table.coded["year"]))
         table, years = self._row_use
         path = self.row_use_path
         rows = years.rows(year)
@@ -368,26 +377,17 @@ class FlowPanel:
         out = outflows[np.maximum(node, 0)]
         # Gross row use bounds intermediate outflows from above; allow float fuzz.
         below = gross < out * (1.0 - 1e-12) - 1e-12
-        first = _first_failure(rows, unknown | duplicate | bad_value | below, years.first_bad)
-        if first < len(table):
-            line = table.line(first)
-            if first == years.first_bad:
-                raise TableError(f"{path} row {line}: bad year {table.at('year', first)!r}")
-            k = int(np.searchsorted(rows, first))
-            c, s = keys[k]
-            # a short row reads None in its missing cells, which names no node
-            if c is None or s is None:
-                raise TableError(f"{path} row {line}: missing {'country' if c is None else 'sector'}")
-            if unknown[k]:
-                raise TableError(f"{path} row {line}: unknown node {c}_{s} for year {year}")
-            if duplicate[k]:
-                raise TableError(f"{path} row {line}: duplicate row-use entry for {c}_{s}")
-            if bad_value[k]:
-                raise _value_error(table.at("gross_use", first), path, line, "gross_use")
-            raise TableError(
-                f"{path} row {line}: gross_use {float(gross[k])} below outflow total "
-                f"{outflows[node[k]]} for {c}_{s}"
-            )
+        label = "{}_{}".format
+        # a missing country or sector names no node, so its row is unknown too
+        _refuse_first(table, path, years, rows, [
+            (_missing(table, "country", rows), lambda k: "missing country"),
+            (_missing(table, "sector", rows), lambda k: "missing sector"),
+            (unknown, lambda k: f"unknown node {label(*keys[k])} for year {year}"),
+            (duplicate, lambda k: f"duplicate row-use entry for {label(*keys[k])}"),
+            (bad_value, lambda k: _value_fault(table.at("gross_use", rows[k]), "gross_use")),
+            (below, lambda k: f"gross_use {float(gross[k])} below outflow total "
+                              f"{outflows[node[k]]} for {label(*keys[k])}"),
+        ])
         row_use = outflows.copy()
         # max(gross, outflow), keeping gross on a tie
         row_use[node] = np.where(out > gross, out, gross)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -139,6 +140,29 @@ def test_network_panel_refuses_a_bad_year_before_reading(tmp_path, capsys):
     assert main([*argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "error: --years: bad year 'abc'\n"
     assert not out.exists()
+
+
+def test_network_panel_refuses_a_flows_file_with_no_rows(tmp_path, capsys):
+    # blank lines are no rows; ingest refuses the same file with "no edges for year"
+    flows = tmp_path / "flows.csv"
+    flows.write_text(",".join(ingest.FLOWS_COLUMNS) + "\n\n")
+    out = tmp_path / "panel"
+    assert main(["network-panel", "--flows", str(flows), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flows}: no rows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "header,column",
+    [("year,gross_use,sector,country", "country"), ("year,gross_use,country,sector", "sector")],
+)
+def test_ingest_names_the_label_a_short_row_use_row_leaves_out(tmp_path, capsys, header, column):
+    flows = tmp_path / "flows.csv"
+    flows.write_text(",".join(ingest.FLOWS_COLUMNS) + "\n2014,USA,USA,DEU,MAN,3.0\n")
+    uses = tmp_path / "uses.csv"
+    uses.write_text(f"{header}\n2014,4.0,USA,USA\n2014,5.0,USA\n")  # one node, named USA_USA
+    assert main(["ingest", "--flows", str(flows), "--year", "2014", "--row-use", str(uses)]) == 1
+    assert capsys.readouterr().err == f"error: {uses} row 3: missing {column}\n"
 
 
 def test_exposure_outputs(substrate_dir, tmp_path):
@@ -465,6 +489,26 @@ def test_tail_fit_empty_exit_1(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sizes,extra,nulls",
+    [(range(1, 40), ["--x-min", "3"], ["ks"]), ([0, 0, 5], [], ["alpha", "ks"])],
+    ids=["fixed-cutoff", "single-sample"],
+)
+def test_tail_fit_json_writes_null_where_the_csv_has_nan(tmp_path, sizes, extra, nulls):
+    series = tmp_path / "avalanches_x.csv"
+    series.write_text("replication,period,S\n" + "".join(f"0,{t},{s}\n" for t, s in enumerate(sizes)))
+    out = tmp_path / "out"
+    assert main(["tail-fit", str(series), *extra, "--json", "--out-dir", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    (fit,) = json.loads((out / "tail_fits.json").read_text(), parse_constant=refuse)
+    (row,) = read_rows(out / "tail_fits.csv")
+    assert [k for k, v in fit.items() if v is None] == nulls
+    assert all(row[k] == "nan" for k in nulls)
+
+
 @pytest.mark.parametrize("min_tail", ["0", "-1"])
 def test_tail_fit_checks_min_tail_at_a_fixed_cutoff_too(tmp_path, capsys, min_tail):
     series = tmp_path / "avalanches_x.csv"
@@ -700,6 +744,18 @@ def test_substrate_flag_of_the_other_substrate_exit_1(substrate_dir, tmp_path, c
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [([], "n must be in [2, 17576], got 0"), (["--year", "2014"], "--year does not apply to a --synth-nodes substrate")],
+    ids=["alone", "with-year"],
+)
+def test_synth_nodes_0_is_a_synthetic_substrate(tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    assert main(["exposure", "--synth-nodes", "0", *extra, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_synth_flags_left_out_take_the_library_defaults(tmp_path):
     given = tmp_path / "given"
     argv = ["exposure", "--synth-nodes", "20"]
@@ -841,6 +897,8 @@ def old_emit(path, header, rows, as_json):
         for row in rows:
             writer.writerow([old_fmt(v) for v in row])
     if as_json:
+        # JSON has no NaN or infinity: the mirror writes null where the CSV has nan
+        rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
         with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
             json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
             fh.write("\n")

@@ -152,19 +152,6 @@ def test_network_panel_refuses_a_flows_file_with_no_rows(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "header,column",
-    [("year,gross_use,sector,country", "country"), ("year,gross_use,country,sector", "sector")],
-)
-def test_ingest_names_the_label_a_short_row_use_row_leaves_out(tmp_path, capsys, header, column):
-    flows = tmp_path / "flows.csv"
-    flows.write_text(",".join(ingest.FLOWS_COLUMNS) + "\n2014,USA,USA,DEU,MAN,3.0\n")
-    uses = tmp_path / "uses.csv"
-    uses.write_text(f"{header}\n2014,4.0,USA,USA\n2014,5.0,USA\n")  # one node, named USA_USA
-    assert main(["ingest", "--flows", str(flows), "--year", "2014", "--row-use", str(uses)]) == 1
-    assert capsys.readouterr().err == f"error: {uses} row 3: missing {column}\n"
-
-
 def test_exposure_outputs(substrate_dir, tmp_path):
     out = tmp_path / "expo"
     code = main(

@@ -7,23 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .exposure import ExposureProfile
 from .operators import PropagationOperator
-
-# A relaxation round multiplies only the rows of A that toppled, A[J].T, when
-# that skips more than this many nonzero-column products, (nnz(A) - nnz(A[J]))
-# * columns. Measured on a 2-CPU Xeon: a sliced round pays 110-240 us whatever
-# J holds (scipy's row indexing of A[J], its CSC view, the gathers of the
-# toppled rows), and a full product through A's CSC view 0.5-0.75 ns per
-# nonzero per column (0.5 at n = 200 with 64-100 columns, 0.7 at n = 2464 with
-# 8). So the slice wins past about 300k-400k skipped products, and every round
-# on a 200-node table of 3,924 nonzeros with up to 100 columns stays on the
-# full product. At n = 2464 (3.03M nonzeros) rounds topple under 3% of the
-# rows and skip millions of products; the copy of A[J], about 2.6 ns per kept
-# nonzero, is not charged, and outweighs the saving only past 70% of the rows.
-_SLICE_MIN_SKIPPED = 400_000
-
 
 @dataclass
 class Params:
@@ -172,78 +159,63 @@ def _update(
     return S_new, B_t
 
 
-def _toppled_rows(A: sparse.csr_matrix, over: np.ndarray) -> np.ndarray | None:
-    """The rows of A that toppled in any column of over, when a product over
-    them alone skips more than _SLICE_MIN_SKIPPED terms; else None."""
-    k = over.shape[1]
-    if A.nnz * k <= _SLICE_MIN_SKIPPED:
-        return None
-    J = np.flatnonzero(np.logical_or.reduce(over, axis=1))
-    kept = int((A.indptr[J + 1] - A.indptr[J]).sum())
-    return J if (A.nnz - kept) * k > _SLICE_MIN_SKIPPED else None
-
-
 def _relax_block(
     S: np.ndarray,
     A: sparse.csr_matrix,
-    At: sparse.csc_matrix,
     p: Params,
     max_rounds: int,
     toppled: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Cascade settlement of every column of the n x k block S, in place.
+    """Cascade settlement of every column of the C-contiguous n x k block S, in place.
 
     Rounds of simultaneous toppling: each over-threshold node resets to
     theta_reset and pushes redistribution_fraction of its excess to its
-    out-neighbors through the propagation operator; the rest dissipates. A
-    column that has settled stays settled, so each round makes one product
-    with the columns still over threshold: through At, the CSC view A.T, or
-    through A[J].T over the rows J that toppled (see _toppled_rows). The
-    rows it skips add exact +0.0 terms, as A >= 0 and the excess is >= 0, and
-    both products add each entry's terms in ascending source order from 0.0,
-    so the two give the same bits. Returns per-column toppling events
-    and rounds, and, when the round budget runs out, the columns still
-    unsettled with their counts of nodes over threshold (else None). Marks
-    each toppled node in the boolean block toppled, when given.
+    out-neighbors through the propagation operator; the rest dissipates. Each
+    round gathers the rows J of A that toppled in any column and makes one
+    product A[J].T @ excess[J] through scipy's own kernels, csr_row_index and
+    csc_matvecs, which add each entry's terms in ascending source order from
+    0.0: the rows it skips would add exact +0.0 terms, as A >= 0 and the
+    excess is >= 0, so it gives the bits of A.T @ excess. Returns per-column
+    toppling events and rounds, and, when the round budget runs out, the
+    columns still unsettled with their counts of nodes over threshold (else
+    None). Marks each toppled node in the boolean block toppled, when given.
     """
-    k = S.shape[1]
+    if not S.flags.c_contiguous or (toppled is not None and not toppled.flags.c_contiguous):
+        raise ValueError("relaxation needs C-contiguous stress and toppled blocks")
+    n, k = S.shape
+    stress = S.reshape(-1)  # views, as the blocks are C-contiguous
+    marks = None if toppled is None else toppled.reshape(-1)
+    indptr, indices, data = A.indptr, A.indices, A.data
     events = np.zeros(k, dtype=np.int64)
     rounds = np.zeros(k, dtype=np.int64)
-    active = np.arange(k)  # the columns of S that block holds
-    block = S
-    n_round = 0
-    while True:
-        over = block >= p.theta
-        if not over.any():
-            failed = None
-            break
-        n_over = np.add.reduce(over, axis=0)
-        busy = n_over > 0
-        if not busy.all():
-            if block is not S:
-                S[:, active] = block
-            rounds[active[~busy]] = n_round
-            active, over, n_over = active[busy], over[:, busy], n_over[busy]
-            block = S[:, active]
-        if n_round >= max_rounds:
-            failed = (active, n_over)
-            break
-        J = _toppled_rows(A, over)
-        if J is None:
-            product, excess = At, np.where(over, block - p.theta_reset, 0.0)
-        else:
-            product, excess = A[J].T, np.where(over[J], block[J] - p.theta_reset, 0.0)
-        block[over] = p.theta_reset
-        block += product @ (p.redistribution_fraction * excess)
-        events[active] += n_over
-        if toppled is not None:
-            toppled[:, active] |= over
-        n_round += 1
-    if block is not S:
-        S[:, active] = block
-    if failed is None:
-        rounds[active] = n_round
-    return events, rounds, failed
+    for n_round in range(max_rounds + 1):
+        hot = np.flatnonzero(stress >= p.theta)
+        if not hot.size:
+            return events, rounds, None
+        rows, cols = np.divmod(hot, k)
+        n_over = np.bincount(cols, minlength=k)
+        if n_round == max_rounds:
+            unsettled = np.flatnonzero(n_over)
+            return events, rounds, (unsettled, n_over[unsettled])
+        events += n_over
+        rounds[cols] = n_round + 1  # a settled column receives nothing more
+        if marks is not None:
+            marks[hot] = True
+        # hot is in row-major order, so each toppled row's entries are adjacent
+        first = np.empty(rows.size, dtype=bool)
+        first[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        J = rows[first].astype(indptr.dtype)
+        excess = np.zeros((J.size, k))
+        excess[np.cumsum(first) - 1, cols] = p.redistribution_fraction * (stress[hot] - p.theta_reset)
+        stress[hot] = p.theta_reset
+        Jptr = np.zeros(J.size + 1, dtype=indptr.dtype)
+        np.cumsum(indptr[J + 1] - indptr[J], out=Jptr[1:])
+        Jind, Jdata = np.empty(Jptr[-1], dtype=indices.dtype), np.empty(Jptr[-1], dtype=data.dtype)
+        _sparsetools.csr_row_index(J.size, J, indptr, indices, data, Jind, Jdata)
+        pushed = np.zeros((n, k))
+        _sparsetools.csc_matvecs(n, J.size, k, Jptr, Jind, Jdata, excess.reshape(-1), pushed.reshape(-1))
+        S += pushed
 
 
 def run_batch(
@@ -289,7 +261,7 @@ def run_batch(
     for t in range(periods):
         S, B_t = _update(S, rngs, B_bar, sigma_B, At, exposure.I, denom, p)
         toppled = np.zeros(S.shape, dtype=bool) if p.count_unique else None
-        events, n_rounds, failed = _relax_block(S, A, At, p, max_rounds, toppled)
+        events, n_rounds, failed = _relax_block(S, A, p, max_rounds, toppled)
         if failure is None and t >= keep_from:
             sizes[:, t - keep_from] = events if toppled is None else np.add.reduce(toppled, axis=0)
             fields[:, t - keep_from] = B_t

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from unittest import mock
 
@@ -20,19 +19,6 @@ else:
     # the same examples on every run, and no example database left behind
     settings.register_profile("hallsand", derandomize=True, database=None, deadline=None)
     settings.load_profile("hallsand")
-
-
-# Values of the relaxation cost rule's threshold that put every round on one
-# product: over the toppled rows only, A[J].T, or over all of A through A.T.
-FORCE_SLICED, FORCE_FULL = -1, math.inf
-
-
-def relaxation_products(threshold):
-    """Run the engine with the given relaxation threshold, inside a with block.
-
-    A context manager, not a fixture: hypothesis tests call it in their body.
-    """
-    return mock.patch.object(dynamics, "_SLICE_MIN_SKIPPED", threshold)
 
 
 @contextmanager

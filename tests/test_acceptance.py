@@ -44,7 +44,7 @@ from hallsand.operators import (
 )
 from hallsand.tail import fit_alpha, select_xmin
 
-from conftest import FORCE_FULL, FORCE_SLICED, powerlaw_samples, relaxation_products, settled_stress
+from conftest import powerlaw_samples, settled_stress
 from scalar_oracle import ScalarLoopEngine
 
 
@@ -171,24 +171,18 @@ def test_criterion_4_engine_matches_scalar_loop():
             sub.operator, sub.exposure, params, sigma_D=sigma_D, seed=seed
         )
         expected = oracle.run(B_bar, 0.10 * B_bar, 50)
-        # n <= 6 is too small for the cost rule to slice a relaxation round,
-        # so the engine runs once with each product forced
-        for threshold in (FORCE_SLICED, FORCE_FULL):
-            with relaxation_products(threshold), settled_stress() as blocks:
-                sizes, _, _ = run_batch(
-                    sub.operator, sub.exposure, params, [(FieldModel(B_bar, 0.10 * B_bar), sigma_D, seed)], 50
-                )
-            if sizes[0].tolist() != expected or not np.array_equal(
-                blocks[-1][:, 0], np.asarray(oracle.s)
-            ):
-                mismatched += 1
+        with settled_stress() as blocks:
+            sizes, _, _ = run_batch(
+                sub.operator, sub.exposure, params, [(FieldModel(B_bar, 0.10 * B_bar), sigma_D, seed)], 50
+            )
+        if sizes[0].tolist() != expected or not np.array_equal(blocks[-1][:, 0], np.asarray(oracle.s)):
+            mismatched += 1
     ok = mismatched == 0
     line = _report(
         4,
         ok,
-        "100 seeded runs x 50 periods (n <= 6), each with relaxation over the "
-        f"toppled rows and over all rows: {mismatched} runs deviate from the "
-        "scalar-loop reference",
+        f"100 seeded runs x 50 periods (n <= 6): {mismatched} runs deviate from "
+        "the scalar-loop reference",
     )
     assert ok, line
 

@@ -3,9 +3,7 @@
 run_scenarios runs each task's replications as one stress block; every
 replication must equal, bit for bit, its own one-column run_batch and the
 scalar-loop reference engine, and a failing run must report the error that
-running the replications one by one, in order, meets first. The batch runs
-twice: with every relaxation round over the toppled rows of A only, and with
-every round over all of A.
+running the replications one by one, in order, meets first.
 """
 
 import numpy as np
@@ -26,7 +24,7 @@ from hallsand.experiments import (  # noqa: E402
 from hallsand.ingest import synth_substrate  # noqa: E402
 from hallsand.operators import OperatorKind  # noqa: E402
 
-from conftest import FORCE_FULL, FORCE_SLICED, relaxation_products, settled_stress  # noqa: E402
+from conftest import settled_stress  # noqa: E402
 from scalar_oracle import ScalarLoopEngine  # noqa: E402
 
 
@@ -91,20 +89,16 @@ def one_by_one(sub, params, specs, sigma_b_ratio, T_burn, T_stat, replications):
 def test_run_scenarios_equals_replications_one_by_one(case):
     sub, params, specs, sigma_b_ratio, protocol = case
     want, error = one_by_one(sub, params, specs, sigma_b_ratio, **protocol)
-    # the drawn substrates are too small for the cost rule to slice a round,
-    # so each relaxation product is forced in turn
-    for threshold in (FORCE_SLICED, FORCE_FULL):
-        with relaxation_products(threshold):
-            got = run_scenarios(specs, sub, params, sigma_b_ratio, threads=1, **protocol)
-            if error is not None:
-                with pytest.raises(SimulationError) as exc:
-                    list(got)
-                assert str(exc.value) == error
-                continue
-            for result, series in zip(got, want, strict=True):
-                for k, field in enumerate(("series", "B_realised", "relax_rounds")):
-                    rows = getattr(result, field)
-                    assert len(rows) == len(series)
-                    for row, expected in zip(rows, series):
-                        assert row.dtype == expected[k].dtype
-                        assert row.tobytes() == expected[k].tobytes()
+    got = run_scenarios(specs, sub, params, sigma_b_ratio, threads=1, **protocol)
+    if error is not None:
+        with pytest.raises(SimulationError) as exc:
+            list(got)
+        assert str(exc.value) == error
+        return
+    for result, series in zip(got, want, strict=True):
+        for k, field in enumerate(("series", "B_realised", "relax_rounds")):
+            rows = getattr(result, field)
+            assert len(rows) == len(series)
+            for row, expected in zip(rows, series):
+                assert row.dtype == expected[k].dtype
+                assert row.tobytes() == expected[k].tobytes()

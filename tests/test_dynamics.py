@@ -3,12 +3,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hallsand
 
+from hallsand import dynamics
 from hallsand.dynamics import (
     FieldModel,
     Params,
@@ -28,7 +30,7 @@ from hallsand.exposure import compute_exposure
 from hallsand.ingest import synth_substrate
 from hallsand.operators import OperatorKind, build_operator
 
-from conftest import FORCE_FULL, FORCE_SLICED, relaxation_products, settled_stress, table_from_dense
+from conftest import settled_stress, table_from_dense
 from scalar_oracle import ScalarLoopEngine
 
 
@@ -36,35 +38,83 @@ def make_pair(table, kind=OperatorKind.LEAKAGE_ADJUSTED):
     return build_operator(table, kind), compute_exposure(table)
 
 
+def relax_over_all_rows(S, A, p):
+    """The relaxation rule with every round through scipy's public A.T over all of A, in place."""
+    while (over := S >= p.theta).any():
+        excess = np.where(over, S - p.theta_reset, 0.0)
+        S[over] = p.theta_reset
+        S += A.T @ (p.redistribution_fraction * excess)
+
+
 @pytest.mark.parametrize("count_unique", [False, True])
 @pytest.mark.parametrize("kind", [OperatorKind.LEAKAGE_ADJUSTED, OperatorKind.ROW_SHARE])
 def test_both_relaxation_products_give_the_same_bytes(kind, count_unique):
     # a dense 300-node operator whose rounds topple few of its rows, so the
     # product over the toppled rows skips most of A; theta_reset > 0 leaves
-    # the toppled rows' stress nonzero
+    # the toppled rows' stress nonzero. Every period's relaxation must settle
+    # to the bytes of one whose rounds multiply all of A.
     operator, exposure = make_pair(synth_substrate(300, 0.5, 6), kind)
+    A = operator.matrix
     params = Params(theta_reset=0.2, redistribution_fraction=0.9, count_unique=count_unique)
     columns = [(FieldModel(1.2, 0.12), 1.0, 11), (FieldModel(1.6, 0.16), 2.0, 12), (FieldModel(0.9, 0.09), 0.6, 13)]
-    runs = []
-    for threshold in (FORCE_SLICED, FORCE_FULL):
-        with relaxation_products(threshold):
-            runs.append(run_batch(operator, exposure, params, columns, 12, keep_from=2))
-    sliced, full = runs
-    for got, want in zip(sliced, full, strict=True):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-    sizes, _, rounds = full
+    relax_block = dynamics._relax_block
+    periods = []
+
+    def against_all_rows(S, *args):
+        want = S.copy()
+        relax_over_all_rows(want, A, params)
+        result = relax_block(S, *args)
+        periods.append(S.tobytes() == want.tobytes())
+        return result
+
+    with mock.patch.object(dynamics, "_relax_block", against_all_rows):
+        sizes, _, rounds = run_batch(operator, exposure, params, columns, 12, keep_from=2)
+    assert periods == [True] * 12
     assert sizes.max() > 0 and rounds.max() > 1  # cascades that spread over rounds
     # the settled stress itself, from a block with about half its nodes over
-    # threshold, whose products add many terms per entry
+    # threshold, whose products add many terms per entry, against the
+    # scalar-loop reference column by column
     S = np.random.default_rng(3).uniform(0.0, 2.0, (operator.n, 2))
-    settled = []
-    for threshold in (FORCE_SLICED, FORCE_FULL):
-        block = S.copy()
-        with relaxation_products(threshold):
-            _relax_block(block, operator.matrix, operator.matrix.T, params, 3000)
-        settled.append(block.tobytes())
-    assert settled[0] == settled[1]
+    block = S.copy()
+    toppled = np.zeros(S.shape, dtype=bool)
+    events, n_rounds, failed = _relax_block(block, A, params, 3000, toppled)
+    assert failed is None
+    oracle = ScalarLoopEngine(operator, exposure, params)
+    for c in range(S.shape[1]):
+        oracle.s = S[:, c].tolist()
+        assert oracle._relax() == (events[c], set(np.flatnonzero(toppled[:, c]).tolist()), n_rounds[c])
+        assert block[:, c].tobytes() == np.array(oracle.s).tobytes()
+
+
+def test_relaxation_refuses_a_block_that_is_not_c_contiguous():
+    # a flat view of a Fortran-ordered block would be a silent copy, so the
+    # rounds would settle the copy and leave the caller's block unchanged
+    operator, _ = make_pair(table_from_dense([[0.0, 1.0], [0.0, 0.0]]), OperatorKind.ROW_SHARE)
+    S = np.asfortranarray(np.full((2, 2), 2.0))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _relax_block(S, operator.matrix, Params(), 20)
+    toppled = np.zeros((2, 2), dtype=bool, order="F")
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _relax_block(np.ascontiguousarray(S), operator.matrix, Params(), 20, toppled)
+    assert (S == 2.0).all() and not toppled.any()
+
+
+def test_stress_exactly_on_theta_topples():
+    # node 0 feeds node 1 only; node 1 sits exactly on theta and node 0 one
+    # ulp below it, so node 1 alone topples, in the engine and in the reference
+    operator, exposure = make_pair(table_from_dense([[0.0, 1.0], [0.0, 0.0]]), OperatorKind.ROW_SHARE)
+    params = Params(theta=0.75, theta_reset=0.125)
+    below = np.nextafter(params.theta, 0.0)
+    S = np.array([[below], [params.theta]])
+    toppled = np.zeros(S.shape, dtype=bool)
+    events, rounds, failed = _relax_block(S, operator.matrix, params, 20, toppled)
+    assert (events.tolist(), rounds.tolist(), failed) == ([1], [1], None)
+    assert toppled[:, 0].tolist() == [False, True]
+    assert S[:, 0].tolist() == [below, params.theta_reset]
+    oracle = ScalarLoopEngine(operator, exposure, params)
+    oracle.s = [below, params.theta]
+    assert oracle._relax() == (1, {1}, 1)
+    assert oracle.s == [below, params.theta_reset]
 
 
 def test_public_names_are_pinned():
@@ -239,9 +289,7 @@ def test_relax_chain_trace():
     params = Params()
     S = np.array([[2.0], [0.9]])
     toppled = np.zeros(S.shape, dtype=bool)
-    events, rounds, failed = _relax_block(
-        S, op.matrix, op.matrix.T, params, 20, toppled
-    )
+    events, rounds, failed = _relax_block(S, op.matrix, params, 20, toppled)
     assert failed is None
     assert events.tolist() == [2]
     assert set(np.flatnonzero(toppled).tolist()) == {0, 1}

@@ -372,6 +372,22 @@ def test_convergence_report_flags(small_substrate):
             )
 
 
+@pytest.mark.parametrize(
+    "regime, mean_S, se_mean_S",
+    [(RegimeLabel.ABSORPTION, 0.01, 0.02), (RegimeLabel.AVALANCHE, 1.0, 0.05)],
+)
+def test_convergence_report_bound_is_strict(regime, mean_S, se_mean_S):
+    # a cell exactly on its bound is out of it; one ulp below is within it
+    def cell(se):
+        return CellStats(1.0, 1.0, mean_S, se, 0.5, {}, 1.0, 2.0, 3.0, 4, 100, regime)
+
+    on, below = convergence_report([cell(se_mean_S), cell(np.nextafter(se_mean_S, 0.0))])
+    if regime is not RegimeLabel.ABSORPTION:
+        assert on.se_over_mean == 0.05
+    assert not on.within_bounds
+    assert below.within_bounds
+
+
 def plan_widths(specs, replications, n_workers, n):
     tasks, count = experiments._plan(specs, replications, n_workers, n)
     # every replication of every spec runs once, in spec and replication order

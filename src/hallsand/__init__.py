@@ -29,13 +29,7 @@ from .experiments import (
     preset_scenarios,
     run_scenarios,
 )
-from .exposure import (
-    ExposureProfile,
-    ExposureRank,
-    compute_exposure,
-    hall_stress,
-    rank_exposure,
-)
+from .exposure import ExposureProfile, compute_exposure
 from .ingest import (
     FlowPanel,
     IOTable,
@@ -47,7 +41,6 @@ from .ingest import (
     write_io_table,
 )
 from .operators import (
-    LeakageProfile,
     OperatorKind,
     PropagationOperator,
     SpectralConvergenceError,

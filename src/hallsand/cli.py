@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, load_config, section_for
 from .dynamics import Params
-from .exposure import DEFAULT_EPSILON, DEFAULT_FIELD, DEFAULT_FLOOR, compute_exposure, rank_exposure
+from .exposure import DEFAULT_EPSILON, DEFAULT_FIELD, DEFAULT_FLOOR, compute_exposure
 from .experiments import (
     DEFAULT_B_AXIS,
     DEFAULT_GRID_REPLICATIONS,
@@ -47,6 +47,7 @@ from .ingest import (
     TableError,
     _Converted,
     _float_or_nan,
+    _int_or_none,
     _read_rows,
     parse_io_table,
     synth_substrate,
@@ -225,10 +226,9 @@ def _add_operator_arg(p: argparse.ArgumentParser) -> None:
 
 def cmd_ingest(args) -> int:
     table = parse_io_table(args.flows, args.year, row_use_path=args.row_use)
-    leak = leakage_profile(table)
     print(
         f"year {table.year}: {table.n} nodes, {table.Z.nnz} flows, "
-        f"total {table.total_flow():.6g}, mean leakage {leak.mean_leakage:.4f}"
+        f"total {table.total_flow():.6g}, mean leakage {leakage_profile(table).mean():.4f}"
     )
     if args.out_dir is not None:
         out = Path(args.out_dir)
@@ -243,30 +243,27 @@ def cmd_synth(args) -> int:
     )
     out = Path(args.out_dir)
     write_io_table(table, out / "flows.csv", out / "row_use.csv")
-    leak = leakage_profile(table)
     print(
         f"wrote {out / 'flows.csv'}: {table.n} nodes, {table.Z.nnz} flows, "
-        f"mean leakage {leak.mean_leakage:.4f}"
+        f"mean leakage {leakage_profile(table).mean():.4f}"
     )
     return 0
 
 
 # panel.csv, one row per year's values: its spectral radii by operator kind,
-# leakage profile and H_rel
+# leak shares and H_rel
 PANEL = {
     "year": lambda y: y.year,
     "rho_share": lambda y: y.rho[OperatorKind.ROW_SHARE],
     "rho_leak": lambda y: y.rho[OperatorKind.LEAKAGE_ADJUSTED],
     "rho_max": lambda y: y.rho[OperatorKind.MAX_ROW],
-    "mean_leakage": lambda y: y.leak.mean_leakage,
+    "mean_leakage": lambda y: float(y.leak.mean()),
     "mean_Hrel": lambda y: float(y.H_rel.mean()),
     "p95_Hrel": lambda y: float(np.percentile(y.H_rel, 95)),
 }
 
 
 def cmd_network_panel(args) -> int:
-    if args.flows is None:
-        raise TableError("--flows is required")
     given = []  # the --years, checked before anything is read
     for text in args.years.split(",") if args.years else ():
         try:
@@ -295,16 +292,10 @@ def cmd_network_panel(args) -> int:
     return 0
 
 
+# the array columns are ExposureProfile's attribute names; top_nodes.csv has
+# a rank column, then these
 EXPOSURE_HEADER = ("node", "country", "sector", "I", "HHI_out", "HHI_in", "D", "C", "R", "H", "H_rel")
-# top_nodes.csv after its rank, one (NodeId, ExposureRank) pair per row
-TOP_NODES = {
-    "node": lambda p: p[0].index,
-    "country": lambda p: p[0].country,
-    "sector": lambda p: p[0].sector,
-    "I": lambda p: p[1].I,
-    "R": lambda p: p[1].R,
-    "H_rel": lambda p: p[1].H_rel,
-}
+TOP_NODES_HEADER = ("node", "country", "sector", "I", "R", "H_rel")
 
 
 def cmd_exposure(args) -> int:
@@ -318,19 +309,20 @@ def cmd_exposure(args) -> int:
         c_floor=args.c_floor,
         epsilon=args.exposure_epsilon,
     )
-    index = np.array([nd.index for nd in table.nodes], dtype=np.int64)
-    # the header's array columns are ExposureProfile's attribute names
-    columns = [
-        index,
-        [nd.country for nd in table.nodes],
-        [nd.sector for nd in table.nodes],
-        *(getattr(prof, name)[index] for name in EXPOSURE_HEADER[3:]),
-    ]
+    # node k is row k of the table and of every profile array
+    columns = {
+        "node": np.array([nd.index for nd in table.nodes], dtype=np.int64),
+        "country": np.array([nd.country for nd in table.nodes], dtype=object),
+        "sector": np.array([nd.sector for nd in table.nodes], dtype=object),
+        **{name: getattr(prof, name) for name in EXPOSURE_HEADER[3:]},
+    }
     out = Path(args.out_dir)
-    path = _emit(out, "exposure.csv", EXPOSURE_HEADER, columns, args.json)
-    top = [(table.nodes[r.index], r) for r in rank_exposure(prof, args.top)]
-    _emit(out, "top_nodes.csv", *_table(TOP_NODES, top, rank=range(1, len(top) + 1)), args.json)
-    print(f"wrote {path} and top_nodes.csv (top {len(top)})")
+    path = _emit(out, "exposure.csv", EXPOSURE_HEADER, list(columns.values()), args.json)
+    # by H_rel, descending; ties in ascending node index
+    top = np.argsort(-prof.H_rel, kind="stable")[: args.top]
+    ranked = [np.arange(1, top.size + 1), *(columns[name][top] for name in TOP_NODES_HEADER)]
+    _emit(out, "top_nodes.csv", ("rank", *TOP_NODES_HEADER), ranked, args.json)
+    print(f"wrote {path} and top_nodes.csv (top {top.size})")
     return 0
 
 
@@ -457,8 +449,13 @@ def _series_name(path: Path) -> str:
 
 
 def _size_or_none(cell) -> int | None:
-    value = _float_or_nan(cell)  # a cell float() refuses, nan and inf all fail is_integer()
-    return int(value) if value.is_integer() and abs(value) < 2**63 else None
+    """Integer text as written; a float cell such as 7.0 or 1e3 only below
+    2**53, from where float() may have rounded it."""
+    value = _int_or_none(cell)
+    if value is None:
+        number = _float_or_nan(cell)  # a cell float() refuses, nan and inf all fail is_integer()
+        value = int(number) if number.is_integer() and abs(number) < 2**53 else None
+    return value if value is not None and abs(value) < 2**63 else None
 
 
 def _read_sizes(path: Path) -> np.ndarray:
@@ -653,7 +650,7 @@ def main(argv=None) -> int:
             code = exc.code if exc.code is not None else 0
             return 0 if code == 0 else 1
         return args.func(args) or 0
-    except (ConfigError, TableError, TailError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # ConfigError, TableError and TailError among them
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RuntimeError as err:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -39,14 +39,6 @@ class ExposureProfile:
     @property
     def n(self) -> int:
         return self.I.shape[0]
-
-
-@dataclass(frozen=True)
-class ExposureRank:
-    index: int
-    I: float
-    R: float
-    H_rel: float
 
 
 # Z's squares are summed a block of whole rows at a time, of about this many
@@ -119,19 +111,6 @@ def _hhi(Z: sparse.csr_matrix, totals: np.ndarray, sq: np.ndarray, axis: int) ->
     return hhi
 
 
-def hall_stress(B: float, profile: ExposureProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Stress loading H = B * I / (D * C + epsilon) and its share H_rel.
-
-    H_rel is all zeros when the loadings themselves are all zero (B = 0).
-    """
-    if not 0.0 <= B < np.inf:
-        raise ValueError(f"field intensity B must be finite and non-negative, got {B}")
-    H = B * profile.I / (profile.D * profile.C + profile.epsilon)
-    total = H.sum()
-    H_rel = H / total if total > 0 else np.zeros_like(H)
-    return H, H_rel
-
-
 def compute_exposure(
     table: IOTable,
     B: float = DEFAULT_FIELD,
@@ -147,8 +126,10 @@ def compute_exposure(
     [d_floor, 1] over the nodes with outflows; the others sit at the floor,
     outside the scaling, and if all D_raw are equal every node gets the
     floor. C = max(c_floor, 1 - HHI_in) is the inflow absorption capacity,
-    at the floor for a node without inflows. Z is summed along each axis,
-    and squared, once for all of them, and no array the size of Z is made.
+    at the floor for a node without inflows. The stress loading is
+    H = B * I / (D * C + epsilon), and H_rel its share, all zeros when every
+    loading is zero (B = 0). Z is summed along each axis, and squared, once
+    for all of them, and no array the size of Z is made.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -158,6 +139,8 @@ def compute_exposure(
     for floor in (d_floor, c_floor):
         if not 0.0 < floor < 1.0:
             raise ValueError(f"floor must be in (0, 1), got {floor}")
+    if not 0.0 <= B < np.inf:
+        raise ValueError(f"field intensity B must be finite and non-negative, got {B}")
     Z, n = table.Z, table.n
     outflows, inflows = table.outflow_totals(), table.inflow_totals()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,22 +160,12 @@ def compute_exposure(
         D[has_out] = d_floor + (1.0 - d_floor) * (raw - lo) / (hi - lo)
     C = np.full(n, c_floor)
     C[has_in] = np.maximum(c_floor, 1.0 - HHI_in[has_in])
-    R = 1.0 / (D * C + epsilon)
-    draft = ExposureProfile(
-        I=I, HHI_out=HHI_out, HHI_in=HHI_in, D=D, C=C, R=R,
-        H=np.zeros(n), H_rel=np.zeros(n),
+    denom = D * C + epsilon
+    R = 1.0 / denom
+    H = B * I / denom
+    total_H = H.sum()
+    H_rel = H / total_H if total_H > 0 else np.zeros(n)
+    return ExposureProfile(
+        I=I, HHI_out=HHI_out, HHI_in=HHI_in, D=D, C=C, R=R, H=H, H_rel=H_rel,
         B=B, epsilon=epsilon, d_floor=d_floor, c_floor=c_floor,
     )
-    H, H_rel = hall_stress(B, draft)
-    return replace(draft, H=H, H_rel=H_rel)
-
-
-def rank_exposure(profile: ExposureProfile, k: int) -> list[ExposureRank]:
-    """Top-k nodes by H_rel, descending; ties broken by node index."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    order = np.argsort(-profile.H_rel, kind="stable")
-    return [
-        ExposureRank(int(i), float(profile.I[i]), float(profile.R[i]), float(profile.H_rel[i]))
-        for i in order[:k]
-    ]

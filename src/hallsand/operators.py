@@ -62,16 +62,9 @@ class PropagationOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class LeakageProfile:
-    """Per-node leak shares: intermediate outflows over gross row use."""
-
-    values: np.ndarray
-    mean_leakage: float
-
-
-def leakage_profile(table: IOTable) -> LeakageProfile:
-    """Leak shares l_i = outflows_i / row_use_i, clamped to [0, 1].
+def leakage_profile(table: IOTable) -> np.ndarray:
+    """Per-node leak shares l_i = outflows_i / row_use_i: intermediate
+    outflows over gross row use, clamped to [0, 1].
 
     Nodes with no outflows get l_i = 0. A node with positive outflows but
     zero recorded row use is a contract violation and raises TableError.
@@ -85,7 +78,7 @@ def leakage_profile(table: IOTable) -> LeakageProfile:
     values = np.zeros(table.n)
     pos = outflows > 0
     values[pos] = np.clip(outflows[pos] / row_use[pos], 0.0, 1.0)
-    return LeakageProfile(values=values, mean_leakage=float(values.mean()))
+    return values
 
 
 def _cyclic_components(matrix: sparse.csr_matrix) -> list[np.ndarray]:
@@ -216,7 +209,7 @@ def build_operator(table: IOTable, kind: OperatorKind) -> PropagationOperator:
     elif kind is OperatorKind.ROW_SHARE:
         weight = 1.0
     elif kind is OperatorKind.LEAKAGE_ADJUSTED:
-        weight = leakage_profile(table).values
+        weight = leakage_profile(table)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     # a row v with total t becomes v * (w / t), or (v / t) * w where w / t

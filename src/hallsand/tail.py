@@ -29,12 +29,12 @@ def _as_positive_ints(samples) -> np.ndarray:
     arr = np.asarray(samples)
     if arr.size == 0:
         raise TailError("empty sample set")
-    if not np.all(np.isfinite(arr)):
-        raise TailError("samples must be finite")
-    rounded = np.rint(arr)
-    if not np.all(arr == rounded):
-        raise TailError("samples must be integers")
-    out = rounded.astype(np.int64)
+    if arr.dtype.kind not in "iu":  # integers are exact as they are; a float copy rounds from 2**53 up
+        if not np.all(np.isfinite(arr)):
+            raise TailError("samples must be finite")
+        if not np.all(arr == np.rint(arr)):
+            raise TailError("samples must be integers")
+    out = arr.astype(np.int64)
     if (out < 1).any():
         raise TailError("samples must be positive")
     return out

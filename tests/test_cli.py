@@ -23,10 +23,10 @@ from hallsand.experiments import (
     DEFAULT_T_STAT,
 )
 from hallsand.exposure import DEFAULT_EPSILON, DEFAULT_FLOOR
-from hallsand.ingest import DEFAULT_MEAN_LEAKAGE, DEFAULT_SYNTH_DENSITY
+from hallsand.ingest import DEFAULT_MEAN_LEAKAGE, DEFAULT_SYNTH_DENSITY, write_io_table
 from hallsand.tail import DEFAULT_MIN_TAIL
 
-from conftest import powerlaw_samples
+from conftest import powerlaw_samples, table_from_dense
 
 
 def read_rows(path):
@@ -177,6 +177,25 @@ def test_exposure_outputs(substrate_dir, tmp_path):
     mirrored = json.loads((out / "exposure.json").read_text())
     assert len(mirrored) == 60
     assert mirrored[0]["node"] == 0
+
+
+def test_top_nodes_by_h_rel_with_ties_in_node_order(tmp_path):
+    # node 2 ships one unit to each other node, so the four spokes tie on H_rel
+    dense = np.zeros((5, 5))
+    dense[2, [0, 1, 3, 4]] = 1.0
+    data = tmp_path / "data"
+    write_io_table(table_from_dense(dense), data / "flows.csv", data / "row_use.csv")
+    out = tmp_path / "expo"
+    argv = ["exposure", "--flows", str(data / "flows.csv"), "--year", "2014", "--top", "99", "--out-dir", str(out)]
+    assert main(argv) == 0
+    rows, top = read_rows(out / "exposure.csv"), read_rows(out / "top_nodes.csv")
+    # --top past n writes n rows, each the node's own cells of exposure.csv
+    assert [r["rank"] for r in top] == ["1", "2", "3", "4", "5"]
+    assert [r["node"] for r in top] == ["2", "0", "1", "3", "4"]
+    hrel = [float(r["H_rel"]) for r in top]
+    assert hrel[0] > hrel[1] == hrel[2] == hrel[3] == hrel[4]
+    cells = ("node", "country", "sector", "I", "R", "H_rel")
+    assert [{c: r[c] for c in cells} for r in top] == [{c: rows[i][c] for c in cells} for i in (2, 0, 1, 3, 4)]
 
 
 def test_simulate_outputs_and_rerun_bytes(substrate_dir, tmp_path):
@@ -532,7 +551,7 @@ def test_tail_fit_x_min_above_a_series_names_its_file(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["2.7", "nan", "inf", "1e19"])
+@pytest.mark.parametrize("bad", ["2.7", "nan", "inf", "1e19", "9007199254740993.0"])
 def test_tail_fit_non_integer_size_exit_1(tmp_path, capsys, bad):
     series = tmp_path / "avalanches_frac.csv"
     series.write_text(f"replication,period,S,B_realised,relax_rounds\n0,0,3,1.0,1\n0,1,{bad},1.0,1\n")
@@ -553,6 +572,19 @@ def test_tail_fit_row_number_skips_blank_lines(tmp_path, capsys, body, bad):
     series.write_text("\ufeffreplication,period,S,B_realised,relax_rounds\n" + body, encoding="utf-8")
     assert main(["tail-fit", str(series), "--out-dir", str(tmp_path)]) == 1
     assert f"avalanches_gappy.csv row 4: bad S value {bad}, not a 64-bit integer" in capsys.readouterr().err
+
+
+def test_tail_fit_writes_sizes_past_2_to_the_53_exactly(tmp_path):
+    # a float64 holds neither size; each must reach ccdf_big.csv as written
+    series = tmp_path / "avalanches_big.csv"
+    series.write_text("replication,period,S\n0,0,9007199254740993\n0,1,9007199254740995\n")
+    out = tmp_path / "out"
+    assert main(["tail-fit", str(series), "--out-dir", str(out)]) == 0
+    assert [r["x"] for r in read_rows(out / "ccdf_big.csv")] == ["9007199254740993", "9007199254740995"]
+    # the two sizes have one float log, so the scanned exponent is infinite
+    (row,) = read_rows(out / "tail_fits.csv")
+    assert (row["x_min"], row["n_tail"], row["alpha"], row["ks"]) == ("9007199254740993", "2", "inf", "0.5")
+    assert row["informative"] == "false"
 
 
 def test_config_defaults_and_flag_precedence(substrate_dir, tmp_path):
@@ -642,6 +674,46 @@ def test_config_unknown_section_exit_1(substrate_dir, tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("nosuchcmd:\n  x: 1\n")
     assert main(["--config", str(cfg), "simulate", "--synth-nodes", "10"]) == 1
+
+
+@pytest.mark.parametrize(
+    "text,flag,message",
+    [
+        (None, "--config", "config file not found: {cfg}\n"),
+        (None, "--config=", "config file not found: {cfg}\n"),
+        ("exposure: [1, 2\n", "--config", "{cfg}: while parsing a flow sequence\n"),
+        ("- exposure\n", "--config", "{cfg}: top level must be a mapping of sections\n"),
+        ("1:\n  top: 3\n", "--config", "{cfg}: section names must be strings, got 1\n"),
+        ("exposure: 3\n", "--config", "{cfg}: section 'exposure' must be a mapping\n"),
+        ("exposure:\n  1: 3\n", "--config", "{cfg}: option names must be strings, got 1\n"),
+        (
+            "exposure:\n  top: {a: 1}\n",
+            "--config",
+            "{cfg}: option exposure.top must be a scalar or a list of scalars, got dict\n",
+        ),
+        ("", "--config", None),
+        ("exposure:\n", "--config=", None),
+    ],
+    ids=[
+        "missing", "missing-spelled-with-equals", "yaml-syntax", "list-at-top", "section-name",
+        "section-body", "option-name", "nested-value", "empty-file", "section-without-body",
+    ],
+)
+def test_config_file_shape(tmp_path, capsys, text, flag, message):
+    cfg = tmp_path / "run.yaml"
+    if text is not None:
+        cfg.write_text(text)
+    config = [f"--config={cfg}"] if flag.endswith("=") else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    code = main([*config, "exposure", "--synth-nodes", "10", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (0, "")
+        assert (out / "exposure.csv").exists()
+    else:
+        assert code == 1
+        assert err.startswith("error: " + message.format(cfg=cfg))
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -144,9 +144,9 @@ PACKAGE_NAMES = DYNAMICS_NAMES + """
     PRESETS CellDiagnostics CellStats RegimeLabel ScenarioResult
     ScenarioSpec SimulationError Substrate child_seed convergence_report grid_scenarios
     make_cell_stats prepare_substrate preset_scenarios run_scenarios
-    ExposureProfile ExposureRank compute_exposure hall_stress rank_exposure
+    ExposureProfile compute_exposure
     FlowPanel IOTable NodeId TableError list_years parse_io_table synth_substrate write_io_table
-    LeakageProfile OperatorKind PropagationOperator SpectralConvergenceError build_operator
+    OperatorKind PropagationOperator SpectralConvergenceError build_operator
     leakage_profile spectral_radius
     TailError TailFit ccdf fit_alpha hill_alpha scan_xmin select_xmin
 """

@@ -9,8 +9,6 @@ from hallsand.exposure import (
     DEFAULT_EPSILON,
     DEFAULT_FLOOR,
     compute_exposure,
-    hall_stress,
-    rank_exposure,
 )
 from hallsand.ingest import synth_substrate
 from hallsand.operators import OperatorKind, build_operator
@@ -163,22 +161,14 @@ def test_capacity_bounds():
 
 
 def test_hall_stress_closed_form():
-    table = star_table(k=4)
-    prof = compute_exposure(table, B=1.0)
-    H, H_rel = hall_stress(1.0, prof)
+    prof = compute_exposure(star_table(k=4), B=1.0)
     for i in range(prof.n):
         want = 1.0 * prof.I[i] / (prof.D[i] * prof.C[i] + DEFAULT_EPSILON)
-        assert H[i] == pytest.approx(want, rel=1e-15)
-    assert H_rel.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hall_stress_scales_with_field():
-    table = synth_substrate(25, 0.3, 2)
-    prof = compute_exposure(table, B=1.0)
-    H1, rel1 = hall_stress(1.0, prof)
-    H3, rel3 = hall_stress(3.0, prof)
-    np.testing.assert_allclose(H3, 3.0 * H1, rtol=1e-15)
-    np.testing.assert_allclose(rel3, rel1, rtol=1e-12)
+        assert prof.H[i] == pytest.approx(want, rel=1e-15)
+    assert prof.H_rel.sum() == pytest.approx(1.0, abs=1e-12)
+    # no field, no loading, and no share of one
+    still = compute_exposure(star_table(k=4), B=0.0)
+    assert not still.H.any() and not still.H_rel.any()
 
 
 def test_exposure_at_another_field():
@@ -187,6 +177,7 @@ def test_exposure_at_another_field():
     prof2 = compute_exposure(table, B=2.5)
     assert prof2.B == 2.5
     np.testing.assert_allclose(prof2.H, 2.5 * prof.H / 1.0, rtol=1e-15)
+    np.testing.assert_allclose(prof2.H_rel, prof.H_rel, rtol=1e-12)
     np.testing.assert_allclose(prof2.I, prof.I)
 
 
@@ -197,24 +188,3 @@ def test_compute_exposure_custom_floors():
     assert prof.C.min() >= 0.20 - 1e-15
     assert prof.d_floor == 0.10
     assert prof.c_floor == 0.20
-
-
-def test_rank_exposure_order_and_ties():
-    table = synth_substrate(40, 0.25, 6)
-    prof = compute_exposure(table)
-    top = rank_exposure(prof, 10)
-    values = [r.H_rel for r in top]
-    assert values == sorted(values, reverse=True)
-    assert [r.H_rel for r in top][0] == pytest.approx(prof.H_rel.max())
-    idx = [r.index for r in top]
-    assert len(set(idx)) == len(idx)
-    # ties break toward the smaller node index
-    for a, b in zip(top, top[1:]):
-        if a.H_rel == b.H_rel:
-            assert a.index < b.index
-
-
-def test_rank_exposure_k_clamped():
-    table = synth_substrate(10, 0.4, 1)
-    prof = compute_exposure(table)
-    assert len(rank_exposure(prof, 99)) == 10

@@ -59,7 +59,7 @@ def reference_operator_matrix(table, kind):
         scale = np.divide(1.0, row_totals, out=np.zeros(table.n), where=row_totals > 0)
         matrix = sparse.diags(scale) @ Z
     elif kind is OperatorKind.LEAKAGE_ADJUSTED:
-        leak = leakage_profile(table).values
+        leak = leakage_profile(table)
         scale = np.divide(leak, row_totals, out=np.zeros(table.n), where=row_totals > 0)
         matrix = sparse.diags(scale) @ Z
     else:
@@ -216,7 +216,7 @@ def test_operator_copies_z_structure_only_to_drop_a_zero():
     dense = np.array([[0.0, 1e-300, 0.0], [1.0, 0.0, 2.0], [3.0, 1.0, 0.0]])
     table = table_from_dense(dense, row_use=[1e100, 3.0, 4.0])
     before = z_bytes(table)
-    assert leakage_profile(table).values[0] == 0.0
+    assert leakage_profile(table)[0] == 0.0
     for kind in OperatorKind:
         matrix = build_operator(table, kind).matrix
         shared = np.shares_memory(matrix.indices, table.Z.indices)

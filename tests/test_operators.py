@@ -28,15 +28,14 @@ def test_kind_aliases():
 
 def test_leakage_profile_basic():
     table = table_from_dense([[0.0, 2.0], [2.0, 0.0]], row_use=[4.0, 8.0])
-    prof = leakage_profile(table)
-    np.testing.assert_allclose(prof.values, [0.5, 0.25])
-    assert prof.mean_leakage == pytest.approx(0.375)
+    leak = leakage_profile(table)
+    np.testing.assert_allclose(leak, [0.5, 0.25])
+    assert leak.mean() == pytest.approx(0.375)
 
 
 def test_leakage_profile_zero_outflow_node():
     table = table_from_dense([[0.0, 1.0], [0.0, 0.0]], row_use=[2.0, 0.0])
-    prof = leakage_profile(table)
-    np.testing.assert_allclose(prof.values, [0.5, 0.0])
+    np.testing.assert_allclose(leakage_profile(table), [0.5, 0.0])
 
 
 def test_leakage_profile_zero_row_use_rejected():
@@ -128,7 +127,7 @@ def test_operator_invariants_random_tables(k):
 
     leak = leakage_profile(table)
     leak_rows = np.asarray(leak_op.matrix.sum(axis=1)).ravel()
-    np.testing.assert_allclose(leak_rows, leak.values, atol=1e-12)
+    np.testing.assert_allclose(leak_rows, leak, atol=1e-12)
 
     max_rows = np.asarray(maxrow.matrix.sum(axis=1)).ravel()
     assert float(max_rows.max()) == pytest.approx(1.0, abs=1e-12)

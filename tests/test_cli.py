@@ -23,10 +23,10 @@ from hallsand.experiments import (
     DEFAULT_T_STAT,
 )
 from hallsand.exposure import DEFAULT_EPSILON, DEFAULT_FLOOR
-from hallsand.ingest import DEFAULT_MEAN_LEAKAGE, DEFAULT_SYNTH_DENSITY, write_io_table
+from hallsand.ingest import DEFAULT_MEAN_LEAKAGE, DEFAULT_SYNTH_DENSITY
 from hallsand.tail import DEFAULT_MIN_TAIL
 
-from conftest import powerlaw_samples, table_from_dense
+from conftest import powerlaw_samples
 
 
 def read_rows(path):
@@ -177,25 +177,6 @@ def test_exposure_outputs(substrate_dir, tmp_path):
     mirrored = json.loads((out / "exposure.json").read_text())
     assert len(mirrored) == 60
     assert mirrored[0]["node"] == 0
-
-
-def test_top_nodes_by_h_rel_with_ties_in_node_order(tmp_path):
-    # node 2 ships one unit to each other node, so the four spokes tie on H_rel
-    dense = np.zeros((5, 5))
-    dense[2, [0, 1, 3, 4]] = 1.0
-    data = tmp_path / "data"
-    write_io_table(table_from_dense(dense), data / "flows.csv", data / "row_use.csv")
-    out = tmp_path / "expo"
-    argv = ["exposure", "--flows", str(data / "flows.csv"), "--year", "2014", "--top", "99", "--out-dir", str(out)]
-    assert main(argv) == 0
-    rows, top = read_rows(out / "exposure.csv"), read_rows(out / "top_nodes.csv")
-    # --top past n writes n rows, each the node's own cells of exposure.csv
-    assert [r["rank"] for r in top] == ["1", "2", "3", "4", "5"]
-    assert [r["node"] for r in top] == ["2", "0", "1", "3", "4"]
-    hrel = [float(r["H_rel"]) for r in top]
-    assert hrel[0] > hrel[1] == hrel[2] == hrel[3] == hrel[4]
-    cells = ("node", "country", "sector", "I", "R", "H_rel")
-    assert [{c: r[c] for c in cells} for r in top] == [{c: rows[i][c] for c in cells} for i in (2, 0, 1, 3, 4)]
 
 
 def test_simulate_outputs_and_rerun_bytes(substrate_dir, tmp_path):

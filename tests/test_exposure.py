@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 import warnings
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 
 from hallsand import exposure
+from hallsand.cli import main
 from hallsand.exposure import (
     DEFAULT_EPSILON,
     DEFAULT_FLOOR,
     compute_exposure,
 )
-from hallsand.ingest import synth_substrate
+from hallsand.ingest import synth_substrate, write_io_table
 from hallsand.operators import OperatorKind, build_operator
 
 from conftest import table_from_dense
@@ -171,13 +173,20 @@ def test_hall_stress_closed_form():
     assert not still.H.any() and not still.H_rel.any()
 
 
+def test_hall_stress_scales_with_field():
+    table = synth_substrate(25, 0.3, 2)
+    prof1 = compute_exposure(table, B=1.0)
+    prof3 = compute_exposure(table, B=3.0)
+    np.testing.assert_allclose(prof3.H, 3.0 * prof1.H, rtol=1e-15)
+    np.testing.assert_allclose(prof3.H_rel, prof1.H_rel, rtol=1e-12)
+
+
 def test_exposure_at_another_field():
     table = synth_substrate(25, 0.3, 2)
     prof = compute_exposure(table, B=1.0)
     prof2 = compute_exposure(table, B=2.5)
     assert prof2.B == 2.5
     np.testing.assert_allclose(prof2.H, 2.5 * prof.H / 1.0, rtol=1e-15)
-    np.testing.assert_allclose(prof2.H_rel, prof.H_rel, rtol=1e-12)
     np.testing.assert_allclose(prof2.I, prof.I)
 
 
@@ -188,3 +197,38 @@ def test_compute_exposure_custom_floors():
     assert prof.C.min() >= 0.20 - 1e-15
     assert prof.d_floor == 0.10
     assert prof.c_floor == 0.20
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def run_exposure(tmp_path, table, top):
+    data, out = tmp_path / "data", tmp_path / "expo"
+    write_io_table(table, data / "flows.csv", data / "row_use.csv")
+    argv = ["exposure", "--flows", str(data / "flows.csv"), "--year", "2014", "--top", str(top), "--out-dir", str(out)]
+    assert main(argv) == 0
+    return read_rows(out / "exposure.csv"), read_rows(out / "top_nodes.csv")
+
+
+def test_rank_exposure_order_and_ties(tmp_path):
+    # node 2 ships one unit to each other node, so the four spokes tie on H_rel
+    dense = np.zeros((5, 5))
+    dense[2, [0, 1, 3, 4]] = 1.0
+    rows, top = run_exposure(tmp_path, table_from_dense(dense), 5)
+    # top_nodes.csv runs by H_rel, descending, with ties in ascending node index
+    assert [r["rank"] for r in top] == ["1", "2", "3", "4", "5"]
+    assert [r["node"] for r in top] == ["2", "0", "1", "3", "4"]
+    hrel = [float(r["H_rel"]) for r in top]
+    assert hrel[0] > hrel[1] == hrel[2] == hrel[3] == hrel[4]
+    # each row holds the node's own cells of exposure.csv
+    cells = ("node", "country", "sector", "I", "R", "H_rel")
+    assert [{c: r[c] for c in cells} for r in top] == [{c: rows[i][c] for c in cells} for i in (2, 0, 1, 3, 4)]
+
+
+def test_rank_exposure_k_clamped(tmp_path):
+    # --top past the node count writes one row per node
+    rows, top = run_exposure(tmp_path, star_table(k=4), 99)
+    assert len(rows) == 5
+    assert sorted(r["node"] for r in top) == [r["node"] for r in rows]

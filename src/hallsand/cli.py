@@ -152,7 +152,7 @@ def _load_table(args):
 def _load_substrate(args) -> Substrate:
     return prepare_substrate(
         _load_table(args),
-        kind=OperatorKind.from_string(args.operator),
+        kind=args.operator,
         d_floor=args.d_floor,
         c_floor=args.c_floor,
     )
@@ -217,11 +217,7 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_operator_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--operator",
-        default="leak",
-        help="propagation operator: share, leak, or max (default: leak)",
-    )
+    p.add_argument("--operator", type=OperatorKind, default="leak", help="propagation operator: share, leak, or max")
 
 
 def cmd_ingest(args) -> int:
@@ -311,7 +307,7 @@ def cmd_exposure(args) -> int:
     )
     # node k is row k of the table and of every profile array
     columns = {
-        "node": np.array([nd.index for nd in table.nodes], dtype=np.int64),
+        "node": np.arange(table.n),
         "country": np.array([nd.country for nd in table.nodes], dtype=object),
         "sector": np.array([nd.sector for nd in table.nodes], dtype=object),
         **{name: getattr(prof, name) for name in EXPOSURE_HEADER[3:]},

@@ -83,7 +83,7 @@ class ContractionCheck:
 class RelaxationBudgetError(RuntimeError):
     """A within-period cascade failed to settle inside the round budget."""
 
-    def __init__(self, rounds: int, still_over: int, column: int = 0, period: int = 0):
+    def __init__(self, rounds: int, still_over: int, column: int, period: int):
         self.rounds = rounds
         self.still_over = still_over
         # the column of the batch and the period in which it happened (see run_batch)
@@ -165,7 +165,7 @@ def _relax_block(
     p: Params,
     max_rounds: int,
     toppled: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
     """Cascade settlement of every column of the C-contiguous n x k block S, in place.
 
     Rounds of simultaneous toppling: each over-threshold node resets to
@@ -177,7 +177,7 @@ def _relax_block(
     0.0: the rows it skips would add exact +0.0 terms, as A >= 0 and the
     excess is >= 0, so it gives the bits of A.T @ excess. Returns per-column
     toppling events and rounds, and, when the round budget runs out, the
-    columns still unsettled with their counts of nodes over threshold (else
+    lowest unsettled column with its count of nodes over threshold (else
     None). Marks each toppled node in the boolean block toppled, when given.
     """
     if not S.flags.c_contiguous or (toppled is not None and not toppled.flags.c_contiguous):
@@ -195,8 +195,8 @@ def _relax_block(
         rows, cols = np.divmod(hot, k)
         n_over = np.bincount(cols, minlength=k)
         if n_round == max_rounds:
-            unsettled = np.flatnonzero(n_over)
-            return events, rounds, (unsettled, n_over[unsettled])
+            c = int(cols.min())
+            return events, rounds, (c, int(n_over[c]))
         events += n_over
         rounds[cols] = n_round + 1  # a settled column receives nothing more
         if marks is not None:
@@ -237,8 +237,10 @@ def run_batch(
 
     When columns exhaust the round budget, raises the RelaxationBudgetError
     of the lowest-indexed one, as running them one by one in column order
-    would; its column and period say which and when. Does not run the
-    contraction check and does not warn; run_scenarios warns once per call.
+    would; its column and period say which and when. The columns below a
+    period's lowest failing one can fail later, so they run again first.
+    Does not run the contraction check and does not warn; run_scenarios
+    warns once per call.
     """
     sigma_D = np.array([sigma_D for _, sigma_D, _ in columns], dtype=float)
     max_rounds = _validate_run(operator, exposure, params, sigma_D)
@@ -256,29 +258,20 @@ def run_batch(
     fields = np.zeros((k, periods - keep_from))
     rounds = np.zeros((k, periods - keep_from), dtype=np.int64)
     S = np.zeros((n, k))
-    live = np.arange(k)  # the column each column of S runs
-    failure = None
     for t in range(periods):
         S, B_t = _update(S, rngs, B_bar, sigma_B, At, exposure.I, denom, p)
         toppled = np.zeros(S.shape, dtype=bool) if p.count_unique else None
         events, n_rounds, failed = _relax_block(S, A, p, max_rounds, toppled)
-        if failure is None and t >= keep_from:
+        if failed is not None:
+            # a lower column can fail later; each replays its own seeded stream
+            c, still_over = failed
+            if c:
+                run_batch(operator, exposure, params, columns[:c], periods)
+            raise RelaxationBudgetError(max_rounds, still_over, c, t)
+        if t >= keep_from:
             sizes[:, t - keep_from] = events if toppled is None else np.add.reduce(toppled, axis=0)
             fields[:, t - keep_from] = B_t
             rounds[:, t - keep_from] = n_rounds
-        if failed is not None:
-            # the run now ends in an error, raised for the lowest failing column;
-            # only the columns below this failure can still fail lower
-            unsettled, n_over = failed
-            failure = RelaxationBudgetError(max_rounds, int(n_over[0]), int(live[unsettled[0]]), t)
-            keep = live < failure.column
-            if not keep.any():
-                raise failure
-            S, denom, live = S[:, keep], denom[:, keep], live[keep]
-            B_bar, sigma_B = B_bar[keep], sigma_B[keep]
-            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-    if failure is not None:
-        raise failure
     return sizes, fields, rounds
 
 

@@ -38,11 +38,10 @@ class TableError(ValueError):
 
 @dataclass(frozen=True)
 class NodeId:
-    """One country-sector production node, with its row/column index."""
+    """One country-sector production node."""
 
     country: str
     sector: str
-    index: int
 
     @property
     def label(self) -> str:
@@ -55,11 +54,10 @@ class IOTable:
 
     Z[i, j] is the flow from node i to node j. row_use_total[i] is the gross
     row-use proxy for node i and bounds its intermediate outflows from above.
-    Node indices are assigned lexicographically by (country, sector).
+    Node i is nodes[i], in lexicographic (country, sector) order.
     """
 
     year: int
-    n: int
     Z: sparse.csr_matrix
     row_use_total: np.ndarray
     nodes: tuple[NodeId, ...]
@@ -88,6 +86,10 @@ class IOTable:
             bad = np.flatnonzero(~np.isfinite(totals))
             if bad.size:
                 raise TableError(f"node {self.nodes[bad[0]].label}: {what} sum past the float range")
+
+    @property
+    def n(self) -> int:
+        return self.Z.shape[0]
 
     def outflow_totals(self) -> np.ndarray:
         return np.asarray(self.Z.sum(axis=1)).ravel()
@@ -312,7 +314,6 @@ class FlowPanel:
     """
 
     def __init__(self, path: str | Path, row_use_path: str | Path | None = None):
-        self._given = path  # list_years names the path as it was given
         self.path = Path(path)
         self._flows = _read_rows(self.path, FLOWS_COLUMNS)
         self._years = _Converted(*self._flows.coded["year"])
@@ -324,7 +325,7 @@ class FlowPanel:
 
     def years(self) -> list[int]:
         """Distinct years present, ascending."""
-        _refuse_first(self._flows, self._given, self._years, np.empty(0, np.intp), [])
+        _refuse_first(self._flows, self.path, self._years, np.empty(0, np.intp), [])
         return sorted(set(self._years.values))
 
     def table(self, year: int) -> IOTable:
@@ -344,7 +345,7 @@ class FlowPanel:
         i = np.searchsorted(keys, src)
         j = np.searchsorted(keys, dst)
         country, sector = np.divmod(keys, len(sectors))
-        nodes = tuple(map(NodeId, countries[country].tolist(), sectors[sector].tolist(), range(n)))
+        nodes = tuple(map(NodeId, countries[country].tolist(), sectors[sector].tolist()))
         _refuse_first(flows, path, self._years, rows, [
             (_repeats(i * n + j), lambda k: f"duplicate flow {nodes[i[k]].label} -> "
                                             f"{nodes[j[k]].label} for year {year}"),
@@ -358,7 +359,7 @@ class FlowPanel:
             row_use = outflows.copy()
         else:
             row_use = self._row_use_totals(year, nodes, outflows)
-        return IOTable(year=year, n=n, Z=Z, row_use_total=row_use, nodes=nodes)
+        return IOTable(year=year, Z=Z, row_use_total=row_use, nodes=nodes)
 
     def _row_use_totals(self, year: int, nodes: tuple, outflows: np.ndarray) -> np.ndarray:
         """Gross row use per node from the row-use file; nodes it leaves out keep their outflows."""
@@ -368,7 +369,7 @@ class FlowPanel:
         table, years = self._row_use
         path = self.row_use_path
         rows = years.rows(year)
-        index = {(nd.country, nd.sector): nd.index for nd in nodes}
+        index = {(nd.country, nd.sector): i for i, nd in enumerate(nodes)}
         keys = list(zip(table.at("country", rows).tolist(), table.at("sector", rows).tolist()))
         node = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
         unknown = node < 0
@@ -527,8 +528,8 @@ def synth_substrate(
     outflows = np.asarray(Z.sum(axis=1)).ravel()
     row_use = np.where(outflows > 0, outflows / leak, 0.0)
 
-    nodes = tuple(NodeId(*_synthetic_label(i), i) for i in range(n))
-    return IOTable(year=year, n=n, Z=Z, row_use_total=row_use, nodes=nodes)
+    nodes = tuple(NodeId(*_synthetic_label(i)) for i in range(n))
+    return IOTable(year=year, Z=Z, row_use_total=row_use, nodes=nodes)
 
 
 def write_io_table(
@@ -567,8 +568,7 @@ def write_io_table(
         while chunk := list(islice(flows, _CHUNK_ROWS)):
             fh.write("".join([f"{year},{cells[i]},{cells[j]},{v!r}\n" for i, j, v in chunk]))
     if row_use_path is not None:
-        at = [nd.index for nd in table.nodes]
-        totals = np.asarray(table.row_use_total, dtype=np.float64)[at].tolist()
+        totals = np.asarray(table.row_use_total, dtype=np.float64).tolist()
         with open(Path(row_use_path), "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(ROW_USE_COLUMNS) + "\n")
             fh.write("".join([f"{year},{c},{v!r}\n" for c, v in zip(cells, totals)]))

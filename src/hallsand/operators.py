@@ -12,27 +12,9 @@ from .ingest import IOTable, TableError
 
 
 class OperatorKind(Enum):
-    ROW_SHARE = "row-share"
-    LEAKAGE_ADJUSTED = "leakage-adjusted"
-    MAX_ROW = "max-row"
-
-    @classmethod
-    def from_string(cls, name: str) -> "OperatorKind":
-        key = name.strip().lower()
-        aliases = {
-            "share": cls.ROW_SHARE,
-            "row-share": cls.ROW_SHARE,
-            "row_share": cls.ROW_SHARE,
-            "leak": cls.LEAKAGE_ADJUSTED,
-            "leakage-adjusted": cls.LEAKAGE_ADJUSTED,
-            "leakage_adjusted": cls.LEAKAGE_ADJUSTED,
-            "max": cls.MAX_ROW,
-            "max-row": cls.MAX_ROW,
-            "max_row": cls.MAX_ROW,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown operator kind {name!r}")
-        return aliases[key]
+    ROW_SHARE = "share"
+    LEAKAGE_ADJUSTED = "leak"
+    MAX_ROW = "max"
 
 
 class SpectralConvergenceError(RuntimeError):

@@ -27,7 +27,9 @@ def settled_stress():
 
     Yields a list that gets a copy of the n x k stress block after each
     _relax_block call, that is once per period of a run_batch. After a
-    one-column run, the last entry's column 0 is the final stress.
+    one-column run, the last entry's column 0 is the final stress. A
+    multi-column run that fails also records the blocks of its reruns of
+    the columns below the failing one, after its own.
     """
     blocks = []
     relax_block = dynamics._relax_block
@@ -52,10 +54,9 @@ def table_from_dense(dense, year=2014, row_use=None):
     n = Z.shape[0]
     if row_use is None:
         row_use = Z.sum(axis=1)
-    nodes = tuple(NodeId(country=_label(i), sector="ALL", index=i) for i in range(n))
+    nodes = tuple(NodeId(country=_label(i), sector="ALL") for i in range(n))
     return IOTable(
         year=year,
-        n=n,
         Z=sparse.csr_matrix(Z),
         row_use_total=np.asarray(row_use, dtype=float),
         nodes=nodes,

@@ -50,7 +50,8 @@ def _parse_value(raw: str, path: Path, line: int, column: str) -> float:
 
 def list_years(path: str | Path) -> list[int]:
     """Distinct years present in a flows CSV, ascending."""
-    rows = _read_rows(Path(path), FLOWS_COLUMNS)
+    path = Path(path)
+    rows = _read_rows(path, FLOWS_COLUMNS)
     years = set()
     for line, row in rows:
         try:
@@ -150,5 +151,5 @@ def parse_io_table(
                 )
             row_use[i] = max(gross, outflows[i])
 
-    nodes = tuple(NodeId(c, s, i) for i, (c, s) in enumerate(labels))
-    return IOTable(year=year, n=n, Z=Z, row_use_total=row_use, nodes=nodes)
+    nodes = tuple(NodeId(c, s) for c, s in labels)
+    return IOTable(year=year, Z=Z, row_use_total=row_use, nodes=nodes)

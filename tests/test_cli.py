@@ -24,6 +24,7 @@ from hallsand.experiments import (
 )
 from hallsand.exposure import DEFAULT_EPSILON, DEFAULT_FLOOR
 from hallsand.ingest import DEFAULT_MEAN_LEAKAGE, DEFAULT_SYNTH_DENSITY
+from hallsand.operators import OperatorKind
 from hallsand.tail import DEFAULT_MIN_TAIL
 
 from conftest import powerlaw_samples
@@ -140,6 +141,17 @@ def test_network_panel_refuses_a_bad_year_before_reading(tmp_path, capsys):
     assert main([*argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "error: --years: bad year 'abc'\n"
     assert not out.exists()
+
+
+def test_network_panel_names_the_flows_file_one_way(tmp_path, monkeypatch, capsys):
+    # the bad-year row is found by listing the years, or by reading the one year asked for
+    (tmp_path / "t").mkdir()
+    (tmp_path / "t" / "flows.csv").write_text(",".join(ingest.FLOWS_COLUMNS) + "\n2014,A,S,B,S,1.0\nxx,A,S,B,S,2.0\n")
+    monkeypatch.chdir(tmp_path)
+    for years in ([], ["--years", "2014"]):
+        assert main(["network-panel", "--flows", "./t//flows.csv", *years, "--out-dir", "panel"]) == 1
+        assert capsys.readouterr().err == "error: t/flows.csv row 3: bad year 'xx'\n"
+    assert not (tmp_path / "panel").exists()
 
 
 def test_network_panel_refuses_a_flows_file_with_no_rows(tmp_path, capsys):
@@ -607,6 +619,39 @@ def test_config_defaults_and_flag_precedence(substrate_dir, tmp_path):
     )
     assert code == 0
     assert len(read_rows(flag_out / "avalanches_stable.csv")) == 3 * 8
+
+
+def test_operator_spellings_reach_their_kind(tmp_path, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def capture(table, kind, **kwargs):
+        raise Reached(kind)
+
+    monkeypatch.setattr(cli, "prepare_substrate", capture)
+    assert [kind.value for kind in OperatorKind] == ["share", "leak", "max"]
+    runs = [([], [], OperatorKind.LEAKAGE_ADJUSTED)]  # the default
+    for kind in OperatorKind:
+        cfg = tmp_path / f"{kind.value}.yaml"
+        cfg.write_text(f"simulate:\n  operator: {kind.value}\n")
+        runs += [([], ["--operator", kind.value], kind), (["--config", str(cfg)], [], kind)]
+    for head, tail, kind in runs:
+        with pytest.raises(Reached) as caught:
+            main([*head, "simulate", "--synth-nodes", "10", *tail])
+        assert caught.value.args == (kind,)
+
+
+@pytest.mark.parametrize("name", ["LEAK", "max_row", "banana"])
+def test_operator_other_spellings_exit_1(capsys, name):
+    assert main(["simulate", "--synth-nodes", "10", "--operator", name]) == 1
+    assert f"argument --operator: invalid OperatorKind value: {name!r}" in capsys.readouterr().err
+
+
+def test_operator_other_spelling_in_a_config_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "operator.yaml"
+    cfg.write_text("simulate:\n  operator: max_row\n")
+    assert main(["--config", str(cfg), "simulate", "--synth-nodes", "10"]) == 1
+    assert capsys.readouterr().err == "error: config option 'operator': bad value 'max_row'\n"
 
 
 def test_config_unknown_key_exit_1(substrate_dir, tmp_path, capsys):

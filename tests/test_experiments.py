@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hallsand import experiments
+from hallsand import dynamics, experiments
 from hallsand.dynamics import FieldModel, Params, RelaxationBudgetError, run_batch
 from hallsand.experiments import (
     DEFAULT_SIGMA_B_RATIO,
@@ -319,6 +319,40 @@ def test_budget_error_names_lowest_failing_replication_not_earliest_period():
     for threads in (1, 2):
         with pytest.raises(SimulationError) as exc:
             list(run_scenarios([spec], hot, params, threads=threads, T_burn=0, T_stat=30, replications=2))
+        assert str(exc.value) == want
+
+
+@pytest.mark.filterwarnings("ignore:contraction check failed")
+def test_budget_error_of_a_batch_whose_rerun_fails_again(monkeypatch):
+    # replication 2 fails first, then 1, then 0: the batch reruns columns 0-1,
+    # whose rerun fails at column 1 and reruns column 0, whose error is raised
+    hot = prepare_substrate(synth_substrate(30, 0.2, 7, mean_leakage=0.22), kind=OperatorKind.ROW_SHARE)
+    params = Params(max_relax_rounds=6, redistribution_fraction=0.7)
+    spec = ScenarioSpec("late", 0.2, 1.5, master_seed=22)
+    fieldmodel = FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar)
+    columns = [(fieldmodel, spec.sigma_D, child_seed(spec.master_seed, rep)) for rep in range(3)]
+    alone = []
+    for column in columns:
+        with pytest.raises(RelaxationBudgetError) as exc:
+            run_batch(hot.operator, hot.exposure, params, [column], 30)
+        alone.append(exc.value)
+    assert alone[2].period < alone[1].period < alone[0].period
+    widths = []
+
+    def spy(operator, exposure, params, columns, *args, **kwargs):
+        widths.append(len(columns))
+        return run_batch(operator, exposure, params, columns, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "run_batch", spy)
+    with pytest.raises(RelaxationBudgetError) as exc:
+        dynamics.run_batch(hot.operator, hot.exposure, params, columns, 30)
+    assert widths == [3, 2, 1]
+    assert (exc.value.column, exc.value.period, str(exc.value)) == (0, alone[0].period, str(alone[0]))
+    monkeypatch.undo()
+    want = f"scenario 'late' replication 0 period {alone[0].period}: {alone[0]} (seed {columns[0][2]})"
+    for threads in (1, 2):
+        with pytest.raises(SimulationError) as exc:
+            list(run_scenarios([spec], hot, params, threads=threads, T_burn=0, T_stat=30, replications=3))
         assert str(exc.value) == want
 
 

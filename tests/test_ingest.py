@@ -41,7 +41,7 @@ def test_parse_basic_two_node(tmp_path):
     # lexicographic (country, sector) ordering puts DEU before USA
     assert [nd.label for nd in table.nodes] == ["DEU_MAN", "USA_AGR"]
     Z = table.Z.toarray()
-    at = {(nd.country, nd.sector): nd.index for nd in table.nodes}
+    at = {(nd.country, nd.sector): i for i, nd in enumerate(table.nodes)}
     assert Z[at["USA", "AGR"], at["DEU", "MAN"]] == 3.0
     assert Z[at["DEU", "MAN"], at["USA", "AGR"]] == 1.5
     # no row-use file: gross use defaults to the outflow sums
@@ -136,7 +136,7 @@ def test_row_use_companion(tmp_path):
     r.write_text(ROW_USE_HEADER + "2014,USA,AGR,12.0\n2014,DEU,MAN,3.0\n")
     # sibling row_use.csv is discovered without being named explicitly
     table = parse_io_table(p, 2014)
-    at = {(nd.country, nd.sector): nd.index for nd in table.nodes}
+    at = {(nd.country, nd.sector): i for i, nd in enumerate(table.nodes)}
     assert table.row_use_total[at["USA", "AGR"]] == 12.0
     assert table.row_use_total[at["DEU", "MAN"]] == 3.0
 
@@ -289,11 +289,11 @@ def test_table_holds_z_in_canonical_form():
     # unsorted columns and a repeated entry, which the operators and the HHIs
     # would otherwise scale and square one stored entry at a time
     Z = sparse.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), np.array([0, 3, 3])), shape=(2, 2))
-    nodes = (NodeId("A", "S", 0), NodeId("B", "S", 1))
-    table = IOTable(year=2014, n=2, Z=Z, row_use_total=np.array([6.0, 0.0]), nodes=nodes)
+    nodes = (NodeId("A", "S"), NodeId("B", "S"))
+    table = IOTable(year=2014, Z=Z, row_use_total=np.array([6.0, 0.0]), nodes=nodes)
     assert table.Z.has_canonical_format
     assert table.Z.indices.tolist() == [0, 1]
     assert table.Z.data.tolist() == [2.0, 4.0]
     assert Z.indices.tolist() == [1, 0, 1]  # the caller's matrix is left as it was
     canonical = synth_substrate(5, 0.5, 1)
-    assert IOTable(2014, 5, canonical.Z, canonical.row_use_total, canonical.nodes).Z is canonical.Z
+    assert IOTable(2014, canonical.Z, canonical.row_use_total, canonical.nodes).Z is canonical.Z

@@ -136,8 +136,8 @@ def tables(draw):
     Z = sparse.csr_matrix((list(cells.values()), (rows, cols)), shape=(n, n))
     outflows = np.asarray(Z.sum(axis=1)).ravel()
     headroom = np.array(draw(st.lists(st.sampled_from([1.0, 1.25, 3.0]), min_size=n, max_size=n)))
-    nodes = tuple(NodeId(f"C{i}", "S", i) for i in range(n))
-    return IOTable(year=2014, n=n, Z=Z, row_use_total=outflows * headroom, nodes=nodes)
+    nodes = tuple(NodeId(f"C{i}", "S") for i in range(n))
+    return IOTable(year=2014, Z=Z, row_use_total=outflows * headroom, nodes=nodes)
 
 
 def z_bytes(table):

@@ -18,14 +18,6 @@ rng = np.random.default_rng(seed)
 random_tables = [synth_substrate(int(n), 0.3, int(s)) for n, s in zip(rng.integers(2, 40, 25), rng.integers(0, 10_000, 25))]
 
 
-def test_kind_aliases():
-    assert OperatorKind.from_string("share") is OperatorKind.ROW_SHARE
-    assert OperatorKind.from_string("LEAK") is OperatorKind.LEAKAGE_ADJUSTED
-    assert OperatorKind.from_string("max_row") is OperatorKind.MAX_ROW
-    with pytest.raises(ValueError):
-        OperatorKind.from_string("banana")
-
-
 def test_leakage_profile_basic():
     table = table_from_dense([[0.0, 2.0], [2.0, 0.0]], row_use=[4.0, 8.0])
     leak = leakage_profile(table)

@@ -212,12 +212,10 @@ def test_node_order_matches_the_oracle_on_a_two_year_table(tmp_path):
     )
     expected = {year: outcome(table_oracle.parse_io_table, flows, year) for year in (2013, 2014)}
     assert expected[2014][2] == tuple(
-        NodeId(c, s, k)
-        for k, (c, s) in enumerate(
-            [("", "AGR"), ("AGR", "DEU"), ("DE", "AGR"), ("DEU", "AGR"), ("DEU", "MAN"), ("USA", "MAN"), ("ZZZ", "X")]
-        )
+        NodeId(c, s)
+        for c, s in [("", "AGR"), ("AGR", "DEU"), ("DE", "AGR"), ("DEU", "AGR"), ("DEU", "MAN"), ("USA", "MAN"), ("ZZZ", "X")]
     )
-    assert expected[2013][2] == (NodeId("DEU", "AGR", 0), NodeId("USA", "MAN", 1))
+    assert expected[2013][2] == (NodeId("DEU", "AGR"), NodeId("USA", "MAN"))
     panel = FlowPanel(flows)
     for year in (2014, 2013):
         assert outcome(parse_io_table, flows, year) == expected[year]
@@ -240,8 +238,8 @@ def _row_by_row_write(table, flows_path, row_use_path):
     with open(row_use_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ROW_USE_COLUMNS)
-        for nd in table.nodes:
-            writer.writerow([table.year, nd.country, nd.sector, repr(float(table.row_use_total[nd.index]))])
+        for nd, total in zip(table.nodes, table.row_use_total):
+            writer.writerow([table.year, nd.country, nd.sector, repr(float(total))])
 
 
 def test_writer_quotes_labels_like_csv_writer(tmp_path):
@@ -256,8 +254,8 @@ def test_writer_quotes_labels_like_csv_writer(tmp_path):
     dense[2, 2] = 0.1 + 0.2
     Z = sparse.csr_matrix(dense)
     row_use = np.asarray(Z.sum(axis=1)).ravel() * (1.0 + 1 / 3)
-    nodes = tuple(NodeId(c, s, i) for i, (c, s) in enumerate(labels))
-    table = IOTable(year=2014, n=n, Z=Z, row_use_total=row_use, nodes=nodes)
+    nodes = tuple(NodeId(c, s) for c, s in labels)
+    table = IOTable(year=2014, Z=Z, row_use_total=row_use, nodes=nodes)
 
     write_io_table(table, tmp_path / "flows.csv", tmp_path / "row_use.csv")
     _row_by_row_write(table, tmp_path / "old_flows.csv", tmp_path / "old_row_use.csv")

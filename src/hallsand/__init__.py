@@ -3,7 +3,6 @@
 from .config import ConfigError, load_config, section_for
 from .dynamics import (
     ContractionCheck,
-    FieldModel,
     Params,
     RelaxationBudgetError,
     contraction_check,
@@ -14,7 +13,6 @@ from .dynamics import (
 )
 from .experiments import (
     PRESETS,
-    CellDiagnostics,
     CellStats,
     RegimeLabel,
     ScenarioResult,
@@ -22,7 +20,6 @@ from .experiments import (
     SimulationError,
     Substrate,
     child_seed,
-    convergence_report,
     grid_scenarios,
     make_cell_stats,
     prepare_substrate,

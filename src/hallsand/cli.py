@@ -34,7 +34,6 @@ from .experiments import (
     DEFAULT_T_STAT,
     PRESETS,
     Substrate,
-    convergence_report,
     grid_scenarios,
     preset_scenarios,
     prepare_substrate,
@@ -381,18 +380,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# convergence.csv, one CellDiagnostics per row; a ratio without a mean is empty
+# convergence.csv, one CellStats and its diagnostics per row; a ratio without a mean is empty
 CONVERGENCE = {
-    "B_bar": lambda d: d.B_bar,
-    "sigma_D": lambda d: d.sigma_D,
-    "regime": lambda d: d.regime.value,
-    "mean_S": lambda d: d.mean_S,
-    "se_mean_S": lambda d: d.se_mean_S,
-    "se_over_mean": lambda d: "" if d.se_over_mean is None else d.se_over_mean,
-    "se_pr_ge5": lambda d: d.se_pr_ge[5],
-    "se_pr_ge10": lambda d: d.se_pr_ge[10],
-    "se_pr_ge20": lambda d: d.se_pr_ge[20],
-    "within_bounds": lambda d: d.within_bounds,
+    "B_bar": lambda s: s.B_bar,
+    "sigma_D": lambda s: s.sigma_D,
+    "regime": lambda s: s.regime.value,
+    "mean_S": lambda s: s.mean_S,
+    "se_mean_S": lambda s: s.se_mean_S,
+    "se_over_mean": lambda s: "" if s.se_over_mean is None else s.se_over_mean,
+    "se_pr_ge5": lambda s: s.se_pr_ge[5],
+    "se_pr_ge10": lambda s: s.se_pr_ge[10],
+    "se_pr_ge20": lambda s: s.se_pr_ge[20],
+    "within_bounds": lambda s: s.within_bounds,
 }
 
 
@@ -420,7 +419,7 @@ def cmd_phase_grid(args) -> int:
     out = Path(args.out_dir)
     path = _emit(out, "phase_grid.csv", *_table(CELL_STATS, cells), args.json)
     if args.convergence:
-        _emit(out, "convergence.csv", *_table(CONVERGENCE, convergence_report(cells)), args.json)
+        _emit(out, "convergence.csv", *_table(CONVERGENCE, cells), args.json)
     print(f"wrote {path} ({len(cells)} cells)")
     return 0
 
@@ -459,14 +458,19 @@ def _read_sizes(path: Path) -> np.ndarray:
     table = _read_rows(path, ("S",))
     sizes = _Converted(*table.coded["S"], convert=_size_or_none)
     k = sizes.first_bad
-    if k < len(table):  # data rows are numbered from 2, blank lines skipped
-        raise TailError(f"{path} row {k + 2}: bad S value {table.at('S', k)!r}, not a 64-bit integer")
+    if k < len(table):
+        raise TailError(f"{path} row {table.line(k)}: bad S value {table.at('S', k)!r}, not a 64-bit integer")
     if not len(table):
         raise TailError(f"{path}: no rows")
     return np.array(sizes.values, dtype=np.int64)[sizes.codes]
 
 
 def cmd_tail_fit(args) -> int:
+    # the flags are checked before any file is read, in the order select_xmin checks them
+    if args.min_tail < 2:
+        raise TailError(f"--min-tail: min_tail must be >= 2, got {args.min_tail}")
+    if args.x_min is not None and args.x_min < 1:
+        raise TailError(f"--x-min: x_min must be >= 1, got {args.x_min}")
     paths = {}  # by series name
     for path in map(Path, args.series):
         name = _series_name(path)

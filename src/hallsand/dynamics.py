@@ -59,21 +59,6 @@ class Params:
 
 
 @dataclass(frozen=True)
-class FieldModel:
-    """Aggregate field intensity: B_t = max(0, B_bar + N(0, sigma_B))."""
-
-    B_bar: float
-    sigma_B: float
-
-    def __post_init__(self):
-        # each comparison is False for nan, and the upper bound rejects inf
-        if not 0.0 <= self.B_bar < math.inf:
-            raise ValueError(f"B_bar must be finite and non-negative, got {self.B_bar}")
-        if not 0.0 <= self.sigma_B < math.inf:
-            raise ValueError(f"sigma_B must be finite and non-negative, got {self.sigma_B}")
-
-
-@dataclass(frozen=True)
 class ContractionCheck:
     passed: bool
     bound: float
@@ -109,12 +94,18 @@ def contraction_check(params: Params, rho_leak: float) -> ContractionCheck:
 
 
 def _validate_run(
-    operator: PropagationOperator, exposure: ExposureProfile, params: Params, sigma_D
+    operator: PropagationOperator, exposure: ExposureProfile, params: Params, columns
 ) -> int:
-    """Check the inputs of a run (one sigma_D or several) and resolve its round budget."""
-    for value in np.atleast_1d(sigma_D):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"sigma_D must be finite and positive, got {value}")
+    """Check the inputs of a run, its (B_bar, sigma_B, sigma_D, seed) columns
+    among them, and resolve its round budget."""
+    # each comparison is False for nan, and the upper bound rejects inf
+    for B_bar, sigma_B, sigma_D, _ in columns:
+        if not 0.0 <= B_bar < math.inf:
+            raise ValueError(f"B_bar must be finite and non-negative, got {B_bar}")
+        if not 0.0 <= sigma_B < math.inf:
+            raise ValueError(f"sigma_B must be finite and non-negative, got {sigma_B}")
+        if not 0.0 < sigma_D < math.inf:
+            raise ValueError(f"sigma_D must be finite and positive, got {sigma_D}")
     n = operator.n
     if exposure.n != n:
         raise ValueError(f"operator has {n} nodes but exposure has {exposure.n}")
@@ -222,13 +213,14 @@ def run_batch(
     operator: PropagationOperator,
     exposure: ExposureProfile,
     params: Params,
-    columns: list[tuple[FieldModel, float, int]],
+    columns: list[tuple[float, float, float, int]],
     periods: int,
     keep_from: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one replication per (fieldmodel, sigma_D, seed) column, as one n x k stress block.
+    """Run one replication per (B_bar, sigma_B, sigma_D, seed) column, as one n x k stress block.
 
-    Every column starts from zero stress. Column c gives, bit for bit, what
+    Column c's field is B_t = max(0, B_bar + N(0, sigma_B)), and every
+    column starts from zero stress. Column c gives, bit for bit, what
     it gives alone in a one-column call: it draws from its own generator in
     the same order and goes through the same update and relaxation rules,
     while each period and each relaxation round makes one sparse product for
@@ -242,18 +234,16 @@ def run_batch(
     Does not run the contraction check and does not warn; run_scenarios
     warns once per call.
     """
-    sigma_D = np.array([sigma_D for _, sigma_D, _ in columns], dtype=float)
-    max_rounds = _validate_run(operator, exposure, params, sigma_D)
+    max_rounds = _validate_run(operator, exposure, params, columns)
     if not 0 <= keep_from <= periods:
         raise ValueError(f"need 0 <= keep_from <= periods, got {keep_from} and {periods}")
     p = params
     n, k = operator.n, len(columns)
     A = operator.matrix
     At = A.T  # scipy's CSC view of A, built once per call
-    B_bar = np.array([fieldmodel.B_bar for fieldmodel, _, _ in columns], dtype=float)
-    sigma_B = np.array([fieldmodel.sigma_B for fieldmodel, _, _ in columns], dtype=float)
+    B_bar, sigma_B, sigma_D = (np.array([column[j] for column in columns], dtype=float) for j in range(3))
     denom = _hall_denominator(exposure, sigma_D, p.epsilon)
-    rngs = [np.random.default_rng(seed) for _, _, seed in columns]
+    rngs = [np.random.default_rng(seed) for *_, seed in columns]
     sizes = np.zeros((k, periods - keep_from), dtype=np.int64)
     fields = np.zeros((k, periods - keep_from))
     rounds = np.zeros((k, periods - keep_from), dtype=np.int64)

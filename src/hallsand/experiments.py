@@ -14,13 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import (
-    FieldModel,
-    Params,
-    RelaxationBudgetError,
-    contraction_check,
-    run_batch,
-)
+from .dynamics import Params, RelaxationBudgetError, contraction_check, run_batch
 from .exposure import DEFAULT_FLOOR, ExposureProfile, compute_exposure
 from .ingest import IOTable
 from .operators import OperatorKind, PropagationOperator, build_operator
@@ -94,7 +88,12 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Pooled post-burn cascade statistics for one (B_bar, sigma_D) cell."""
+    """Pooled post-burn cascade statistics for one (B_bar, sigma_D) cell.
+
+    Its convergence diagnostics hold it to the protocol's precision bounds:
+    an absorbing cell must have se(mean_S) below 0.02, any other se/mean
+    below 5%. Tail probabilities get binomial standard errors.
+    """
 
     B_bar: float
     sigma_D: float
@@ -109,6 +108,21 @@ class CellStats:
     n_obs: int
     regime: RegimeLabel
 
+    @property
+    def se_over_mean(self) -> float | None:
+        return self.se_mean_S / self.mean_S if self.mean_S > 0 else None
+
+    @property
+    def se_pr_ge(self) -> dict[int, float]:
+        return {k: math.sqrt(p * (1.0 - p) / self.n_obs) for k, p in sorted(self.pr_ge.items())}
+
+    @property
+    def within_bounds(self) -> bool:
+        if self.regime is RegimeLabel.ABSORPTION:
+            return self.se_mean_S < 0.02
+        ratio = self.se_over_mean
+        return ratio is not None and ratio < 0.05
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -120,20 +134,6 @@ class ScenarioResult:
     series: np.ndarray
     B_realised: np.ndarray
     relax_rounds: np.ndarray
-
-
-@dataclass(frozen=True)
-class CellDiagnostics:
-    """Convergence report row: standard errors against the protocol bounds."""
-
-    B_bar: float
-    sigma_D: float
-    regime: RegimeLabel
-    mean_S: float
-    se_mean_S: float
-    se_over_mean: float | None
-    se_pr_ge: dict[int, float]
-    within_bounds: bool
 
 
 def _splitmix64(z: int) -> int:
@@ -253,11 +253,7 @@ def _run_task(
     """Run a task's blocks as one batch; per block, post-burn S, B_t and rounds, a row per replication."""
     owners = [(spec, rep) for spec, lo, hi in task for rep in range(lo, hi)]
     columns = [
-        (
-            FieldModel(spec.B_bar, sigma_b_ratio * spec.B_bar),
-            spec.sigma_D,
-            child_seed(spec.master_seed, rep),
-        )
+        (spec.B_bar, sigma_b_ratio * spec.B_bar, spec.sigma_D, child_seed(spec.master_seed, rep))
         for spec, rep in owners
     ]
     try:
@@ -268,7 +264,7 @@ def _run_task(
         spec, rep = owners[err.column]
         raise SimulationError(
             f"scenario {spec.name!r} replication {rep} period {err.period}: {err}"
-            f" (seed {columns[err.column][2]})"
+            f" (seed {columns[err.column][3]})"
         ) from err
     out = []
     start = 0
@@ -385,37 +381,6 @@ def _results(specs, tasks, count, n_workers, context) -> Iterator[ScenarioResult
             done = list(islice(blocks, count))
             S, B, rounds = (np.concatenate([block[k] for block in done]) for k in range(3))
             yield ScenarioResult(spec.name, make_cell_stats(spec.B_bar, spec.sigma_D, S), S, B, rounds)
-
-
-def convergence_report(cells: Iterable[CellStats]) -> list[CellDiagnostics]:
-    """Per-cell standard errors with the protocol's precision flags.
-
-    Absorbing cells must have se(mean_S) below 0.02; all other cells must
-    have se/mean below 5%. Tail probabilities get binomial standard errors.
-    """
-    report = []
-    for stats in cells:
-        se_pr = {
-            k: math.sqrt(p * (1.0 - p) / stats.n_obs) for k, p in sorted(stats.pr_ge.items())
-        }
-        ratio = stats.se_mean_S / stats.mean_S if stats.mean_S > 0 else None
-        if stats.regime is RegimeLabel.ABSORPTION:
-            ok = stats.se_mean_S < 0.02
-        else:
-            ok = ratio is not None and ratio < 0.05
-        report.append(
-            CellDiagnostics(
-                B_bar=stats.B_bar,
-                sigma_D=stats.sigma_D,
-                regime=stats.regime,
-                mean_S=stats.mean_S,
-                se_mean_S=stats.se_mean_S,
-                se_over_mean=ratio,
-                se_pr_ge=se_pr,
-                within_bounds=ok,
-            )
-        )
-    return report
 
 
 def preset_scenarios(

@@ -20,7 +20,8 @@ class ExposureProfile:
 
     I sums to 1 across nodes. D (diversification) and C (inflow capacity)
     live in [floor, 1]. R = 1/(D*C + epsilon) is structural resistance.
-    H and H_rel are the stress loading and its share at field intensity B.
+    H and H_rel are the stress loading and its share at the field
+    intensity B that compute_exposure was given.
     """
 
     I: np.ndarray
@@ -31,10 +32,6 @@ class ExposureProfile:
     R: np.ndarray
     H: np.ndarray
     H_rel: np.ndarray
-    B: float
-    epsilon: float
-    d_floor: float
-    c_floor: float
 
     @property
     def n(self) -> int:
@@ -165,7 +162,4 @@ def compute_exposure(
     H = B * I / denom
     total_H = H.sum()
     H_rel = H / total_H if total_H > 0 else np.zeros(n)
-    return ExposureProfile(
-        I=I, HHI_out=HHI_out, HHI_in=HHI_in, D=D, C=C, R=R, H=H, H_rel=H_rel,
-        B=B, epsilon=epsilon, d_floor=d_floor, c_floor=c_floor,
-    )
+    return ExposureProfile(I=I, HHI_out=HHI_out, HHI_in=HHI_in, D=D, C=C, R=R, H=H, H_rel=H_rel)

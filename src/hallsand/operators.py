@@ -34,10 +34,8 @@ class SpectralConvergenceError(RuntimeError):
 class PropagationOperator:
     """A non-negative n x n propagation matrix with its cached spectral radius."""
 
-    kind: OperatorKind
     matrix: sparse.csr_matrix
     spectral_radius: float
-    year: int
 
     @property
     def n(self) -> int:
@@ -215,4 +213,4 @@ def build_operator(table: IOTable, kind: OperatorKind) -> PropagationOperator:
         matrix = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
         matrix.eliminate_zeros()
     rho = spectral_radius(matrix)
-    return PropagationOperator(kind=kind, matrix=matrix, spectral_radius=rho, year=table.year)
+    return PropagationOperator(matrix=matrix, spectral_radius=rho)

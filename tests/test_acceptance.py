@@ -18,7 +18,6 @@ from scipy import sparse
 
 from hallsand.cli import main as cli_main
 from hallsand.dynamics import (
-    FieldModel,
     Params,
     RelaxationBudgetError,
     gap_field_sensitivity,
@@ -172,7 +171,7 @@ def test_criterion_4_engine_matches_scalar_loop():
         expected = oracle.run(B_bar, 0.10 * B_bar, 50)
         with settled_stress() as blocks:
             sizes, _, _ = run_batch(
-                sub.operator, sub.exposure, params, [(FieldModel(B_bar, 0.10 * B_bar), sigma_D, seed)], 50
+                sub.operator, sub.exposure, params, [(B_bar, 0.10 * B_bar, sigma_D, seed)], 50
             )
         if sizes[0].tolist() != expected or not np.array_equal(blocks[-1][:, 0], np.asarray(oracle.s)):
             mismatched += 1
@@ -190,7 +189,7 @@ def test_criterion_5_long_run_boundedness():
     t0 = time.perf_counter()
     sub = prepare_substrate(synth_substrate(500, 0.05, 13, mean_leakage=0.30))
     rho = sub.operator.spectral_radius
-    column = (FieldModel(1.35, 0.10 * 1.35), 2.3, child_seed(5150, 0))
+    column = (1.35, 0.10 * 1.35, 2.3, child_seed(5150, 0))
     budget_error = False
     with settled_stress() as blocks:
         try:

@@ -521,6 +521,27 @@ def test_tail_fit_checks_min_tail_at_a_fixed_cutoff_too(tmp_path, capsys, min_ta
     assert f"min_tail must be >= 2, got {min_tail}" in errors[1]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--x-min", "0"], "--x-min: x_min must be >= 1, got 0"),
+        (["--min-tail", "1"], "--min-tail: min_tail must be >= 2, got 1"),
+        (["--min-tail", "1", "--x-min", "0"], "--min-tail: min_tail must be >= 2, got 1"),
+    ],
+)
+@pytest.mark.parametrize("exists", [True, False], ids=["series", "missing-series"])
+def test_tail_fit_bad_flag_is_named_before_any_file_is_read(tmp_path, capsys, flags, message, exists):
+    # the flag's error names the flag, not the first series file, and wins
+    # over a series file that is missing
+    series = tmp_path / "avalanches_d.csv"
+    if exists:
+        series.write_text("replication,period,S\n" + "".join(f"0,{t},{t % 7 + 1}\n" for t in range(50)))
+    out = tmp_path / "out"
+    assert main(["tail-fit", str(series), *flags, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_tail_fit_cell_beyond_the_csv_field_limit_exit_1(tmp_path, capsys):
     # a good series ahead of the bad one: nothing is written, not even out/
     good = tmp_path / "avalanches_good.csv"
@@ -560,11 +581,13 @@ def test_tail_fit_non_integer_size_exit_1(tmp_path, capsys, bad):
     ids=["short-row", "nan"],
 )
 def test_tail_fit_row_number_skips_blank_lines(tmp_path, capsys, body, bad):
-    # a BOM, blank lines between rows, and a short row whose S cell is missing
+    # a BOM, blank lines between rows, and a short row whose S cell is missing;
+    # blank lines are skipped as rows, and the bad row is named by its line, 6,
+    # as csv.DictReader counts it for flows.csv
     series = tmp_path / "avalanches_gappy.csv"
     series.write_text("\ufeffreplication,period,S,B_realised,relax_rounds\n" + body, encoding="utf-8")
     assert main(["tail-fit", str(series), "--out-dir", str(tmp_path)]) == 1
-    assert f"avalanches_gappy.csv row 4: bad S value {bad}, not a 64-bit integer" in capsys.readouterr().err
+    assert f"avalanches_gappy.csv row 6: bad S value {bad}, not a 64-bit integer" in capsys.readouterr().err
 
 
 def test_tail_fit_writes_sizes_past_2_to_the_53_exactly(tmp_path):

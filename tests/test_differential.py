@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hallsand.dynamics import FieldModel, Params, RelaxationBudgetError, run_batch  # noqa: E402
+from hallsand.dynamics import Params, RelaxationBudgetError, run_batch  # noqa: E402
 from hallsand.experiments import (  # noqa: E402
     ScenarioSpec,
     SimulationError,
@@ -62,12 +62,11 @@ def one_by_one(sub, params, specs, sigma_b_ratio, T_burn, T_stat, replications):
     from its own one-column run_batch; or the first error in spec and replication order."""
     results = []
     for spec in specs:
-        fieldmodel = FieldModel(spec.B_bar, sigma_b_ratio * spec.B_bar)
         periods = T_burn + T_stat
         series = []
         for rep in range(replications):
             seed = child_seed(spec.master_seed, rep)
-            column = (fieldmodel, spec.sigma_D, seed)
+            column = (spec.B_bar, sigma_b_ratio * spec.B_bar, spec.sigma_D, seed)
             try:
                 with settled_stress() as blocks:
                     sizes, fields, rounds = run_batch(sub.operator, sub.exposure, params, [column], periods)
@@ -76,7 +75,7 @@ def one_by_one(sub, params, specs, sigma_b_ratio, T_burn, T_stat, replications):
                     f"scenario {spec.name!r} replication {rep} period {err.period}: {err} (seed {seed})"
                 )
             oracle = ScalarLoopEngine(sub.operator, sub.exposure, params, sigma_D=spec.sigma_D, seed=seed)
-            assert sizes[0].tolist() == oracle.run(fieldmodel.B_bar, fieldmodel.sigma_B, periods)
+            assert sizes[0].tolist() == oracle.run(*column[:2], periods)
             assert blocks[-1][:, 0].tobytes() == np.array(oracle.s).tobytes()
             series.append(tuple(row[0, T_burn:] for row in (sizes, fields, rounds)))
         results.append(series)

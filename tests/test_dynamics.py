@@ -12,7 +12,6 @@ import hallsand
 
 from hallsand import dynamics
 from hallsand.dynamics import (
-    FieldModel,
     Params,
     RelaxationBudgetError,
     _hall_denominator,
@@ -56,7 +55,7 @@ def test_both_relaxation_products_give_the_same_bytes(kind, count_unique):
     operator, exposure = make_pair(synth_substrate(300, 0.5, 6), kind)
     A = operator.matrix
     params = Params(theta_reset=0.2, redistribution_fraction=0.9, count_unique=count_unique)
-    columns = [(FieldModel(1.2, 0.12), 1.0, 11), (FieldModel(1.6, 0.16), 2.0, 12), (FieldModel(0.9, 0.09), 0.6, 13)]
+    columns = [(1.2, 0.12, 1.0, 11), (1.6, 0.16, 2.0, 12), (0.9, 0.09, 0.6, 13)]
     relax_block = dynamics._relax_block
     periods = []
 
@@ -135,14 +134,14 @@ def test_public_names_are_pinned():
 
 
 DYNAMICS_NAMES = """
-    ContractionCheck FieldModel Params RelaxationBudgetError contraction_check
+    ContractionCheck Params RelaxationBudgetError contraction_check
     gap_field_sensitivity gap_redundancy_sensitivity hall_adjusted_threshold run_batch
 """
 PACKAGE_NAMES = DYNAMICS_NAMES + """
     config dynamics experiments exposure ingest operators tail
     ConfigError load_config section_for
-    PRESETS CellDiagnostics CellStats RegimeLabel ScenarioResult
-    ScenarioSpec SimulationError Substrate child_seed convergence_report grid_scenarios
+    PRESETS CellStats RegimeLabel ScenarioResult
+    ScenarioSpec SimulationError Substrate child_seed grid_scenarios
     make_cell_stats prepare_substrate preset_scenarios run_scenarios
     ExposureProfile compute_exposure
     FlowPanel IOTable NodeId TableError list_years parse_io_table synth_substrate write_io_table
@@ -201,8 +200,11 @@ def test_params_theta_is_one_scalar():
     ],
 )
 def test_fieldmodel_rejects_non_finite_or_negative(B_bar, sigma_B, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
-        FieldModel(B_bar, sigma_B)
+    # a run_batch column's field level and volatility, checked before anything runs
+    op, prof = make_pair(synth_substrate(6, 0.4, 0))
+    value = B_bar if name == "B_bar" else sigma_B
+    with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got {value}$"):
+        run_batch(op, prof, Params(), [(B_bar, sigma_B, 1.0, 0)], 5)
 
 
 def test_contraction_check_cases():
@@ -221,10 +223,10 @@ def test_contraction_check_cases():
 def test_round_budget_defaults_to_ten_n():
     table = synth_substrate(12, 0.3, 4)
     op, prof = make_pair(table)
-    assert _validate_run(op, prof, Params(), 1.0) == 120
-    assert _validate_run(op, prof, Params(max_relax_rounds=7), 1.0) == 7
+    assert _validate_run(op, prof, Params(), [(1.0, 0.1, 1.0, 9)]) == 120
+    assert _validate_run(op, prof, Params(max_relax_rounds=7), [(1.0, 0.1, 1.0, 9)]) == 7
     # no periods: nothing drawn, nothing recorded
-    sizes, fields, rounds = run_batch(op, prof, Params(), [(FieldModel(1.0, 0.1), 1.0, 9)], 0)
+    sizes, fields, rounds = run_batch(op, prof, Params(), [(1.0, 0.1, 1.0, 9)], 0)
     assert sizes.shape == fields.shape == rounds.shape == (1, 0)
 
 
@@ -242,11 +244,11 @@ def test_run_scenarios_warns_once_on_contraction_failure():
 def test_run_batch_validation():
     table = synth_substrate(6, 0.4, 0)
     op, prof = make_pair(table)
-    with pytest.raises(ValueError):
-        run_batch(op, prof, Params(), [(FieldModel(1.0, 0.1), 0.0, 0)], 5)
+    with pytest.raises(ValueError, match=r"^sigma_D must be finite and positive, got 0\.0$"):
+        run_batch(op, prof, Params(), [(1.0, 0.1, 0.0, 0)], 5)
     other = compute_exposure(synth_substrate(7, 0.4, 0))
     with pytest.raises(ValueError):
-        run_batch(op, other, Params(), [(FieldModel(1.0, 0.1), 1.0, 0)], 5)
+        run_batch(op, other, Params(), [(1.0, 0.1, 1.0, 0)], 5)
 
 
 def test_half_normal_shock_mean():
@@ -270,7 +272,7 @@ def test_half_normal_shock_mean():
 def test_hall_loading_unit_dispersion_matches_static():
     table = synth_substrate(30, 0.3, 8)
     op, prof = make_pair(table)
-    H = prof.B * prof.I / _hall_denominator(prof, np.array([1.0]), Params().epsilon)[:, 0]
+    H = 1.0 * prof.I / _hall_denominator(prof, np.array([1.0]), Params().epsilon)[:, 0]
     np.testing.assert_array_equal(H, prof.H)
 
 
@@ -307,7 +309,7 @@ def test_relax_budget_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # run_batch itself never warns
         with pytest.raises(RelaxationBudgetError) as exc:
-            run_batch(op, prof, params, [(FieldModel(1.0, 0.1), 1.0, 0)], 3)
+            run_batch(op, prof, params, [(1.0, 0.1, 1.0, 0)], 3)
     assert exc.value.rounds == 25
     assert exc.value.still_over == 2
     assert (exc.value.column, exc.value.period) == (0, 0)
@@ -316,7 +318,7 @@ def test_relax_budget_error():
 def test_step_records_period_and_field():
     table = synth_substrate(10, 0.3, 3)
     op, prof = make_pair(table)
-    sizes, fields, rounds = run_batch(op, prof, Params(), [(FieldModel(B_bar=1.0, sigma_B=0.1), 1.0, 5)], 1)
+    sizes, fields, rounds = run_batch(op, prof, Params(), [(1.0, 0.1, 1.0, 5)], 1)
     assert sizes.shape == fields.shape == rounds.shape == (1, 1)
     assert fields[0, 0] >= 0.0
     assert sizes[0, 0] >= 0
@@ -325,7 +327,7 @@ def test_step_records_period_and_field():
 def test_field_clamped_at_zero():
     table = synth_substrate(10, 0.3, 3)
     op, prof = make_pair(table)
-    _, fields, _ = run_batch(op, prof, Params(), [(FieldModel(B_bar=0.01, sigma_B=5.0), 1.0, 5)], 200)
+    _, fields, _ = run_batch(op, prof, Params(), [(0.01, 5.0, 1.0, 5)], 200)
     assert fields.min() == 0.0
 
 
@@ -333,20 +335,20 @@ def test_run_rejects_negative_periods():
     table = synth_substrate(6, 0.4, 2)
     op, prof = make_pair(table)
     with pytest.raises(ValueError):
-        run_batch(op, prof, Params(), [(FieldModel(B_bar=1.0, sigma_B=0.1), 1.0, 0)], -1)
+        run_batch(op, prof, Params(), [(1.0, 0.1, 1.0, 0)], -1)
 
 
-def run_one(op, prof, params, fieldmodel, periods, sigma_D, seed):
-    """One replication as a one-column run_batch: its cascade sizes and final stress."""
+def run_one(op, prof, params, field, periods, sigma_D, seed):
+    """One replication as a one-column run_batch, field (B_bar, sigma_B): its cascade sizes and final stress."""
     with settled_stress() as blocks:
-        sizes, _, _ = run_batch(op, prof, params, [(fieldmodel, sigma_D, seed)], periods)
+        sizes, _, _ = run_batch(op, prof, params, [(*field, sigma_D, seed)], periods)
     return sizes[0].tolist(), blocks[-1][:, 0]
 
 
 def test_run_deterministic_given_seed():
     table = synth_substrate(20, 0.3, 14)
     op, prof = make_pair(table)
-    fm = FieldModel(B_bar=1.2, sigma_B=0.12)
+    fm = (1.2, 0.12)
     ra, sa = run_one(op, prof, Params(), fm, 80, 1.5, 77)
     rb, sb = run_one(op, prof, Params(), fm, 80, 1.5, 77)
     assert ra == rb
@@ -373,10 +375,10 @@ def test_engine_matches_scalar_oracle(n, density, table_seed, run_seed):
     table = synth_substrate(n, density, table_seed)
     op, prof = make_pair(table)
     params = Params()
-    fm = FieldModel(B_bar=1.1, sigma_B=0.11)
+    fm = (1.1, 0.11)
     sizes, s = run_one(op, prof, params, fm, 50, 1.3, run_seed)
     oracle = ScalarLoopEngine(op, prof, params, sigma_D=1.3, seed=run_seed)
-    want = oracle.run(fm.B_bar, fm.sigma_B, 50)
+    want = oracle.run(*fm, 50)
     assert sizes == want
     np.testing.assert_array_equal(s, np.array(oracle.s))
 
@@ -391,10 +393,10 @@ def test_engine_matches_oracle_variant_params():
         theta_reset=0.25,
         theta=0.8,
     )
-    fm = FieldModel(B_bar=1.4, sigma_B=0.2)
+    fm = (1.4, 0.2)
     sizes, s = run_one(op, prof, params, fm, 50, 0.7, 5)
     oracle = ScalarLoopEngine(op, prof, params, sigma_D=0.7, seed=5)
-    want = oracle.run(fm.B_bar, fm.sigma_B, 50)
+    want = oracle.run(*fm, 50)
     assert sizes == want
     np.testing.assert_array_equal(s, np.array(oracle.s))
 

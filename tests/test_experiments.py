@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hallsand import dynamics, experiments
-from hallsand.dynamics import FieldModel, Params, RelaxationBudgetError, run_batch
+from hallsand.dynamics import Params, RelaxationBudgetError, run_batch
 from hallsand.experiments import (
     DEFAULT_SIGMA_B_RATIO,
     SimulationError,
@@ -17,7 +17,6 @@ from hallsand.experiments import (
     RegimeLabel,
     ScenarioSpec,
     child_seed,
-    convergence_report,
     grid_scenarios,
     make_cell_stats,
     prepare_substrate,
@@ -306,10 +305,10 @@ def test_budget_error_names_lowest_failing_replication_not_earliest_period():
     hot = prepare_substrate(synth_substrate(30, 0.2, 7, mean_leakage=0.22), kind=OperatorKind.ROW_SHARE)
     params = Params(max_relax_rounds=6, redistribution_fraction=0.7)
     spec = ScenarioSpec("late", 0.2, 1.5, master_seed=16)
-    fieldmodel = FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar)
+    sigma_B = DEFAULT_SIGMA_B_RATIO * spec.B_bar
     periods, errors = [], []
     for rep in range(2):
-        column = (fieldmodel, spec.sigma_D, child_seed(spec.master_seed, rep))
+        column = (spec.B_bar, sigma_B, spec.sigma_D, child_seed(spec.master_seed, rep))
         with pytest.raises(RelaxationBudgetError) as exc:
             run_batch(hot.operator, hot.exposure, params, [column], 30)
         periods.append(exc.value.period)
@@ -329,8 +328,8 @@ def test_budget_error_of_a_batch_whose_rerun_fails_again(monkeypatch):
     hot = prepare_substrate(synth_substrate(30, 0.2, 7, mean_leakage=0.22), kind=OperatorKind.ROW_SHARE)
     params = Params(max_relax_rounds=6, redistribution_fraction=0.7)
     spec = ScenarioSpec("late", 0.2, 1.5, master_seed=22)
-    fieldmodel = FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar)
-    columns = [(fieldmodel, spec.sigma_D, child_seed(spec.master_seed, rep)) for rep in range(3)]
+    sigma_B = DEFAULT_SIGMA_B_RATIO * spec.B_bar
+    columns = [(spec.B_bar, sigma_B, spec.sigma_D, child_seed(spec.master_seed, rep)) for rep in range(3)]
     alone = []
     for column in columns:
         with pytest.raises(RelaxationBudgetError) as exc:
@@ -349,7 +348,7 @@ def test_budget_error_of_a_batch_whose_rerun_fails_again(monkeypatch):
     assert widths == [3, 2, 1]
     assert (exc.value.column, exc.value.period, str(exc.value)) == (0, alone[0].period, str(alone[0]))
     monkeypatch.undo()
-    want = f"scenario 'late' replication 0 period {alone[0].period}: {alone[0]} (seed {columns[0][2]})"
+    want = f"scenario 'late' replication 0 period {alone[0].period}: {alone[0]} (seed {columns[0][3]})"
     for threads in (1, 2):
         with pytest.raises(SimulationError) as exc:
             list(run_scenarios([spec], hot, params, threads=threads, T_burn=0, T_stat=30, replications=3))
@@ -367,7 +366,7 @@ def test_simulation_error_seed_alone_reproduces_the_failure():
     head, seed = re.fullmatch(r"(.*) \(seed (\d+)\)", str(exc.value)).groups()
     assert head.startswith("scenario 'mild' replication 3 period ")
     period = int(re.search(r" period (\d+): ", head).group(1))
-    column = (FieldModel(spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar), spec.sigma_D, int(seed))
+    column = (spec.B_bar, DEFAULT_SIGMA_B_RATIO * spec.B_bar, spec.sigma_D, int(seed))
     with pytest.raises(RelaxationBudgetError) as alone:
         run_batch(hot.operator, hot.exposure, params, [column], 30)
     assert (alone.value.column, alone.value.period) == (0, period)
@@ -390,19 +389,21 @@ def test_convergence_report_flags(small_substrate):
     specs = grid_scenarios((0.4, 1.8), (0.7, 2.2), master_seed=3)
     results = run_scenarios(specs, small_substrate, Params(), T_burn=10, T_stat=40, replications=4)
     cells = [r.stats for r in results]
-    report = convergence_report(cells)
-    assert len(report) == 4
-    for diag, stats in zip(report, cells):
-        assert diag.regime is stats.regime
-        assert diag.se_mean_S == stats.se_mean_S
+    assert len(cells) == 4
+    for stats in cells:
+        assert sorted(stats.se_pr_ge) == [5, 10, 20]
         for k, p in stats.pr_ge.items():
             want = math.sqrt(p * (1 - p) / stats.n_obs)
-            assert diag.se_pr_ge[k] == pytest.approx(want)
-        if diag.regime is RegimeLabel.ABSORPTION:
-            assert diag.within_bounds == (diag.se_mean_S < 0.02)
+            assert stats.se_pr_ge[k] == pytest.approx(want)
+        if stats.mean_S > 0:
+            assert stats.se_over_mean == stats.se_mean_S / stats.mean_S
         else:
-            assert diag.within_bounds == (
-                diag.se_over_mean is not None and diag.se_over_mean < 0.05
+            assert stats.se_over_mean is None
+        if stats.regime is RegimeLabel.ABSORPTION:
+            assert stats.within_bounds == (stats.se_mean_S < 0.02)
+        else:
+            assert stats.within_bounds == (
+                stats.se_over_mean is not None and stats.se_over_mean < 0.05
             )
 
 
@@ -415,7 +416,7 @@ def test_convergence_report_bound_is_strict(regime, mean_S, se_mean_S):
     def cell(se):
         return CellStats(1.0, 1.0, mean_S, se, 0.5, {}, 1.0, 2.0, 3.0, 4, 100, regime)
 
-    on, below = convergence_report([cell(se_mean_S), cell(np.nextafter(se_mean_S, 0.0))])
+    on, below = cell(se_mean_S), cell(np.nextafter(se_mean_S, 0.0))
     if regime is not RegimeLabel.ABSORPTION:
         assert on.se_over_mean == 0.05
     assert not on.within_bounds

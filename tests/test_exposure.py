@@ -185,7 +185,6 @@ def test_exposure_at_another_field():
     table = synth_substrate(25, 0.3, 2)
     prof = compute_exposure(table, B=1.0)
     prof2 = compute_exposure(table, B=2.5)
-    assert prof2.B == 2.5
     np.testing.assert_allclose(prof2.H, 2.5 * prof.H / 1.0, rtol=1e-15)
     np.testing.assert_allclose(prof2.I, prof.I)
 
@@ -195,8 +194,6 @@ def test_compute_exposure_custom_floors():
     prof = compute_exposure(table, d_floor=0.10, c_floor=0.20)
     assert prof.D.min() >= 0.10 - 1e-15
     assert prof.C.min() >= 0.20 - 1e-15
-    assert prof.d_floor == 0.10
-    assert prof.c_floor == 0.20
 
 
 def read_rows(path):

@@ -33,18 +33,19 @@ def old_read_sizes(path: Path) -> np.ndarray:
             header = next(reader, None)
             if header is None or "S" not in header:
                 raise TailError(f"{path}: missing S column")
-            # of repeated header names the last counts, and rows are numbered
-            # with blank lines skipped, as csv.DictReader reads them
+            # of repeated header names the last counts, and blank lines are
+            # skipped, as csv.DictReader reads them; a row is named by the
+            # line the reader has reached, as flows.csv's errors name it
             col = len(header) - 1 - header[::-1].index("S")
             values = []
-            for k, row in enumerate(filter(None, reader), start=2):
+            for row in filter(None, reader):
                 text = row[col] if col < len(row) else None  # a short row reads None
                 try:
                     value = float(text)
                     if not value.is_integer() or abs(value) >= 2**63:  # also rejects nan and inf
                         raise ValueError
                 except (TypeError, ValueError):
-                    raise TailError(f"{path} row {k}: bad S value {text!r}, not a 64-bit integer") from None
+                    raise TailError(f"{path} row {reader.line_num}: bad S value {text!r}, not a 64-bit integer") from None
                 values.append(int(value))
     except csv.Error as err:  # such as a cell longer than csv.field_size_limit()
         raise TailError(f"{path}: {err}") from None
@@ -103,6 +104,8 @@ def _outcome(read, path: Path):
 @example("S\n3\n\n4\n", 1)
 @example("S\n\n\n", 8)
 @example("S,period,S\n1,0,2\n2\n", 8)
+@example('S,x\n1,0\n\n2,"a\nb"\n\nx,0\n', 8)  # blank lines and a two-line cell before a bad size
+@example('S\n1\n"2\n"\nx\n', 1)
 def test_series_reader_matches_the_old_loop(text, chunk_rows):
     with tempfile.TemporaryDirectory() as d, mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
         path = Path(d) / "avalanches_x.csv"

@@ -32,8 +32,8 @@ from .ingest import (
     IOTable,
     NodeId,
     TableError,
-    list_years,
     parse_io_table,
+    read_sizes,
     synth_substrate,
     write_io_table,
 )
@@ -45,6 +45,6 @@ from .operators import (
     leakage_profile,
     spectral_radius,
 )
-from .tail import TailError, TailFit, ccdf, fit_alpha, hill_alpha, scan_xmin, select_xmin
+from .tail import TailError, TailFit, ccdf, scan_xmin, select_xmin
 
 __version__ = "0.1.0"

@@ -44,11 +44,8 @@ from .ingest import (
     DEFAULT_SYNTH_DENSITY,
     FlowPanel,
     TableError,
-    _Converted,
-    _float_or_nan,
-    _int_or_none,
-    _read_rows,
     parse_io_table,
+    read_sizes,
     synth_substrate,
     write_io_table,
 )
@@ -432,7 +429,6 @@ TAIL_FIT = {
     "ks": lambda f: f.ks_distance,
     "informative": lambda f: f.informative,
 }
-CCDF = {"x": lambda point: point[0], "prob": lambda point: point[1]}
 
 
 def _series_name(path: Path) -> str:
@@ -441,28 +437,6 @@ def _series_name(path: Path) -> str:
     if not _NAME_RE.match(name):
         raise TailError(f"cannot derive a clean series name from {path.name!r}")
     return name
-
-
-def _size_or_none(cell) -> int | None:
-    """Integer text as written; a float cell such as 7.0 or 1e3 only below
-    2**53, from where float() may have rounded it."""
-    value = _int_or_none(cell)
-    if value is None:
-        number = _float_or_nan(cell)  # a cell float() refuses, nan and inf all fail is_integer()
-        value = int(number) if number.is_integer() and abs(number) < 2**53 else None
-    return value if value is not None and abs(value) < 2**63 else None
-
-
-def _read_sizes(path: Path) -> np.ndarray:
-    """The S column of a series file, read with the rules of flows.csv."""
-    table = _read_rows(path, ("S",))
-    sizes = _Converted(*table.coded["S"], convert=_size_or_none)
-    k = sizes.first_bad
-    if k < len(table):
-        raise TailError(f"{path} row {table.line(k)}: bad S value {table.at('S', k)!r}, not a 64-bit integer")
-    if not len(table):
-        raise TailError(f"{path}: no rows")
-    return np.array(sizes.values, dtype=np.int64)[sizes.codes]
 
 
 def cmd_tail_fit(args) -> int:
@@ -479,7 +453,7 @@ def cmd_tail_fit(args) -> int:
         paths[name] = path
     fits, tails = [], []  # every series is read and fitted before anything is written
     for path in paths.values():
-        sizes = _read_sizes(path)
+        sizes = read_sizes(path)
         positive = sizes[sizes >= 1]
         if positive.size == 0:
             raise TailError(f"{path}: no positive cascade sizes to fit")
@@ -490,7 +464,7 @@ def cmd_tail_fit(args) -> int:
         tails.append(positive)
     out = Path(args.out_dir)
     for name, positive in zip(paths, tails):
-        _emit(out, f"ccdf_{name}.csv", *_table(CCDF, ccdf(positive)), args.json)
+        _emit(out, f"ccdf_{name}.csv", ("x", "prob"), list(ccdf(positive)), args.json)
     path = _emit(out, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=list(paths)), args.json)
     print(f"wrote {path} ({len(fits)} fit(s))")
     return 0

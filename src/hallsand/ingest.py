@@ -33,7 +33,8 @@ _LABEL_COLUMNS = FLOWS_COLUMNS[1:5]
 
 
 class TableError(ValueError):
-    """An input table violates the flows/row-use contract."""
+    """An input file violates its contract: a flows or row-use table, or a
+    series file of cascade sizes."""
 
 
 @dataclass(frozen=True)
@@ -437,9 +438,34 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
     return later
 
 
-def list_years(path: str | Path) -> list[int]:
-    """Distinct years present in a flows CSV, ascending."""
-    return FlowPanel(path).years()
+def _size_or_none(cell) -> int | None:
+    """Integer text as written; a float cell such as 7.0 or 1e3 only below
+    2**53, from where float() may have rounded it."""
+    value = _int_or_none(cell)
+    if value is None:
+        number = _float_or_nan(cell)  # a cell float() refuses, nan and inf all fail is_integer()
+        value = int(number) if number.is_integer() and abs(number) < 2**53 else None
+    return value if value is not None and abs(value) < 2**63 else None
+
+
+def read_sizes(path: str | Path) -> np.ndarray:
+    """The S column of a series file as int64, read with the rules of flows.csv.
+
+    Raises TableError naming the first row, in file order, whose size is not
+    a 64-bit integer or is negative. Zero sizes are kept.
+    """
+    path = Path(path)
+    table = _read_rows(path, ("S",))
+    sizes = _Converted(*table.coded["S"], convert=_size_or_none)
+    refused = sizes._of([v is None or v < 0 for v in sizes.values])
+    if refused.any():
+        k = int(np.argmax(refused))
+        cell = table.at("S", k)
+        fault = f"bad S value {cell!r}, not a 64-bit integer" if k == sizes.first_bad else f"negative S value {cell!r}"
+        raise TableError(f"{path} row {table.line(k)}: {fault}")
+    if not len(table):
+        raise TableError(f"{path}: no rows")
+    return np.array(sizes.values, dtype=np.int64)[sizes.codes]
 
 
 def parse_io_table(

@@ -40,52 +40,16 @@ def _as_positive_ints(samples) -> np.ndarray:
     return out
 
 
-def ccdf(samples) -> list[tuple[int, float]]:
-    """Empirical P(X >= x) at each distinct sample value, ascending in x.
+def ccdf(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical P(X >= x) at each distinct sample value, ascending in x, as
+    the values and their probabilities.
 
     The smallest value has probability exactly 1; probabilities strictly
     decrease along the support.
     """
     xs = _as_positive_ints(samples)
     values, counts = np.unique(xs, return_counts=True)
-    tail_counts = counts[::-1].cumsum()[::-1]
-    n = xs.size
-    return [(int(v), float(c) / n) for v, c in zip(values, tail_counts)]
-
-
-def hill_alpha(values, scale: float) -> float:
-    """Continuous maximum-likelihood tail exponent 1 + n / sum(ln(x / scale)).
-
-    Exactly invariant under joint rescaling of values and scale. Returns
-    inf when every value equals the scale.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        raise TailError(f"need at least 2 values, got {arr.size}")
-    if scale <= 0:
-        raise TailError(f"scale must be positive, got {scale}")
-    if (arr < scale).any():
-        raise TailError("all values must be >= scale")
-    log_sum = float(np.log(arr / scale).sum())
-    if log_sum <= 0:
-        return float("inf")
-    return 1.0 + arr.size / log_sum
-
-
-def fit_alpha(samples, x_min: int) -> float:
-    """Tail exponent for integer data at a fixed cutoff.
-
-    Continuous MLE with the half-step cutoff shift that compensates for
-    integer binning: alpha = 1 + n_tail / sum(ln(x / (x_min - 1/2))).
-    Raises TailError when fewer than two samples reach the cutoff.
-    """
-    if x_min < 1:
-        raise TailError(f"x_min must be >= 1, got {x_min}")
-    xs = _as_positive_ints(samples)
-    tail = xs[xs >= x_min]
-    if tail.size < 2:
-        raise TailError(f"only {tail.size} sample(s) at or above x_min={x_min}")
-    return hill_alpha(tail.astype(np.float64), x_min - 0.5)
+    return values, counts[::-1].cumsum()[::-1] / xs.size
 
 
 def _informative(n_tail: int, n_values: int, alpha: float, min_tail: int) -> bool:
@@ -147,16 +111,26 @@ def select_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL, x_min: int | None = N
     """Fit the tail at the cutoff x_min, or, when it is None, at the scanned
     cutoff that minimizes the tail-conditional fit distance.
 
-    Ties in the scan go to the smaller cutoff. A fixed cutoff gets
-    fit_alpha's exponent and no fit distance (nan). The fit is informative
-    only when its tail clears min_tail observations, spreads over more than
-    two distinct values, and yields a finite exponent above 1.
+    Ties in the scan go to the smaller cutoff. A fixed cutoff gets no fit
+    distance (nan) and the continuous MLE with a half-step shift for integer
+    binning, alpha = 1 + n_tail / sum(ln(x / (x_min - 1/2))), or inf where
+    the shift rounds away (past 2**53); fewer than two samples at or above
+    it raise TailError. Its alpha can differ from the scan's at the same
+    cutoff in the last bits, as the two sum the logs in different orders.
+    The fit is informative only when its tail clears min_tail observations,
+    spreads over more than two distinct values, and yields a finite
+    exponent above 1.
     """
     if x_min is not None:
         _check_min_tail(min_tail)
-        xs = np.asarray(samples)
-        alpha = fit_alpha(xs, x_min)
+        if x_min < 1:
+            raise TailError(f"x_min must be >= 1, got {x_min}")
+        xs = _as_positive_ints(samples)
         tail = xs[xs >= x_min]
+        if tail.size < 2:
+            raise TailError(f"only {tail.size} sample(s) at or above x_min={x_min}")
+        log_sum = float(np.log(tail.astype(np.float64) / (x_min - 0.5)).sum())
+        alpha = 1.0 + tail.size / log_sum if log_sum > 0 else float("inf")
         informative = _informative(tail.size, np.unique(tail).size, alpha, min_tail)
         return TailFit(x_min, int(tail.size), alpha, float("nan"), informative)
     candidates = scan_xmin(samples, min_tail=min_tail)

@@ -40,7 +40,7 @@ from hallsand.operators import (
     leakage_profile,
     spectral_radius,
 )
-from hallsand.tail import fit_alpha, select_xmin
+from hallsand.tail import select_xmin
 
 from conftest import powerlaw_samples, settled_stress
 from scalar_oracle import ScalarLoopEngine
@@ -284,7 +284,7 @@ def test_criterion_8_tail_recovery():
     for k, (alpha, x_min) in enumerate([(1.5, 4), (2.5, 9), (6.0, 25)]):
         rng = np.random.default_rng(child_seed(8088, k))
         samples = powerlaw_samples(rng, alpha, x_min, 100_000)
-        est = fit_alpha(samples, x_min)
+        est = select_xmin(samples, x_min=x_min).alpha
         se = (est - 1.0) / math.sqrt(samples.size)
         ok = ok and abs(est - alpha) <= 3.0 * se
         parts.append(f"alpha {alpha}: {est:.3f} ({abs(est - alpha) / se:.1f} SE)")

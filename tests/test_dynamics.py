@@ -144,10 +144,10 @@ PACKAGE_NAMES = DYNAMICS_NAMES + """
     ScenarioSpec SimulationError Substrate child_seed grid_scenarios
     make_cell_stats prepare_substrate preset_scenarios run_scenarios
     ExposureProfile compute_exposure
-    FlowPanel IOTable NodeId TableError list_years parse_io_table synth_substrate write_io_table
+    FlowPanel IOTable NodeId TableError parse_io_table read_sizes synth_substrate write_io_table
     OperatorKind PropagationOperator SpectralConvergenceError build_operator
     leakage_profile spectral_radius
-    TailError TailFit ccdf fit_alpha hill_alpha scan_xmin select_xmin
+    TailError TailFit ccdf scan_xmin select_xmin
 """
 
 

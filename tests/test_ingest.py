@@ -11,10 +11,10 @@ from hallsand.ingest import (
     _SYNTH_BLOCK_ROWS,
     _WEIGHT_SIGMA,
     DEFAULT_MEAN_LEAKAGE,
+    FlowPanel,
     IOTable,
     NodeId,
     TableError,
-    list_years,
     parse_io_table,
     synth_substrate,
     write_io_table,
@@ -55,7 +55,7 @@ def test_parse_filters_year(tmp_path):
     )
     table = parse_io_table(p, 2014)
     assert table.total_flow() == 3.0
-    assert list_years(p) == [2013, 2014]
+    assert FlowPanel(p).years() == [2013, 2014]
 
 
 def test_parse_missing_column(tmp_path):
@@ -118,7 +118,7 @@ def test_parse_leaves_a_missing_label_in_another_year_unchecked(tmp_path):
     p = write_flows(tmp_path, "2013,1.5,DEU,AGR,FRA\n2014,2.0,USA,MAN,DEU,AGR\n", header=VALUE_FIRST_HEADER)
     table = parse_io_table(p, 2014)
     assert [nd.label for nd in table.nodes] == ["DEU_AGR", "USA_MAN"]
-    assert list_years(p) == [2013, 2014]
+    assert FlowPanel(p).years() == [2013, 2014]
     with pytest.raises(TableError, match="row 2: missing dst_sector"):
         parse_io_table(p, 2013)
 

@@ -5,7 +5,7 @@ missing years; non-numeric, non-finite and negative values in the requested
 year and in another; duplicate flows; short rows, extra cells and blank
 lines; labels with commas, quotes and line breaks; a BOM, extra columns and
 reordered headers; and unknown, duplicate, bad-year and below-outflow
-row-use rows. parse_io_table, list_years and FlowPanel must return
+row-use rows. parse_io_table and FlowPanel must return
 bit-identical results or raise the same error with the same message.
 """
 
@@ -31,7 +31,6 @@ from hallsand.ingest import (  # noqa: E402
     FlowPanel,
     IOTable,
     NodeId,
-    list_years,
     parse_io_table,
     write_io_table,
 )
@@ -175,7 +174,8 @@ def test_columnar_reader_matches_row_by_row_oracle(files, sibling, year, chunk_r
             row_use_path.write_text(row_use, encoding="utf-8", newline="")
         # no file and no sibling: an explicit path that names no file
         given_path = None if sibling else row_use_path
-        assert outcome(list_years, str(flows_path)) == outcome(table_oracle.list_years, str(flows_path))
+        years = outcome(lambda p: FlowPanel(p).years(), str(flows_path))
+        assert years == outcome(table_oracle.list_years, str(flows_path))
         expected = {
             y: outcome(table_oracle.parse_io_table, flows_path, y, row_use_path=given_path)
             for y in (2013, 2014, year)

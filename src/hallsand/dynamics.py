@@ -7,10 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from .exposure import ExposureProfile
 from .operators import PropagationOperator
+
+try:  # scipy's private kernels of A[J].T @ E, which a scipy release may rename or drop
+    from scipy.sparse import _sparsetools
+
+    _KERNELS = (_sparsetools.csr_row_index, _sparsetools.csc_matvecs)
+except (ImportError, AttributeError):
+    _KERNELS = None
+
 
 @dataclass
 class Params:
@@ -166,7 +173,9 @@ def _relax_block(
     product A[J].T @ excess[J] through scipy's own kernels, csr_row_index and
     csc_matvecs, which add each entry's terms in ascending source order from
     0.0: the rows it skips would add exact +0.0 terms, as A >= 0 and the
-    excess is >= 0, so it gives the bits of A.T @ excess. Returns per-column
+    excess is >= 0, so it gives the bits of A.T @ excess. Where scipy lacks
+    either kernel, the public product A[J].T @ excess[J] gives the same bits
+    through whatever kernels that scipy has. Returns per-column
     toppling events and rounds, and, when the round budget runs out, the
     lowest unsettled column with its count of nodes over threshold (else
     None). Marks each toppled node in the boolean block toppled, when given.
@@ -200,12 +209,16 @@ def _relax_block(
         excess = np.zeros((J.size, k))
         excess[np.cumsum(first) - 1, cols] = p.redistribution_fraction * (stress[hot] - p.theta_reset)
         stress[hot] = p.theta_reset
+        if _KERNELS is None:
+            S += A[J].T @ excess
+            continue
+        csr_row_index, csc_matvecs = _KERNELS
         Jptr = np.zeros(J.size + 1, dtype=indptr.dtype)
         np.cumsum(indptr[J + 1] - indptr[J], out=Jptr[1:])
         Jind, Jdata = np.empty(Jptr[-1], dtype=indices.dtype), np.empty(Jptr[-1], dtype=data.dtype)
-        _sparsetools.csr_row_index(J.size, J, indptr, indices, data, Jind, Jdata)
+        csr_row_index(J.size, J, indptr, indices, data, Jind, Jdata)
         pushed = np.zeros((n, k))
-        _sparsetools.csc_matvecs(n, J.size, k, Jptr, Jind, Jdata, excess.reshape(-1), pushed.reshape(-1))
+        csc_matvecs(n, J.size, k, Jptr, Jind, Jdata, excess.reshape(-1), pushed.reshape(-1))
         S += pushed
 
 

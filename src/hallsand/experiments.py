@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import warnings
 from collections.abc import Iterable, Iterator
@@ -275,6 +276,11 @@ def _run_task(
     return out
 
 
+# Forked workers inherit the imported modules and the substrate; a started
+# one (forkserver, Python 3.14's default on Linux, or spawn) imports numpy and
+# scipy again and unpickles the substrate. Where fork is missing, the default.
+_POOL_CONTEXT = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
 # (substrate, params, sigma_b_ratio, T_burn, T_stat), set once in each pool worker by _init_worker,
 # so that a task carries only its blocks.
 _worker_context: tuple = ()
@@ -370,7 +376,9 @@ def _results(specs, tasks, count, n_workers, context) -> Iterator[ScenarioResult
     n_workers = min(n_workers, len(tasks))
     with ExitStack() as stack:
         if n_workers > 1:
-            pool = ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=context)
+            pool = ProcessPoolExecutor(
+                n_workers, mp_context=_POOL_CONTEXT, initializer=_init_worker, initargs=context
+            )
             # a caller that stops early (a failed write) does not wait for the queued tasks
             stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(_worker_task, tasks)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -25,7 +26,7 @@ _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # Rows per chunk when reading or writing a CSV, and per block of
 # synth_substrate's random draws; bounds what one step holds in memory.
-_CHUNK_ROWS = 1 << 14
+_CHUNK_ROWS = 1 << 12
 _SYNTH_BLOCK_ROWS = 256
 # Columns whose cells are numbers; the others repeat from row to row.
 _VALUE_COLUMNS = ("value", "gross_use")
@@ -105,17 +106,20 @@ class IOTable:
 class _Rows:
     """The required columns of one CSV, read once.
 
-    A value column is an object array of its cells. Every other column
-    repeats from row to row, so it is coded: an np.intp array of one code
-    per row, into an object array of the column's distinct cells in
-    first-seen order. A row is what csv.DictReader yields for it: blank
-    lines are skipped, a short row reads None in its missing cells, extra
-    cells are dropped, and of repeated header names the last one counts.
+    A value column is a float64 array of its cells, read with float(): a
+    cell that float() refuses reads NaN. Every other column repeats from
+    row to row, so it is coded: an int32 array of one code per row, into
+    an object array of the column's distinct cells in first-seen order. No
+    value cell's text is kept, so a message that names one reads its row
+    again from the file (reread). A row is what csv.DictReader yields for
+    it: blank lines are skipped, a short row reads None in its missing
+    cells, extra cells are dropped, and of repeated header names the last
+    one counts.
     """
 
-    def __init__(self, path: Path, cells: dict[str, np.ndarray], coded: dict[str, tuple]):
+    def __init__(self, path: Path, values: dict[str, np.ndarray], coded: dict[str, tuple]):
         self.path = path
-        self.cells = cells
+        self.values = values
         self.coded = coded
 
     def __len__(self) -> int:
@@ -123,24 +127,21 @@ class _Rows:
         return len(next(iter(self.coded.values()))[0])
 
     def at(self, column: str, rows):
-        """The cells of one column at the given rows (or row)."""
-        if column in self.coded:
-            codes, distinct = self.coded[column]
-            return distinct[codes[rows]]
-        return self.cells[column][rows]
+        """The cells of one coded column at the given rows (or row)."""
+        codes, distinct = self.coded[column]
+        return distinct[codes[rows]]
 
-    def line(self, row: int) -> int:
-        """The line number csv.DictReader reports for data row `row`.
+    def reread(self, row: int) -> tuple[int, dict]:
+        """The line number csv.DictReader reports for data row `row`, and its cells.
 
-        Only error messages need it, so the file is read again then, by the
+        Only error messages need them, so the file is read again then, by the
         reader whose count the messages have always named (after blank lines
         it names the first of them).
         """
         with open(self.path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
-            for _ in islice(reader, row + 1):
-                pass
-            return reader.line_num
+            cells = next(islice(reader, row, None))
+            return reader.line_num, cells
 
 
 class _Codes(dict):
@@ -164,24 +165,23 @@ def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
             if missing:
                 raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
             at = {name: k for k, name in enumerate(header)}
-            cells: dict[str, list] = {c: [] for c in required if c in _VALUE_COLUMNS}
-            parts: dict[str, list] = {c: [] for c in required if c not in _VALUE_COLUMNS}
-            distinct = {c: _Codes() for c in parts}
+            distinct = {c: _Codes() for c in required if c not in _VALUE_COLUMNS}
+            # each column's bytes, grown by realloc with at most 1/16 spare
+            # room, so that no column is ever held twice, as joining per-chunk
+            # parts would hold it
+            raw = {c: array("B") for c in required}
             for chunk in _chunks(fh, len(header), [at[c] for c in required]):
                 for c, column in zip(required, chunk):
-                    if c in cells:
-                        cells[c].extend(column)
+                    if c in distinct:
+                        part = np.fromiter(map(distinct[c].__getitem__, column), np.int32, len(column))
                     else:
-                        codes = map(distinct[c].__getitem__, column)
-                        parts[c].append(np.fromiter(codes, np.intp, len(column)))
+                        part = _floats(column)
+                    raw[c].frombytes(part.view(np.uint8))
     except csv.Error as err:  # such as a cell longer than csv.field_size_limit()
         raise TableError(f"{path}: {err}") from None
-    # join one column's chunks at a time, so that at most one is held twice
-    coded = {}
-    for c in list(parts):
-        codes = np.concatenate([np.empty(0, np.intp), *parts.pop(c)])
-        coded[c] = (codes, np.array(list(distinct[c]), dtype=object))
-    return _Rows(path, {c: np.array(out, dtype=object) for c, out in cells.items()}, coded)
+    values = {c: np.frombuffer(raw[c], np.float64) for c in required if c not in distinct}
+    coded = {c: (np.frombuffer(raw[c], np.int32), np.array(list(d), dtype=object)) for c, d in distinct.items()}
+    return _Rows(path, values, coded)
 
 
 def _chunks(fh, width: int, picks: list[int]):
@@ -230,18 +230,18 @@ def _value_fault(raw, column: str) -> str:
     return f"negative {column} {value}"
 
 
-def _floats(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells as floats, and where each one fails the value checks.
-
-    A cell float() refuses reads NaN, so it fails them too; _value_fault
-    tells the three failures apart for the message.
-    """
-    cells = cells.tolist()
+def _floats(cells) -> np.ndarray:
+    """Cells as float64, NaN where float() refuses a cell."""
     try:
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        return np.fromiter(map(float, cells), np.float64, len(cells))
     except (TypeError, ValueError):
-        values = np.array([_float_or_nan(c) for c in cells], dtype=np.float64)
-    return values, ~(np.isfinite(values) & (values >= 0))
+        return np.array([_float_or_nan(c) for c in cells], dtype=np.float64)
+
+
+def _faulty(values: np.ndarray) -> np.ndarray:
+    """Where values fail the value checks: a NaN read from a cell float()
+    refuses fails them too, and _value_fault tells the three failures apart."""
+    return ~(np.isfinite(values) & (values >= 0))
 
 
 def _float_or_nan(cell) -> float:
@@ -283,20 +283,22 @@ def _refuse_first(table: _Rows, path, years: _Converted, rows: np.ndarray, check
     """Raise TableError naming a table's first bad row, if it has one.
 
     A bad year fails on any row of the file. checks is an ordered list of
-    (flags, fault): flags marks bad rows among rows, and fault(k) says what
-    is wrong with rows[k]. The first row flagged is named, with the fault of
-    the first check that flags it.
+    (flags, fault): flags marks bad rows among rows, and fault(k, cells)
+    says what is wrong with rows[k], whose cells the file is read again for.
+    The first row flagged is named, with the fault of the first check that
+    flags it.
     """
     flagged = [int(rows[np.argmax(flags)]) for flags, _ in checks if flags.any()]
     first = min([years.first_bad, *flagged])
     if first == len(table):
         return
+    line, cells = table.reread(first)
     if first == years.first_bad:
         fault = f"bad year {table.at('year', first)!r}"
     else:
         k = int(np.searchsorted(rows, first))
-        fault = next(say for flags, say in checks if flags[k])(k)
-    raise TableError(f"{path} row {table.line(first)}: {fault}")
+        fault = next(say for flags, say in checks if flags[k])(k, cells)
+    raise TableError(f"{path} row {line}: {fault}")
 
 
 def _missing(table: _Rows, column: str, rows: np.ndarray) -> np.ndarray:
@@ -333,9 +335,9 @@ class FlowPanel:
         """One year as an IOTable; raises TableError as parse_io_table documents."""
         path, flows = self.path, self._flows
         rows = self._years.rows(year)
-        values, bad = _floats(flows.cells["value"][rows])
-        checks = [(bad, lambda k: _value_fault(flows.at("value", rows[k]), "value"))]
-        checks += [(_missing(flows, c, rows), lambda k, c=c: f"missing {c}") for c in _LABEL_COLUMNS]
+        values = flows.values["value"][rows]
+        checks = [(_faulty(values), lambda _, cells: _value_fault(cells["value"], "value"))]
+        checks += [(_missing(flows, c, rows), lambda k, _, c=c: f"missing {c}") for c in _LABEL_COLUMNS]
         _refuse_first(flows, path, self._years, rows, checks)
         if not rows.size:
             raise TableError(f"{path}: no edges for year {year}")
@@ -348,7 +350,7 @@ class FlowPanel:
         country, sector = np.divmod(keys, len(sectors))
         nodes = tuple(map(NodeId, countries[country].tolist(), sectors[sector].tolist()))
         _refuse_first(flows, path, self._years, rows, [
-            (_repeats(i * n + j), lambda k: f"duplicate flow {nodes[i[k]].label} -> "
+            (_repeats(i * n + j), lambda k, _: f"duplicate flow {nodes[i[k]].label} -> "
                                             f"{nodes[j[k]].label} for year {year}"),
         ])
 
@@ -375,19 +377,19 @@ class FlowPanel:
         node = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
         unknown = node < 0
         duplicate = _repeats(node) & ~unknown
-        gross, bad_value = _floats(table.cells["gross_use"][rows])
+        gross = table.values["gross_use"][rows]
         out = outflows[np.maximum(node, 0)]
         # Gross row use bounds intermediate outflows from above; allow float fuzz.
         below = gross < out * (1.0 - 1e-12) - 1e-12
         label = "{}_{}".format
         # a missing country or sector names no node, so its row is unknown too
         _refuse_first(table, path, years, rows, [
-            (_missing(table, "country", rows), lambda k: "missing country"),
-            (_missing(table, "sector", rows), lambda k: "missing sector"),
-            (unknown, lambda k: f"unknown node {label(*keys[k])} for year {year}"),
-            (duplicate, lambda k: f"duplicate row-use entry for {label(*keys[k])}"),
-            (bad_value, lambda k: _value_fault(table.at("gross_use", rows[k]), "gross_use")),
-            (below, lambda k: f"gross_use {float(gross[k])} below outflow total "
+            (_missing(table, "country", rows), lambda k, _: "missing country"),
+            (_missing(table, "sector", rows), lambda k, _: "missing sector"),
+            (unknown, lambda k, _: f"unknown node {label(*keys[k])} for year {year}"),
+            (duplicate, lambda k, _: f"duplicate row-use entry for {label(*keys[k])}"),
+            (_faulty(gross), lambda _, cells: _value_fault(cells["gross_use"], "gross_use")),
+            (below, lambda k, _: f"gross_use {float(gross[k])} below outflow total "
                               f"{outflows[node[k]]} for {label(*keys[k])}"),
         ])
         row_use = outflows.copy()
@@ -462,7 +464,7 @@ def read_sizes(path: str | Path) -> np.ndarray:
         k = int(np.argmax(refused))
         cell = table.at("S", k)
         fault = f"bad S value {cell!r}, not a 64-bit integer" if k == sizes.first_bad else f"negative S value {cell!r}"
-        raise TableError(f"{path} row {table.line(k)}: {fault}")
+        raise TableError(f"{path} row {table.reread(k)[0]}: {fault}")
     if not len(table):
         raise TableError(f"{path}: no rows")
     return np.array(sizes.values, dtype=np.int64)[sizes.codes]
@@ -584,14 +586,13 @@ def write_io_table(
     cells = _csv_lines((nd.country, nd.sector) for nd in table.nodes)
     # Z is canonical CSR, so its stored order is (row, col) order
     Z = table.Z
-    flows = zip(
-        np.repeat(np.arange(table.n), np.diff(Z.indptr)).tolist(),
-        Z.indices.tolist(),
-        np.asarray(Z.data, dtype=np.float64).tolist(),
-    )
+    src = np.repeat(np.arange(table.n), np.diff(Z.indptr))
+    data = np.asarray(Z.data, dtype=np.float64)
     with open(Path(flows_path), "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(FLOWS_COLUMNS) + "\n")
-        while chunk := list(islice(flows, _CHUNK_ROWS)):
+        for lo in range(0, len(data), _CHUNK_ROWS):
+            part = slice(lo, lo + _CHUNK_ROWS)
+            chunk = zip(src[part].tolist(), Z.indices[part].tolist(), data[part].tolist())
             fh.write("".join([f"{year},{cells[i]},{cells[j]},{v!r}\n" for i, j, v in chunk]))
     if row_use_path is not None:
         totals = np.asarray(table.row_use_total, dtype=np.float64).tolist()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hallsand
-from hallsand import cli, experiments, ingest
+from hallsand import cli, dynamics, experiments, ingest
 from hallsand.cli import build_parser, main
 from hallsand.dynamics import Params
 from hallsand.experiments import (
@@ -223,6 +223,21 @@ def test_simulate_parallel_bytes_match_serial(substrate_dir, tmp_path):
         (serial / "avalanches_avalanche.csv").read_bytes()
         == (parallel / "avalanches_avalanche.csv").read_bytes()
     )
+
+
+def test_simulate_bytes_without_scipys_private_kernels(substrate_dir, tmp_path, monkeypatch):
+    # a scipy release without csr_row_index or csc_matvecs relaxes through
+    # the public A[J].T @ E, and the outputs keep their bytes
+    assert dynamics._KERNELS is not None
+    kernels, public = tmp_path / "kernels", tmp_path / "public"
+    assert main(simulate_args(substrate_dir, kernels)) == 0
+    monkeypatch.setattr(dynamics, "_KERNELS", None)
+    assert main(simulate_args(substrate_dir, public)) == 0
+    names = sorted(p.name for p in kernels.iterdir())
+    assert names == sorted(p.name for p in public.iterdir()) and len(names) == 5
+    for name in names:
+        assert (kernels / name).read_bytes() == (public / name).read_bytes()
+    assert max(int(r["relax_rounds"]) for r in read_rows(public / "avalanches_avalanche.csv")) > 1
 
 
 def test_simulate_count_unique_counts_each_toppled_node_once(substrate_dir, tmp_path):

@@ -1,7 +1,9 @@
 import itertools
 import math
+import multiprocessing
 import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -216,6 +218,26 @@ def test_run_scenarios_closed_early_cancels_queued_tasks(small_substrate, monkey
     assert next(results).name == "quick"
     results.close()  # as when writing the first result fails
     assert shutdowns == [True]
+
+
+def test_pool_forks_its_workers_where_the_platform_can(small_substrate, monkeypatch):
+    # a forked worker inherits the imports and the substrate, where a
+    # forkserver or spawned one (Python 3.14's default on Linux) starts anew
+    contexts = []
+
+    class SpyPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            contexts.append(mp_context)
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+    specs = preset_scenarios(3, names=["latent", "avalanche"])
+    results = run_scenarios(specs, small_substrate, Params(), threads=2, T_burn=2, T_stat=5, replications=2)
+    assert [r.name for r in results] == ["latent", "avalanche"]
+    (context,) = contexts
+    offers_fork = "fork" in multiprocessing.get_all_start_methods()
+    assert offers_fork or not sys.platform.startswith("linux")
+    assert context.get_start_method() == ("fork" if offers_fork else multiprocessing.get_start_method())
 
 
 def test_grid_scenarios_layout(small_substrate):

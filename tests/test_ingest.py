@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -198,6 +199,50 @@ def test_writer_output_is_read_without_csv_reader(tmp_path):
     for a, b in ((back.Z.indptr, table.Z.indptr), (back.Z.indices, table.Z.indices), (back.Z.data, table.Z.data)):
         assert a.tobytes() == b.tobytes()
     assert back.row_use_total.tobytes() == table.row_use_total.tobytes()
+
+
+def _traced_panel(path):
+    """A FlowPanel of path, and the traced bytes it holds and its read's peak beyond them."""
+    tracemalloc.start()
+    try:
+        panel = FlowPanel(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return panel, held, peak - held
+
+
+def test_reader_holds_tens_of_bytes_per_row_and_a_chunk_of_text(tmp_path):
+    # equal-width cells give every chunk the same text, so what the read
+    # holds beyond its result is the same at any row count; 53,248 and
+    # 12,288 rows are whole chunks of 4,096 lines
+    held, spare = {}, {}
+    for rows in (53_248, 12_288):
+        body = "".join(f"2014,C{i % 256:03d},S,C{i // 256:03d},S,{i + 10**5}.25\n" for i in range(rows))
+        panel, held[rows], spare[rows] = _traced_panel(write_flows(tmp_path, body))
+        assert len(panel._flows) == rows
+    # a float and five int32 codes per row, and the spare capacity of their growth
+    assert held[53_248] <= 32 * 53_248
+    # a column joined from per-chunk parts would add 4-8 bytes per row here
+    assert spare[53_248] - spare[12_288] < 53_248 - 12_288
+    assert panel.table(2014).total_flow() == sum(i + 10**5 + 0.25 for i in range(12_288))
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["split", "csv-reader"])
+@pytest.mark.parametrize(
+    "cell, fault",
+    [("x", "non-numeric value 'x'"), ("inf", "non-finite value 'inf'"), ("-1", "negative value -1.0")],
+    ids=["non-numeric", "non-finite", "negative"],
+)
+def test_bad_value_after_a_chunk_boundary_names_its_line_and_text(tmp_path, line_end, cell, fault):
+    # a CR sends the whole file through csv.reader; the bad cell opens the second chunk
+    lines = [f"2014,C{i},S,D,S,{cell if i == 7 else i}" for i in range(10)]
+    p = tmp_path / "flows.csv"
+    p.write_bytes(line_end.join([FLOWS_HEADER.rstrip("\n"), *lines, ""]).encode())
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 7):
+        panel = FlowPanel(p)
+        with pytest.raises(TableError, match=rf"flows\.csv row 9: {fault}$"):
+            panel.table(2014)
 
 
 def test_line_beyond_the_csv_field_limit_fails_as_csv_reader_does(tmp_path):

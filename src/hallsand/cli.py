@@ -379,11 +379,7 @@ def cmd_simulate(args) -> int:
 
 # convergence.csv, one CellStats and its diagnostics per row; a ratio without a mean is empty
 CONVERGENCE = {
-    "B_bar": lambda s: s.B_bar,
-    "sigma_D": lambda s: s.sigma_D,
-    "regime": lambda s: s.regime.value,
-    "mean_S": lambda s: s.mean_S,
-    "se_mean_S": lambda s: s.se_mean_S,
+    **{name: CELL_STATS[name] for name in ("B_bar", "sigma_D", "regime", "mean_S", "se_mean_S")},
     "se_over_mean": lambda s: "" if s.se_over_mean is None else s.se_over_mean,
     "se_pr_ge5": lambda s: s.se_pr_ge[5],
     "se_pr_ge10": lambda s: s.se_pr_ge[10],

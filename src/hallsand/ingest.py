@@ -55,8 +55,9 @@ class IOTable:
     """Year-stamped sparse intermediate-flow matrix with node metadata.
 
     Z[i, j] is the flow from node i to node j. row_use_total[i] is the gross
-    row-use proxy for node i and bounds its intermediate outflows from above.
-    Node i is nodes[i], in lexicographic (country, sector) order.
+    row-use proxy for node i, finite and non-negative, and bounds its
+    intermediate outflows from above. Node i is nodes[i], in lexicographic
+    (country, sector) order.
     """
 
     year: int
@@ -76,6 +77,15 @@ class IOTable:
         with np.errstate(over="ignore"):
             if not math.isfinite(Z.data.sum()):
                 self._refuse_total()
+        # after the totals, since a table read without row use takes its outflow totals
+        row_use = np.asarray(self.row_use_total)
+        if row_use.shape != (self.n,):
+            raise TableError(f"row_use_total must hold one value for each of the {self.n} nodes, "
+                             f"got shape {row_use.shape}")
+        bad = np.flatnonzero(_faulty(row_use))
+        if bad.size:
+            raise TableError(f"node {self.nodes[bad[0]].label}: row_use_total must be finite "
+                             f"and non-negative, got {row_use[bad[0]]}")
 
     def _refuse_total(self):
         """Raise TableError naming the first node whose outflows or inflows
@@ -336,61 +346,62 @@ class FlowPanel:
         path, flows = self.path, self._flows
         rows = self._years.rows(year)
         values = flows.values["value"][rows]
-        checks = [(_faulty(values), lambda _, cells: _value_fault(cells["value"], "value"))]
-        checks += [(_missing(flows, c, rows), lambda k, _, c=c: f"missing {c}") for c in _LABEL_COLUMNS]
-        _refuse_first(flows, path, self._years, rows, checks)
+        _refuse_first(flows, path, self._years, rows, [
+            (_faulty(values), lambda _, cells: _value_fault(cells["value"], "value")),
+            *[(_missing(flows, c, rows), lambda k, _, c=c: f"missing {c}") for c in _LABEL_COLUMNS],
+        ])
         if not rows.size:
             raise TableError(f"{path}: no edges for year {year}")
 
-        src, dst, countries, sectors = _node_keys(flows, rows)
-        keys = np.unique(np.concatenate([src, dst]))
-        n = len(keys)
-        i = np.searchsorted(keys, src)
-        j = np.searchsorted(keys, dst)
-        country, sector = np.divmod(keys, len(sectors))
-        nodes = tuple(map(NodeId, countries[country].tolist(), sectors[sector].tolist()))
-        _refuse_first(flows, path, self._years, rows, [
-            (_repeats(i * n + j), lambda k, _: f"duplicate flow {nodes[i[k]].label} -> "
-                                            f"{nodes[j[k]].label} for year {year}"),
-        ])
-
+        # node k is the k-th (country, sector) pair in sorted order
+        src, i = _pairs(flows, rows, "src_country", "src_sector")
+        dst, j = _pairs(flows, rows, "dst_country", "dst_sector")
+        pairs = sorted(set(src) | set(dst))
+        index = {pair: k for k, pair in enumerate(pairs)}
+        n = len(pairs)
+        i = np.array([index[pair] for pair in src], dtype=np.intp)[i]
+        j = np.array([index[pair] for pair in dst], dtype=np.intp)[j]
+        nodes = tuple(NodeId(*pair) for pair in pairs)
         Z = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
-        Z.sort_indices()
+        if Z.nnz < rows.size:  # tocsr adds up repeated entries and keeps explicit zeros
+            _refuse_first(flows, path, self._years, rows, [
+                (_repeats(i * n + j), lambda k, _: f"duplicate flow {nodes[i[k]].label} -> "
+                                                f"{nodes[j[k]].label} for year {year}"),
+            ])
         with np.errstate(over="ignore"):  # IOTable refuses totals past the float range
             outflows = np.asarray(Z.sum(axis=1)).ravel()
         if self.row_use_path is None:
             row_use = outflows.copy()
         else:
-            row_use = self._row_use_totals(year, nodes, outflows)
+            row_use = self._row_use_totals(year, index, outflows)
         return IOTable(year=year, Z=Z, row_use_total=row_use, nodes=nodes)
 
-    def _row_use_totals(self, year: int, nodes: tuple, outflows: np.ndarray) -> np.ndarray:
-        """Gross row use per node from the row-use file; nodes it leaves out keep their outflows."""
+    def _row_use_totals(self, year: int, index: dict, outflows: np.ndarray) -> np.ndarray:
+        """Gross row use per node (index maps a (country, sector) pair to its
+        node) from the row-use file; nodes it leaves out keep their outflows."""
         if self._row_use is None:
             table = _read_rows(self.row_use_path, ROW_USE_COLUMNS)
             self._row_use = (table, _Converted(*table.coded["year"]))
         table, years = self._row_use
         path = self.row_use_path
         rows = years.rows(year)
-        index = {(nd.country, nd.sector): i for i, nd in enumerate(nodes)}
-        keys = list(zip(table.at("country", rows).tolist(), table.at("sector", rows).tolist()))
-        node = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
+        pairs, at = _pairs(table, rows, "country", "sector")
+        node = np.array([index.get(pair, -1) for pair in pairs], dtype=np.intp)[at]
         unknown = node < 0
         duplicate = _repeats(node) & ~unknown
         gross = table.values["gross_use"][rows]
         out = outflows[np.maximum(node, 0)]
         # Gross row use bounds intermediate outflows from above; allow float fuzz.
         below = gross < out * (1.0 - 1e-12) - 1e-12
-        label = "{}_{}".format
         # a missing country or sector names no node, so its row is unknown too
         _refuse_first(table, path, years, rows, [
             (_missing(table, "country", rows), lambda k, _: "missing country"),
             (_missing(table, "sector", rows), lambda k, _: "missing sector"),
-            (unknown, lambda k, _: f"unknown node {label(*keys[k])} for year {year}"),
-            (duplicate, lambda k, _: f"duplicate row-use entry for {label(*keys[k])}"),
+            (unknown, lambda k, _: f"unknown node {NodeId(*pairs[at[k]]).label} for year {year}"),
+            (duplicate, lambda k, _: f"duplicate row-use entry for {NodeId(*pairs[at[k]]).label}"),
             (_faulty(gross), lambda _, cells: _value_fault(cells["gross_use"], "gross_use")),
             (below, lambda k, _: f"gross_use {float(gross[k])} below outflow total "
-                              f"{outflows[node[k]]} for {label(*keys[k])}"),
+                              f"{outflows[node[k]]} for {NodeId(*pairs[at[k]]).label}"),
         ])
         row_use = outflows.copy()
         # max(gross, outflow), keeping gross on a tie
@@ -398,39 +409,14 @@ class FlowPanel:
         return row_use
 
 
-def _node_keys(flows: _Rows, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each row's source and destination node key, and the countries and sectors the keys rank.
-
-    A key is country_rank * len(sectors) + sector_rank, so keys order
-    nodes as sorted((country, sector)) does. The per-row rank arrays live
-    only in this call, which keeps them out of the table's peak memory.
-    """
-    (src_country, dst_country), countries = _ranks(flows, rows, "src_country", "dst_country")
-    (src_sector, dst_sector), sectors = _ranks(flows, rows, "src_sector", "dst_sector")
-    src_country *= len(sectors)
-    src_country += src_sector
-    dst_country *= len(sectors)
-    dst_country += dst_sector
-    return src_country, dst_country, countries, sectors
-
-
-def _ranks(flows: _Rows, rows: np.ndarray, *columns: str) -> tuple[list[np.ndarray], np.ndarray]:
-    """The given label columns' cells at rows as ranks among the cells those rows use.
-
-    The ranks of each column, and the used cells in ascending order (an
-    object array, which the ranks index). Only the used cells are compared,
-    so a cell no row uses is never ranked.
-    """
-    coded = [flows.coded[c] for c in columns]
-    used = [np.flatnonzero(np.bincount(codes[rows], minlength=len(d))) for codes, d in coded]
-    names = sorted(set().union(*(distinct[u].tolist() for u, (_, distinct) in zip(used, coded))))
-    rank = {name: r for r, name in enumerate(names)}
-    ranks = []
-    for u, (codes, distinct) in zip(used, coded):
-        of_code = np.zeros(len(distinct), dtype=np.intp)
-        of_code[u] = [rank[name] for name in distinct[u].tolist()]
-        ranks.append(of_code[codes[rows]])
-    return ranks, np.array(names, dtype=object)
+def _pairs(table: _Rows, rows: np.ndarray, country_col: str, sector_col: str) -> tuple[list, np.ndarray]:
+    """The distinct (country, sector) cells of two coded columns at rows, and
+    each row's index among them. Only the cells the rows use are looked up."""
+    country, countries = table.coded[country_col]
+    sector, sectors = table.coded[sector_col]
+    used, at = np.unique(country[rows].astype(np.int64) * len(sectors) + sector[rows], return_inverse=True)
+    country, sector = np.divmod(used, len(sectors))
+    return list(zip(countries[country].tolist(), sectors[sector].tolist())), at
 
 
 def _repeats(keys: np.ndarray) -> np.ndarray:

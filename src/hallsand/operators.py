@@ -124,8 +124,9 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
     radius among its cyclic strongly connected components, each iterated on
     its own.
 
-    Raises SpectralConvergenceError (carrying the last two estimates) if the
-    budget runs out.
+    Raises ValueError for a non-finite or negative entry, and
+    SpectralConvergenceError (carrying the last two estimates) if the budget
+    runs out.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -134,6 +135,8 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
     mat = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix, dtype=np.float64)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
+    if not np.isfinite(mat.data).all():
+        raise ValueError("matrix must be finite")
     if mat.nnz and mat.data.min() < 0:
         raise ValueError("matrix must be non-negative")
 

@@ -63,6 +63,19 @@ def _check_min_tail(min_tail: int) -> None:
         raise TailError(f"min_tail must be >= 2, got {min_tail}")
 
 
+def _alphas(xs: np.ndarray, starts, x_mins) -> np.ndarray:
+    """The tail exponent at each cutoff in x_mins, whose tail is xs[start:] of
+    the ascending samples xs: the continuous MLE with a half-step shift for
+    integer binning, 1 + n_tail / (sum(ln x) - n_tail * ln(x_min - 1/2)), the
+    logs summed from the largest down; inf where the denominator is not
+    positive, as where the shift rounds away (past 2**53)."""
+    suffix_logs = np.cumsum(np.log(xs.astype(np.float64))[::-1])[::-1]
+    n_tail = xs.size - starts
+    log_sum = suffix_logs[starts] - n_tail * np.log(x_mins - 0.5)
+    with np.errstate(divide="ignore"):
+        return np.where(log_sum > 0, 1.0 + n_tail / log_sum, np.inf)
+
+
 def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailFit]:
     """Fit every admissible cutoff and report its tail-conditional fit distance
     and whether the fit there is informative (see select_xmin).
@@ -75,11 +88,8 @@ def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailFit]:
     """
     _check_min_tail(min_tail)
     xs = np.sort(_as_positive_ints(samples))
-    n = xs.size
     values, first_idx = np.unique(xs, return_index=True)
-    tail_counts = n - first_idx
-    logs = np.log(xs.astype(np.float64))
-    suffix_logs = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
+    tail_counts = xs.size - first_idx
 
     admissible = tail_counts >= min_tail
     if not admissible.any():
@@ -87,23 +97,20 @@ def scan_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL) -> list[TailFit]:
     if not admissible.any():
         return []
 
+    picked = np.flatnonzero(admissible)
     candidates = []
-    for vi in np.flatnonzero(admissible):
+    for vi, alpha in zip(picked, _alphas(xs, first_idx[picked], values[picked]).tolist()):
         v = int(values[vi])
-        idx = int(first_idx[vi])
         n_tail = int(tail_counts[vi])
-        shifted = v - 0.5
-        log_sum = suffix_logs[idx] - n_tail * np.log(shifted)
-        alpha = 1.0 + n_tail / log_sum if log_sum > 0 else float("inf")
         tail_values = values[vi:]
         emp = tail_counts[vi:] / n_tail
         if np.isfinite(alpha):
-            model = ((tail_values - 0.5) / shifted) ** (1.0 - alpha)
+            model = ((tail_values - 0.5) / (v - 0.5)) ** (1.0 - alpha)
         else:
             model = np.where(tail_values == v, 1.0, 0.0)
         ks = float(np.abs(emp - model).max())
         informative = _informative(n_tail, values.size - vi, alpha, min_tail)
-        candidates.append(TailFit(v, n_tail, float(alpha), ks, informative))
+        candidates.append(TailFit(v, n_tail, alpha, ks, informative))
     return candidates
 
 
@@ -112,11 +119,8 @@ def select_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL, x_min: int | None = N
     cutoff that minimizes the tail-conditional fit distance.
 
     Ties in the scan go to the smaller cutoff. A fixed cutoff gets no fit
-    distance (nan) and the continuous MLE with a half-step shift for integer
-    binning, alpha = 1 + n_tail / sum(ln(x / (x_min - 1/2))), or inf where
-    the shift rounds away (past 2**53); fewer than two samples at or above
-    it raise TailError. Its alpha can differ from the scan's at the same
-    cutoff in the last bits, as the two sum the logs in different orders.
+    distance (nan) and the scan's alpha at that cutoff (see _alphas); fewer
+    than two samples at or above it raise TailError.
     The fit is informative only when its tail clears min_tail observations,
     spreads over more than two distinct values, and yields a finite
     exponent above 1.
@@ -125,12 +129,11 @@ def select_xmin(samples, min_tail: int = DEFAULT_MIN_TAIL, x_min: int | None = N
         _check_min_tail(min_tail)
         if x_min < 1:
             raise TailError(f"x_min must be >= 1, got {x_min}")
-        xs = _as_positive_ints(samples)
-        tail = xs[xs >= x_min]
+        tail = np.sort(_as_positive_ints(samples))
+        tail = tail[tail >= x_min]
         if tail.size < 2:
             raise TailError(f"only {tail.size} sample(s) at or above x_min={x_min}")
-        log_sum = float(np.log(tail.astype(np.float64) / (x_min - 0.5)).sum())
-        alpha = 1.0 + tail.size / log_sum if log_sum > 0 else float("inf")
+        alpha = float(_alphas(tail, 0, x_min))
         informative = _informative(tail.size, np.unique(tail).size, alpha, min_tail)
         return TailFit(x_min, int(tail.size), alpha, float("nan"), informative)
     candidates = scan_xmin(samples, min_tail=min_tail)

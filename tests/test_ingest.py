@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 from unittest import mock
 
@@ -90,6 +91,15 @@ def test_parse_rejects_duplicate_edge(tmp_path):
         "2014,USA,AGR,DEU,MAN,1.0\n2014,USA,AGR,DEU,MAN,2.0\n",
     )
     with pytest.raises(TableError, match="duplicate"):
+        parse_io_table(p, 2014)
+
+
+def test_parse_refuses_a_repeated_zero_flow(tmp_path):
+    # the CSR build keeps a lone zero flow stored, and both repeats as one
+    p = write_flows(tmp_path, "2014,USA,AGR,DEU,MAN,1.0\n2014,DEU,MAN,USA,AGR,0.0\n")
+    assert parse_io_table(p, 2014).Z.nnz == 2
+    p = write_flows(tmp_path, "2014,USA,AGR,DEU,MAN,1.0\n2014,DEU,MAN,USA,AGR,0.0\n2014,DEU,MAN,USA,AGR,0.0\n")
+    with pytest.raises(TableError, match=r"flows\.csv row 4: duplicate flow DEU_MAN -> USA_AGR for year 2014$"):
         parse_io_table(p, 2014)
 
 
@@ -228,6 +238,22 @@ def test_reader_holds_tens_of_bytes_per_row_and_a_chunk_of_text(tmp_path):
     assert panel.table(2014).total_flow() == sum(i + 10**5 + 0.25 for i in range(12_288))
 
 
+def test_table_build_makes_under_90_bytes_per_flow(tmp_path):
+    # about 100k flows on 2,464 nodes, a tenth of the flows a WIOD year's
+    # table can have; the peak counts Z and every temporary of the build
+    table = synth_substrate(2464, 0.0165, 3)
+    write_io_table(table, tmp_path / "flows.csv")
+    panel = FlowPanel(tmp_path / "flows.csv")
+    tracemalloc.start()
+    try:
+        built = panel.table(table.year)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.Z.nnz == table.Z.nnz > 95_000
+    assert peak <= 90 * built.Z.nnz
+
+
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["split", "csv-reader"])
 @pytest.mark.parametrize(
     "cell, fault",
@@ -342,3 +368,20 @@ def test_table_holds_z_in_canonical_form():
     assert Z.indices.tolist() == [1, 0, 1]  # the caller's matrix is left as it was
     canonical = synth_substrate(5, 0.5, 1)
     assert IOTable(2014, canonical.Z, canonical.row_use_total, canonical.nodes).Z is canonical.Z
+
+
+@pytest.mark.parametrize(
+    "row_use, message",
+    [
+        ([1.0, np.nan], "node B_S: row_use_total must be finite and non-negative, got nan"),
+        ([np.inf, 1.0], "node A_S: row_use_total must be finite and non-negative, got inf"),
+        ([1.0, -2.0], "node B_S: row_use_total must be finite and non-negative, got -2.0"),
+        ([1.0], "row_use_total must hold one value for each of the 2 nodes, got shape (1,)"),
+        ([[1.0, 1.0]], "row_use_total must hold one value for each of the 2 nodes, got shape (1, 2)"),
+    ],
+    ids=["nan", "inf", "negative", "short", "2-d"],
+)
+def test_table_refuses_a_row_use_total_that_is_not_one_finite_value_per_node(row_use, message):
+    Z = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+        IOTable(2014, Z, np.array(row_use), (NodeId("A", "S"), NodeId("B", "S")))

@@ -87,6 +87,13 @@ def test_spectral_radius_validation():
         spectral_radius(neg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_spectral_radius_refuses_a_non_finite_entry_before_iterating(bad):
+    # a nan entry used to run the whole iteration budget, then report no convergence
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
+        spectral_radius(np.array([[0.0, bad], [1.0, 0.0]]))
+
+
 def test_spectral_radius_budget_error_carries_estimates():
     rng_local = np.random.default_rng(0)
     m = table_from_dense(rng_local.random((12, 12))).Z

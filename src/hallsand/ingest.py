@@ -24,9 +24,9 @@ _WEIGHT_SIGMA = 2.0
 
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-# Rows per chunk when reading or writing a CSV, and per block of
-# synth_substrate's random draws; bounds what one step holds in memory.
-_CHUNK_ROWS = 1 << 12
+# Lines per chunk when reading or writing a CSV; bounds what one step
+# holds in memory beyond the columns read.
+_CHUNK_ROWS = 1 << 10
 _SYNTH_BLOCK_ROWS = 256
 # Columns whose cells are numbers; the others repeat from row to row.
 _VALUE_COLUMNS = ("value", "gross_use")
@@ -118,8 +118,9 @@ class _Rows:
 
     A value column is a float64 array of its cells, read with float(): a
     cell that float() refuses reads NaN. Every other column repeats from
-    row to row, so it is coded: an int32 array of one code per row, into
-    an object array of the column's distinct cells in first-seen order. No
+    row to row, so it is coded: an array of one code per row, of the
+    narrowest type _code_type gives for the column's count of distinct
+    cells, into an object array of those cells in first-seen order. No
     value cell's text is kept, so a message that names one reads its row
     again from the file (reread). A row is what csv.DictReader yields for
     it: blank lines are skipped, a short row reads None in its missing
@@ -162,6 +163,11 @@ class _Codes(dict):
         return code
 
 
+def _code_type(cells: int) -> type:
+    """The narrowest integer type that numbers this many distinct cells."""
+    return np.uint8 if cells <= 1 << 8 else np.uint16 if cells <= 1 << 16 else np.int32
+
+
 def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
     """Read the required columns of a CSV in one pass, checking the header."""
     if not path.exists():
@@ -176,6 +182,7 @@ def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
                 raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
             at = {name: k for k, name in enumerate(header)}
             distinct = {c: _Codes() for c in required if c not in _VALUE_COLUMNS}
+            width = {c: _code_type(0) for c in distinct}
             # each column's bytes, grown by realloc with at most 1/16 spare
             # room, so that no column is ever held twice, as joining per-chunk
             # parts would hold it
@@ -184,13 +191,19 @@ def _read_rows(path: Path, required: tuple[str, ...]) -> _Rows:
                 for c, column in zip(required, chunk):
                     if c in distinct:
                         part = np.fromiter(map(distinct[c].__getitem__, column), np.int32, len(column))
+                        if (wider := _code_type(len(distinct[c]))) is not width[c]:
+                            # the column's codes so far, widened once
+                            held = array("B")
+                            held.frombytes(np.frombuffer(raw[c], width[c]).astype(wider).view(np.uint8))
+                            raw[c], width[c] = held, wider
+                        part = part.astype(width[c], copy=False)
                     else:
                         part = _floats(column)
                     raw[c].frombytes(part.view(np.uint8))
     except csv.Error as err:  # such as a cell longer than csv.field_size_limit()
         raise TableError(f"{path}: {err}") from None
     values = {c: np.frombuffer(raw[c], np.float64) for c in required if c not in distinct}
-    coded = {c: (np.frombuffer(raw[c], np.int32), np.array(list(d), dtype=object)) for c, d in distinct.items()}
+    coded = {c: (np.frombuffer(raw[c], width[c]), np.array(list(d), dtype=object)) for c, d in distinct.items()}
     return _Rows(path, values, coded)
 
 
@@ -359,13 +372,14 @@ class FlowPanel:
         pairs = sorted(set(src) | set(dst))
         index = {pair: k for k, pair in enumerate(pairs)}
         n = len(pairs)
-        i = np.array([index[pair] for pair in src], dtype=np.intp)[i]
-        j = np.array([index[pair] for pair in dst], dtype=np.intp)[j]
+        # int32 node numbers, which coo_matrix keeps without a copy
+        i = np.array([index[pair] for pair in src], dtype=np.int32)[i]
+        j = np.array([index[pair] for pair in dst], dtype=np.int32)[j]
         nodes = tuple(NodeId(*pair) for pair in pairs)
         Z = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
         if Z.nnz < rows.size:  # tocsr adds up repeated entries and keeps explicit zeros
             _refuse_first(flows, path, self._years, rows, [
-                (_repeats(i * n + j), lambda k, _: f"duplicate flow {nodes[i[k]].label} -> "
+                (_repeats(i.astype(np.int64) * n + j), lambda k, _: f"duplicate flow {nodes[i[k]].label} -> "
                                                 f"{nodes[j[k]].label} for year {year}"),
             ])
         with np.errstate(over="ignore"):  # IOTable refuses totals past the float range
@@ -411,10 +425,16 @@ class FlowPanel:
 
 def _pairs(table: _Rows, rows: np.ndarray, country_col: str, sector_col: str) -> tuple[list, np.ndarray]:
     """The distinct (country, sector) cells of two coded columns at rows, and
-    each row's index among them. Only the cells the rows use are looked up."""
+    each row's index among them, as int32. Only the cells the rows use are
+    looked up."""
     country, countries = table.coded[country_col]
     sector, sectors = table.coded[sector_col]
-    used, at = np.unique(country[rows].astype(np.int64) * len(sectors) + sector[rows], return_inverse=True)
+    key = country[rows].astype(np.int64)
+    key *= len(sectors)
+    key += sector[rows]
+    # used is sorted, so searching it gives np.unique's inverse
+    used = np.unique(key)
+    at = np.searchsorted(used, key).astype(np.int32)
     country, sector = np.divmod(used, len(sectors))
     return list(zip(countries[country].tolist(), sectors[sector].tolist())), at
 
@@ -572,13 +592,14 @@ def write_io_table(
     cells = _csv_lines((nd.country, nd.sector) for nd in table.nodes)
     # Z is canonical CSR, so its stored order is (row, col) order
     Z = table.Z
-    src = np.repeat(np.arange(table.n), np.diff(Z.indptr))
     data = np.asarray(Z.data, dtype=np.float64)
     with open(Path(flows_path), "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(FLOWS_COLUMNS) + "\n")
         for lo in range(0, len(data), _CHUNK_ROWS):
-            part = slice(lo, lo + _CHUNK_ROWS)
-            chunk = zip(src[part].tolist(), Z.indices[part].tolist(), data[part].tolist())
+            hi = min(lo + _CHUNK_ROWS, len(data))
+            # stored flow k leaves the row r with indptr[r] <= k < indptr[r + 1]
+            src = np.searchsorted(Z.indptr, np.arange(lo, hi), side="right") - 1
+            chunk = zip(src.tolist(), Z.indices[lo:hi].tolist(), data[lo:hi].tolist())
             fh.write("".join([f"{year},{cells[i]},{cells[j]},{v!r}\n" for i, j, v in chunk]))
     if row_use_path is not None:
         totals = np.asarray(table.row_use_total, dtype=np.float64).tolist()

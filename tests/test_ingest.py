@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import table_oracle
 from hallsand import ingest
 from hallsand.ingest import (
     _LEAKAGE_KAPPA,
@@ -225,13 +226,13 @@ def _traced_panel(path):
 def test_reader_holds_tens_of_bytes_per_row_and_a_chunk_of_text(tmp_path):
     # equal-width cells give every chunk the same text, so what the read
     # holds beyond its result is the same at any row count; 53,248 and
-    # 12,288 rows are whole chunks of 4,096 lines
+    # 12,288 rows are whole chunks of 1,024 lines
     held, spare = {}, {}
     for rows in (53_248, 12_288):
         body = "".join(f"2014,C{i % 256:03d},S,C{i // 256:03d},S,{i + 10**5}.25\n" for i in range(rows))
         panel, held[rows], spare[rows] = _traced_panel(write_flows(tmp_path, body))
         assert len(panel._flows) == rows
-    # a float and five int32 codes per row, and the spare capacity of their growth
+    # a float and five codes per row, and the spare capacity of their growth
     assert held[53_248] <= 32 * 53_248
     # a column joined from per-chunk parts would add 4-8 bytes per row here
     assert spare[53_248] - spare[12_288] < 53_248 - 12_288
@@ -252,6 +253,93 @@ def test_table_build_makes_under_90_bytes_per_flow(tmp_path):
         tracemalloc.stop()
     assert built.Z.nnz == table.Z.nnz > 95_000
     assert peak <= 90 * built.Z.nnz
+
+
+@pytest.fixture(scope="module")
+def table_99k(tmp_path_factory):
+    """synth_substrate's 99,533-flow table on 2,464 nodes, and its flows file."""
+    table = synth_substrate(2464, 0.0165, 3)
+    path = tmp_path_factory.mktemp("table_99k") / "flows.csv"
+    write_io_table(table, path)
+    return table, path
+
+
+def test_reader_holds_a_wiod_like_row_in_15_bytes(tmp_path):
+    # WIOD's 44 countries, 56 sectors and 15 years fit one-byte codes: a
+    # float and five bytes of codes per row, and the spare room of their growth
+    body = "".join(
+        f"{2000 + k % 15},C{k % 44:02d},S{k // 44 % 56:02d},C{k // 7 % 44:02d},S{k % 56:02d},{k}.5\n"
+        for k in range(61_440)
+    )
+    panel, held, _ = _traced_panel(write_flows(tmp_path, body))
+    assert len(panel._flows) == 61_440
+    assert held <= 15 * 61_440
+
+
+def test_table_build_makes_under_50_bytes_per_flow(table_99k):
+    table, path = table_99k
+    panel = FlowPanel(path)
+    tracemalloc.start()
+    try:
+        built = panel.table(table.year)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.Z.nnz == table.Z.nnz
+    assert peak <= 50 * built.Z.nnz
+
+
+def test_codes_widen_where_a_column_outgrows_its_type(tmp_path):
+    # seven-line chunks: src_country's 300 labels pass 256 inside a chunk
+    body = [f"2014,C{k:03d},S,D{k % 5},S,{k}.5\n" for k in range(300)]
+    good = write_flows(tmp_path, "".join(body), name="good.csv")
+    body[280] = "2014,C280,S,D0,S,x\n"
+    bad = write_flows(tmp_path, "".join(body), name="bad.csv")
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 7):
+        assert FlowPanel(good)._flows.coded["src_country"][0].dtype == np.uint16
+        back, expected = parse_io_table(good, 2014), table_oracle.parse_io_table(good, 2014)
+        with pytest.raises(TableError, match=r"bad\.csv row 282: non-numeric value 'x'$"):
+            parse_io_table(bad, 2014)
+    assert back.nodes == expected.nodes
+    for a, b in ((back.Z.indptr, expected.Z.indptr), (back.Z.indices, expected.Z.indices), (back.Z.data, expected.Z.data)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_sizes_come_back_exact_past_65536_distinct(tmp_path):
+    # thousand-line chunks: the 65,537th distinct size arrives inside a chunk
+    sizes = [str(k) for k in range(70_000)]
+    good = tmp_path / "avalanches_good.csv"
+    good.write_text("S\n" + "\n".join(sizes) + "\n")
+    sizes[69_000] = "x"
+    bad = tmp_path / "avalanches_bad.csv"
+    bad.write_text("S\n" + "\n".join(sizes) + "\n")
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 1000):
+        assert ingest._read_rows(good, ("S",)).coded["S"][0].dtype == np.int32
+        np.testing.assert_array_equal(ingest.read_sizes(good), np.arange(70_000))
+        with pytest.raises(TableError, match=r"avalanches_bad\.csv row 69002: bad S value 'x', not a 64-bit integer$"):
+            ingest.read_sizes(bad)
+
+
+def test_writer_holds_no_array_as_long_as_the_flows(table_99k):
+    # beside a ring of 2,464 flows on the same nodes, the 99k-flow table may
+    # raise the writer's traced peak by under a byte per added flow
+    table, path = table_99k
+    n = table.n
+    ring = IOTable(
+        year=table.year,
+        Z=sparse.csr_matrix((table.Z.data[:n], (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n)),
+        row_use_total=table.row_use_total,
+        nodes=table.nodes,
+    )
+    peaks = {}
+    for t in (table, ring):
+        tracemalloc.start()
+        try:
+            write_io_table(t, path.with_name(f"written_{t.Z.nnz}.csv"))
+            peaks[t.Z.nnz] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[table.Z.nnz] - peaks[n] < table.Z.nnz - n
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["split", "csv-reader"])

@@ -469,6 +469,7 @@ def cmd_tail_fit(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hallsand",
+        allow_abbrev=False,  # _scan_argv finds --config by its exact spelling
         description="Production-network instability engine: operators, stress exposure, cascade dynamics, phase sweeps, tail fits.",
     )
     parser.add_argument("--config", help="YAML config file; command-line flags override it")
@@ -587,11 +588,13 @@ def _apply_config(parser: argparse.ArgumentParser, config_path: str, command: st
     for key, value in section.items():
         if key not in actions or key == "help":
             raise ConfigError(f"config option {key!r} is not a flag of {command!r}")
+        if value is None:  # a null leaves the flag at its own default, as an absent key does
+            continue
         action = actions[key]
         if action.nargs == 0:  # a switch such as --json takes only true or false
-            if value is not None and not isinstance(value, bool):
+            if not isinstance(value, bool):
                 raise ConfigError(f"config option {key!r}: bad value {value!r}, expected true or false")
-        elif value is not None:
+        else:
             # the flag's own type parses each value's text, as on the command line;
             # a repeatable flag such as --cell takes a list, or one value as a list of one
             repeatable = isinstance(action, argparse._AppendAction)

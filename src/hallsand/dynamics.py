@@ -100,19 +100,24 @@ def contraction_check(params: Params, rho_leak: float) -> ContractionCheck:
     return ContractionCheck(passed=params.beta < bound, bound=bound, margin=bound - params.beta)
 
 
+def _check_column(B_bar: float, sigma_B: float, sigma_D: float) -> None:
+    """Check a run column's field level, field volatility and dispersion."""
+    # each comparison is False for nan, and the upper bound rejects inf
+    if not 0.0 <= B_bar < math.inf:
+        raise ValueError(f"B_bar must be finite and non-negative, got {B_bar}")
+    if not 0.0 <= sigma_B < math.inf:
+        raise ValueError(f"sigma_B must be finite and non-negative, got {sigma_B}")
+    if not 0.0 < sigma_D < math.inf:
+        raise ValueError(f"sigma_D must be finite and positive, got {sigma_D}")
+
+
 def _validate_run(
     operator: PropagationOperator, exposure: ExposureProfile, params: Params, columns
 ) -> int:
     """Check the inputs of a run, its (B_bar, sigma_B, sigma_D, seed) columns
     among them, and resolve its round budget."""
-    # each comparison is False for nan, and the upper bound rejects inf
     for B_bar, sigma_B, sigma_D, _ in columns:
-        if not 0.0 <= B_bar < math.inf:
-            raise ValueError(f"B_bar must be finite and non-negative, got {B_bar}")
-        if not 0.0 <= sigma_B < math.inf:
-            raise ValueError(f"sigma_B must be finite and non-negative, got {sigma_B}")
-        if not 0.0 < sigma_D < math.inf:
-            raise ValueError(f"sigma_D must be finite and positive, got {sigma_D}")
+        _check_column(B_bar, sigma_B, sigma_D)
     n = operator.n
     if exposure.n != n:
         raise ValueError(f"operator has {n} nodes but exposure has {exposure.n}")

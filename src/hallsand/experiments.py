@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import Params, RelaxationBudgetError, contraction_check, run_batch
+from .dynamics import Params, RelaxationBudgetError, _check_column, contraction_check, run_batch
 from .exposure import DEFAULT_FLOOR, ExposureProfile, compute_exposure
 from .ingest import IOTable
 from .operators import OperatorKind, PropagationOperator, build_operator
@@ -79,12 +79,6 @@ class ScenarioSpec:
     B_bar: float
     sigma_D: float
     master_seed: int
-
-    def validate(self) -> None:
-        if not 0.0 <= self.B_bar < math.inf:
-            raise ValueError(f"B_bar must be finite and non-negative, got {self.B_bar}")
-        if not 0.0 < self.sigma_D < math.inf:
-            raise ValueError(f"sigma_D must be finite and positive, got {self.sigma_D}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +212,7 @@ _PACK_VALUES = 1 << 16
 _MAX_BATCH_VALUES = 1 << 20
 
 
-def _plan(specs: list[ScenarioSpec], replications: int, n_workers: int, n: int) -> tuple[list[list[Block]], int]:
+def _plan(specs: list[ScenarioSpec], replications: int, n_workers: int, n: int) -> list[list[Block]]:
     """Group the specs' replications into tasks, each run as one batch.
 
     Each spec is one block, or the same number of contiguous blocks when
@@ -226,8 +220,7 @@ def _plan(specs: list[ScenarioSpec], replications: int, n_workers: int, n: int) 
     the widest batch. Consecutive blocks share a task up to _PACK_VALUES
     stress values, and to no more than an even share of the columns per
     worker, since a batch's cost per column falls with its width until its
-    arrays outgrow the cache. Returns the tasks, in spec order, and the
-    number of blocks per spec.
+    arrays outgrow the cache. Returns the tasks, in spec order.
     """
     widest = max(1, _MAX_BATCH_VALUES // n)
     k = max(-(-n_workers // len(specs)), -(-replications // widest))
@@ -245,35 +238,26 @@ def _plan(specs: list[ScenarioSpec], replications: int, n_workers: int, n: int) 
         else:
             tasks.append([block])
             width = hi - lo
-    return tasks, len(bounds) - 1
+    return tasks
 
 
 def _run_task(
     substrate: Substrate, params: Params, sigma_b_ratio: float, T_burn: int, T_stat: int, task: list[Block]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run a task's blocks as one batch; per block, post-burn S, B_t and rounds, a row per replication."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a task's blocks as one batch: post-burn S, B_t and rounds, a row per replication."""
     owners = [(spec, rep) for spec, lo, hi in task for rep in range(lo, hi)]
     columns = [
         (spec.B_bar, sigma_b_ratio * spec.B_bar, spec.sigma_D, child_seed(spec.master_seed, rep))
         for spec, rep in owners
     ]
     try:
-        S, B, rounds = run_batch(
-            substrate.operator, substrate.exposure, params, columns, T_burn + T_stat, keep_from=T_burn
-        )
+        return run_batch(substrate.operator, substrate.exposure, params, columns, T_burn + T_stat, keep_from=T_burn)
     except RelaxationBudgetError as err:
         spec, rep = owners[err.column]
         raise SimulationError(
             f"scenario {spec.name!r} replication {rep} period {err.period}: {err}"
             f" (seed {columns[err.column][3]})"
         ) from err
-    out = []
-    start = 0
-    for _, lo, hi in task:
-        rows = slice(start, start + hi - lo)
-        out.append((S[rows], B[rows], rounds[rows]))
-        start += hi - lo
-    return out
 
 
 # Forked workers inherit the imported modules and the substrate; a started
@@ -341,10 +325,8 @@ def run_scenarios(
     reduce it before later specs' series are held; a failing task raises
     before any of its specs is yielded. The inputs are validated and the
     contraction check runs once per call, here, when it is made, not in the
-    workers.
+    workers; a bad spec is refused by name.
     """
-    for spec in specs:
-        spec.validate()
     if T_burn < 0 or T_stat < 1:
         raise ValueError(f"bad protocol: T_burn={T_burn}, T_stat={T_stat}")
     if replications < 1:
@@ -353,10 +335,15 @@ def run_scenarios(
     if not 0.0 <= sigma_b_ratio < math.inf:
         raise ValueError(f"sigma_b_ratio must be finite and non-negative, got {sigma_b_ratio}")
     for spec in specs:
-        if math.isinf(sigma_b_ratio * spec.B_bar):  # the field volatility sigma_B
+        sigma_B = sigma_b_ratio * spec.B_bar  # the field volatility
+        if math.isinf(sigma_B) and math.isfinite(spec.B_bar):
             raise ValueError(
                 f"scenario {spec.name!r}: sigma_b_ratio={sigma_b_ratio} times B_bar={spec.B_bar} overflows"
             )
+        try:
+            _check_column(spec.B_bar, sigma_B, spec.sigma_D)
+        except ValueError as err:
+            raise ValueError(f"scenario {spec.name!r}: {err}") from None
     if not specs:
         return iter(())
     n_workers = resolve_threads(threads)
@@ -368,11 +355,11 @@ def run_scenarios(
             RuntimeWarning,
             stacklevel=2,
         )
-    tasks, count = _plan(specs, replications, n_workers, substrate.operator.n)
-    return _results(specs, tasks, count, n_workers, (substrate, params, sigma_b_ratio, T_burn, T_stat))
+    tasks = _plan(specs, replications, n_workers, substrate.operator.n)
+    return _results(specs, replications, tasks, n_workers, (substrate, params, sigma_b_ratio, T_burn, T_stat))
 
 
-def _results(specs, tasks, count, n_workers, context) -> Iterator[ScenarioResult]:
+def _results(specs, replications, tasks, n_workers, context) -> Iterator[ScenarioResult]:
     n_workers = min(n_workers, len(tasks))
     with ExitStack() as stack:
         if n_workers > 1:
@@ -384,10 +371,10 @@ def _results(specs, tasks, count, n_workers, context) -> Iterator[ScenarioResult
             results = pool.map(_worker_task, tasks)
         else:
             results = (_run_task(*context, task) for task in tasks)
-        blocks = (block for task_result in results for block in task_result)
+        # each replication's (S, B_t, rounds) rows, in spec and replication order
+        rows = (row for batch in results for row in zip(*batch))
         for spec in specs:
-            done = list(islice(blocks, count))
-            S, B, rounds = (np.concatenate([block[k] for block in done]) for k in range(3))
+            S, B, rounds = map(np.array, zip(*islice(rows, replications)))
             yield ScenarioResult(spec.name, make_cell_stats(spec.B_bar, spec.sigma_D, S), S, B, rounds)
 
 

@@ -302,7 +302,7 @@ class _Converted:
         return np.flatnonzero(self._of([v is not None and v == value for v in self.values]))
 
 
-def _refuse_first(table: _Rows, path, years: _Converted, rows: np.ndarray, checks: list) -> None:
+def _refuse_first(table: _Rows, years: _Converted, rows: np.ndarray, checks: list) -> None:
     """Raise TableError naming a table's first bad row, if it has one.
 
     A bad year fails on any row of the file. checks is an ordered list of
@@ -321,7 +321,7 @@ def _refuse_first(table: _Rows, path, years: _Converted, rows: np.ndarray, check
     else:
         k = int(np.searchsorted(rows, first))
         fault = next(say for flags, say in checks if flags[k])(k, cells)
-    raise TableError(f"{path} row {line}: {fault}")
+    raise TableError(f"{table.path} row {line}: {fault}")
 
 
 def _missing(table: _Rows, column: str, rows: np.ndarray) -> np.ndarray:
@@ -351,20 +351,20 @@ class FlowPanel:
 
     def years(self) -> list[int]:
         """Distinct years present, ascending."""
-        _refuse_first(self._flows, self.path, self._years, np.empty(0, np.intp), [])
+        _refuse_first(self._flows, self._years, np.empty(0, np.intp), [])
         return sorted(set(self._years.values))
 
     def table(self, year: int) -> IOTable:
         """One year as an IOTable; raises TableError as parse_io_table documents."""
-        path, flows = self.path, self._flows
+        flows = self._flows
         rows = self._years.rows(year)
         values = flows.values["value"][rows]
-        _refuse_first(flows, path, self._years, rows, [
+        _refuse_first(flows, self._years, rows, [
             (_faulty(values), lambda _, cells: _value_fault(cells["value"], "value")),
             *[(_missing(flows, c, rows), lambda k, _, c=c: f"missing {c}") for c in _LABEL_COLUMNS],
         ])
         if not rows.size:
-            raise TableError(f"{path}: no edges for year {year}")
+            raise TableError(f"{self.path}: no edges for year {year}")
 
         # node k is the k-th (country, sector) pair in sorted order
         src, i = _pairs(flows, rows, "src_country", "src_sector")
@@ -378,7 +378,7 @@ class FlowPanel:
         nodes = tuple(NodeId(*pair) for pair in pairs)
         Z = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
         if Z.nnz < rows.size:  # tocsr adds up repeated entries and keeps explicit zeros
-            _refuse_first(flows, path, self._years, rows, [
+            _refuse_first(flows, self._years, rows, [
                 (_repeats(i.astype(np.int64) * n + j), lambda k, _: f"duplicate flow {nodes[i[k]].label} -> "
                                                 f"{nodes[j[k]].label} for year {year}"),
             ])
@@ -397,7 +397,6 @@ class FlowPanel:
             table = _read_rows(self.row_use_path, ROW_USE_COLUMNS)
             self._row_use = (table, _Converted(*table.coded["year"]))
         table, years = self._row_use
-        path = self.row_use_path
         rows = years.rows(year)
         pairs, at = _pairs(table, rows, "country", "sector")
         node = np.array([index.get(pair, -1) for pair in pairs], dtype=np.intp)[at]
@@ -408,7 +407,7 @@ class FlowPanel:
         # Gross row use bounds intermediate outflows from above; allow float fuzz.
         below = gross < out * (1.0 - 1e-12) - 1e-12
         # a missing country or sector names no node, so its row is unknown too
-        _refuse_first(table, path, years, rows, [
+        _refuse_first(table, years, rows, [
             (_missing(table, "country", rows), lambda k, _: "missing country"),
             (_missing(table, "sector", rows), lambda k, _: "missing sector"),
             (unknown, lambda k, _: f"unknown node {NodeId(*pairs[at[k]]).label} for year {year}"),

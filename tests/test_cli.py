@@ -813,6 +813,43 @@ def test_config_file_shape(tmp_path, capsys, text, flag, message):
 
 
 @pytest.mark.parametrize(
+    "command,key",
+    [("simulate", "out_dir"), ("simulate", "replications"), ("exposure", "top"), ("exposure", "json")],
+)
+def test_config_null_leaves_the_flag_at_its_default(tmp_path, monkeypatch, command, key):
+    # a null reads as an absent key: the run writes what it writes without the config
+    argv = [command, "--synth-nodes", "12"]
+    if command == "simulate":
+        argv += ["--presets", "stable", "--t-burn", "0", "--t-stat", "1", "--threads", "1"]
+    cfg = tmp_path / "null.yaml"
+    cfg.write_text(f"{command}:\n  {key}: null\n")
+    written = []
+    for head in (["--config", str(cfg)], []):
+        run_dir = tmp_path / f"run{len(written)}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)  # the default --out-dir is the working directory
+        assert main([*head, *argv]) == 0
+        written.append({p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()})
+    assert written[0] == written[1]
+    if command == "simulate":
+        assert len(read_rows(tmp_path / "run0" / "avalanches_stable.csv")) == DEFAULT_REPLICATIONS
+
+
+@pytest.mark.parametrize("spelling", [["--conf", "{cfg}"], ["--conf={cfg}"]], ids=["space", "equals"])
+def test_abbreviated_config_flag_exit_1(tmp_path, capsys, spelling):
+    # only the exact --config is applied, so an abbreviation is refused rather than ignored
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("synth:\n  nodes: 12\n  density: 0.5\n")
+    out = tmp_path / "out"
+    assert main([*(s.format(cfg=cfg) for s in spelling), "synth", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage: hallsand")
+    assert not out.exists()
+    # a command's own flags keep their abbreviations
+    assert main(["synth", "--nod", "12", "--dens", "0.5", "--out-dir", str(out)]) == 0
+    assert "12 nodes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--synth-nodes", "10", "--delta", "1.5"],
@@ -842,6 +879,28 @@ def test_sigma_b_ratio_overflowing_a_cells_volatility_exit_1(tmp_path, capsys, t
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: scenario 'big': sigma_b_ratio=1e+300 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["simulate", "--presets", "none", "--cell", "x:-1:1"],
+            "error: scenario 'x': B_bar must be finite and non-negative, got -1.0\n",
+        ),
+        (
+            ["phase-grid", "--sigma-min", "0", "--b-steps", "2", "--sigma-steps", "2"],
+            "error: scenario 'cell_0_0': sigma_D must be finite and positive, got 0.0\n",
+        ),
+    ],
+    ids=["cell", "grid"],
+)
+def test_bad_scenario_is_refused_by_name(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    protocol = ["--replications", "2", "--t-burn", "0", "--t-stat", "1", "--threads", "1"]
+    assert main([*argv, "--synth-nodes", "10", *protocol, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

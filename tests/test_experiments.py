@@ -88,18 +88,27 @@ def test_classify_bands(mean_S, label):
     assert stats.regime is label
 
 
-def test_scenario_spec_validation():
-    good = ScenarioSpec("x", 1.0, 1.0, 5)
-    good.validate()
-    with pytest.raises(ValueError):
-        ScenarioSpec("x", -0.1, 1.0, 5).validate()
-    with pytest.raises(ValueError):
-        ScenarioSpec("x", 1.0, 0.0, 5).validate()
+def test_scenario_spec_validation(small_substrate):
+    # run_scenarios refuses a bad spec by name, before any task runs
+    def refusal(B_bar, sigma_D, sigma_b_ratio=DEFAULT_SIGMA_B_RATIO):
+        specs = [ScenarioSpec("good", 1.0, 1.0, 5), ScenarioSpec("x", B_bar, sigma_D, 5)]
+        with pytest.raises(ValueError) as caught:
+            run_scenarios(specs, small_substrate, Params(), sigma_b_ratio, T_burn=0, T_stat=1, replications=1)
+        return str(caught.value)
+
+    assert [r.name for r in run_scenarios(
+        [ScenarioSpec("x", 1.0, 1.0, 5)], small_substrate, Params(), T_burn=0, T_stat=1, replications=1
+    )] == ["x"]
+    assert refusal(-0.1, 1.0) == "scenario 'x': B_bar must be finite and non-negative, got -0.1"
+    assert refusal(1.0, 0.0) == "scenario 'x': sigma_D must be finite and positive, got 0.0"
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="B_bar"):
-            ScenarioSpec("x", bad, 1.0, 5).validate()
-        with pytest.raises(ValueError, match="sigma_D"):
-            ScenarioSpec("x", 1.0, bad, 5).validate()
+        assert refusal(bad, 1.0) == f"scenario 'x': B_bar must be finite and non-negative, got {bad}"
+        assert refusal(bad, 1.0, sigma_b_ratio=0.0).startswith("scenario 'x': B_bar ")
+        assert refusal(1.0, bad) == f"scenario 'x': sigma_D must be finite and positive, got {bad}"
+    # a finite B_bar whose volatility overflows is refused as an overflow
+    assert refusal(1e10, 1.0, sigma_b_ratio=1e300) == (
+        "scenario 'x': sigma_b_ratio=1e+300 times B_bar=10000000000.0 overflows"
+    )
 
 
 @pytest.mark.parametrize(
@@ -238,6 +247,21 @@ def test_pool_forks_its_workers_where_the_platform_can(small_substrate, monkeypa
     offers_fork = "fork" in multiprocessing.get_all_start_methods()
     assert offers_fork or not sys.platform.startswith("linux")
     assert context.get_start_method() == ("fork" if offers_fork else multiprocessing.get_start_method())
+
+
+def test_spawned_workers_give_the_forked_bytes(monkeypatch):
+    # a spawned worker imports the package anew and unpickles the substrate
+    # (forkserver and Python 3.14's Linux default start workers the same way)
+    sub = prepare_substrate(synth_substrate(30, 0.2, 7, mean_leakage=0.22))
+    specs = preset_scenarios(3, names=["latent", "avalanche"])
+
+    def run():
+        results = run_scenarios(specs, sub, Params(), threads=2, T_burn=2, T_stat=5, replications=2)
+        return [(r.stats, [getattr(r, f).tobytes() for f in ("series", "B_realised", "relax_rounds")]) for r in results]
+
+    forked = run()
+    monkeypatch.setattr(experiments, "_POOL_CONTEXT", multiprocessing.get_context("spawn"))
+    assert run() == forked
 
 
 def test_grid_scenarios_layout(small_substrate):
@@ -446,11 +470,12 @@ def test_convergence_report_bound_is_strict(regime, mean_S, se_mean_S):
 
 
 def plan_widths(specs, replications, n_workers, n):
-    tasks, count = experiments._plan(specs, replications, n_workers, n)
+    tasks = experiments._plan(specs, replications, n_workers, n)
     # every replication of every spec runs once, in spec and replication order
     flat = [(spec.name, rep) for task in tasks for spec, lo, hi in task for rep in range(lo, hi)]
     assert flat == [(spec.name, rep) for spec in specs for rep in range(replications)]
-    assert count * len(specs) == sum(len(task) for task in tasks)
+    # every spec is cut into the same number of blocks
+    assert len(specs) * len({lo for task in tasks for _, lo, _ in task}) == sum(len(task) for task in tasks)
     return [sum(hi - lo for _, lo, hi in task) for task in tasks]
 
 
@@ -478,7 +503,7 @@ def test_plan_keeps_every_task_within_the_bounds():
         (5, 200, 700, 2464, 70_000), (1, 2, 3), (1, 2, 25, 100, 700)
     ):
         specs = grid_cells(6)
-        tasks, _ = experiments._plan(specs, replications, n_workers, n)
+        tasks = experiments._plan(specs, replications, n_workers, n)
         for task, width in zip(tasks, plan_widths(specs, replications, n_workers, n)):
             if len(task) > 1:  # packed blocks stay within the cache-sized bound
                 assert width * n <= experiments._PACK_VALUES
@@ -513,8 +538,8 @@ def test_packing_bound_changes_no_output(monkeypatch, hot):
             return str(err)
 
     packed = outcome()
-    assert len(experiments._plan(specs, 3, 1, sub.operator.n)[0]) == 1
+    assert len(experiments._plan(specs, 3, 1, sub.operator.n)) == 1
     monkeypatch.setattr(experiments, "_PACK_VALUES", 1)
-    assert len(experiments._plan(specs, 3, 1, sub.operator.n)[0]) == len(specs)
+    assert len(experiments._plan(specs, 3, 1, sub.operator.n)) == len(specs)
     assert outcome() == packed
     assert packed.startswith("scenario 'late' replication 0 ") if hot else len(packed) == 3

@@ -1,6 +1,5 @@
 """Stress-sandpile instability engine for input-output production networks."""
 
-from .config import ConfigError, load_config, section_for
 from .dynamics import (
     ContractionCheck,
     Params,

@@ -21,7 +21,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import ConfigError, load_config, section_for
 from .dynamics import Params
 from .exposure import DEFAULT_EPSILON, DEFAULT_FIELD, DEFAULT_FLOOR, compute_exposure
 from .experiments import (
@@ -257,7 +256,7 @@ PANEL = {
 
 def cmd_network_panel(args) -> int:
     given = []  # the --years, checked before anything is read
-    for text in args.years.split(",") if args.years else ():
+    for text in args.years.split(",") if args.years is not None else ():
         try:
             year = int(text)
         except ValueError:
@@ -353,7 +352,7 @@ def cmd_simulate(args) -> int:
     presets = [] if args.presets.strip().lower() == "none" else args.presets.split(",")
     specs = preset_scenarios(
         args.master_seed,
-        names=[n.strip() for n in presets if n.strip()],
+        names=[n.strip() for n in presets],
         cells=map(_parse_cell, args.cell or []),  # parsed after the preset names are checked
     )
     if not specs:
@@ -469,19 +468,17 @@ def cmd_tail_fit(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hallsand",
-        allow_abbrev=False,  # _scan_argv finds --config by its exact spelling
-        description="Production-network instability engine: operators, stress exposure, cascade dynamics, phase sweeps, tail fits.",
+        fromfile_prefix_chars="@",
+        description="Production-network instability engine: operators, stress exposure, cascade dynamics, phase sweeps, tail fits."
+        " An @FILE argument is replaced by the tokens in FILE, one per line.",
     )
-    parser.add_argument("--config", help="YAML config file; command-line flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
-    command_map: dict[str, argparse.ArgumentParser] = {}
 
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(
             name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
         p.set_defaults(func=func)
-        command_map[name] = p
         return p
 
     p = add("ingest", cmd_ingest, "validate a flows CSV and print a summary")
@@ -551,79 +548,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-tail", type=int, default=DEFAULT_MIN_TAIL, help="minimum tail samples for an informative fit")
     _add_output_args(p)
 
-    parser._command_map = command_map  # type: ignore[attr-defined]
     return parser
 
 
-def _scan_argv(argv: list[str], commands) -> tuple[str | None, str | None]:
-    config_path = None
-    command = None
-    k = 0
-    while k < len(argv):
-        tok = argv[k]
-        if tok == "--config" and k + 1 < len(argv):
-            config_path = argv[k + 1]
-            k += 2
-            continue
-        if tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-        elif command is None and tok in commands:
-            command = tok
-        k += 1
-    return config_path, command
-
-
-def _apply_config(parser: argparse.ArgumentParser, config_path: str, command: str | None) -> None:
-    config = load_config(config_path)
-    known = set(parser._command_map) | {"common"}  # type: ignore[attr-defined]
-    unknown_sections = set(config) - known
-    if unknown_sections:
-        raise ConfigError(f"unknown config section(s): {sorted(unknown_sections)}")
-    if command is None:
-        return
-    section = section_for(config, command)
-    sub = parser._command_map[command]  # type: ignore[attr-defined]
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, value in section.items():
-        if key not in actions or key == "help":
-            raise ConfigError(f"config option {key!r} is not a flag of {command!r}")
-        if value is None:  # a null leaves the flag at its own default, as an absent key does
-            continue
-        action = actions[key]
-        if action.nargs == 0:  # a switch such as --json takes only true or false
-            if not isinstance(value, bool):
-                raise ConfigError(f"config option {key!r}: bad value {value!r}, expected true or false")
-        else:
-            # the flag's own type parses each value's text, as on the command line;
-            # a repeatable flag such as --cell takes a list, or one value as a list of one
-            repeatable = isinstance(action, argparse._AppendAction)
-            if isinstance(value, list) and not repeatable:
-                raise ConfigError(f"config option {key!r}: bad value {value!r}, expected one value")
-            items = value if isinstance(value, list) else [value]
-            try:
-                items = [(action.type or str)(str(item)) for item in items]
-            except (TypeError, ValueError):
-                raise ConfigError(f"config option {key!r}: bad value {value!r}") from None
-            value = items if repeatable else items[0]
-        defaults[key] = value
-    sub.set_defaults(**defaults)
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    config_path, command = _scan_argv(argv, parser._command_map)  # type: ignore[attr-defined]
     try:
-        if config_path is not None:
-            _apply_config(parser, config_path, command)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            code = exc.code if exc.code is not None else 0
-            return 0 if code == 0 else 1
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error such as an unreadable @FILE
+        code = exc.code if exc.code is not None else 0
+        return 0 if code == 0 else 1
+    try:
         return args.func(args) or 0
-    except (ValueError, OSError) as err:  # ConfigError, TableError and TailError among them
+    except (ValueError, OSError) as err:  # TableError and TailError among them
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RuntimeError as err:

@@ -138,10 +138,11 @@ def test_network_panel_refuses_a_repeated_year(substrate_dir, tmp_path, capsys):
 
 def test_network_panel_refuses_a_bad_year_before_reading(tmp_path, capsys):
     out = tmp_path / "panel"
-    argv = ["network-panel", "--flows", str(tmp_path / "absent.csv"), "--years", "2014,abc"]
-    assert main([*argv, "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == "error: --years: bad year 'abc'\n"
-    assert not out.exists()
+    for years, bad in (("2014,abc", "abc"), ("", ""), ("2014,", "")):
+        argv = ["network-panel", "--flows", str(tmp_path / "absent.csv"), "--years", years]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --years: bad year {bad!r}\n"
+        assert not out.exists()
 
 
 def test_network_panel_names_the_flows_file_one_way(tmp_path, monkeypatch, capsys):
@@ -340,6 +341,14 @@ def test_simulate_bad_cell_spec_exit_1(substrate_dir, tmp_path, capsys, cell):
     assert code == 1
     err = capsys.readouterr().err
     assert "--cell" in err and repr(cell) in err
+
+
+def test_simulate_refuses_a_bad_preset_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    for presets, bad in (("stable,banana", "banana"), ("", ""), ("stable,,latent", "")):
+        assert main(["simulate", "--synth-nodes", "10", "--presets", presets, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown preset {bad!r}; expected one of")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -650,45 +659,44 @@ def test_tail_fit_writes_sizes_past_2_to_the_53_exactly(tmp_path):
     assert row["informative"] == "false"
 
 
+def args_file(path, *tokens):
+    """Write an argument file, one token per line, and return its @ argument."""
+    path.write_text("".join(f"{token}\n" for token in tokens))
+    return f"@{path}"
+
+
 def test_config_defaults_and_flag_precedence(substrate_dir, tmp_path):
-    cfg = tmp_path / "run.yaml"
+    # argument files compose, and a flag after them wins
     cfg_out = tmp_path / "fromcfg"
-    cfg.write_text(
-        "common:\n"
-        f"  out_dir: {cfg_out}\n"
-        "simulate:\n"
-        "  replications: 2\n"
-        "  t_burn: 2\n"
-        "  t_stat: 8\n"
-        "  presets: stable\n"
-        "  threads: 1\n"
+    common = args_file(tmp_path / "common.args", "--out-dir", cfg_out)
+    run = args_file(
+        tmp_path / "simulate.args",
+        "--replications", 2, "--t-burn", 2, "--t-stat", 8, "--presets", "stable", "--threads", 1,
     )
-    code = main(
-        [
-            "--config", str(cfg),
-            "simulate",
-            "--flows", str(substrate_dir / "flows.csv"),
-            "--year", "2014",
-        ]
-    )
-    assert code == 0
+    substrate = ["--flows", str(substrate_dir / "flows.csv"), "--year", "2014"]
+    assert main(["simulate", common, run, *substrate]) == 0
     rows = read_rows(cfg_out / "scenarios.csv")
     assert [r["scenario"] for r in rows] == ["stable"]
     assert len(read_rows(cfg_out / "avalanches_stable.csv")) == 2 * 8
 
     flag_out = tmp_path / "fromflag"
-    code = main(
-        [
-            "--config", str(cfg),
-            "simulate",
-            "--flows", str(substrate_dir / "flows.csv"),
-            "--year", "2014",
-            "--out-dir", str(flag_out),
-            "--replications", "3",
-        ]
-    )
+    code = main(["simulate", common, run, *substrate, "--out-dir", str(flag_out), "--replications", "3"])
     assert code == 0
     assert len(read_rows(flag_out / "avalanches_stable.csv")) == 3 * 8
+
+
+def test_argument_file_writes_the_bytes_of_the_typed_flags(tmp_path):
+    flags = [
+        "--presets", "stable", "--cell", "mine:0.9:1.7", "--replications", "2",
+        "--t-burn", "2", "--t-stat", "8", "--threads", "1", "--json",
+    ]
+    written = []
+    for name, argv in (("typed", flags), ("file", [args_file(tmp_path / "run.args", *flags)])):
+        out = tmp_path / name
+        assert main(["simulate", "--synth-nodes", "20", *argv, "--out-dir", str(out)]) == 0
+        written.append({q.name: q.read_bytes() for q in out.iterdir()})
+    assert len(written[0]) == 6
+    assert written[0] == written[1]
 
 
 def test_operator_spellings_reach_their_kind(tmp_path, monkeypatch):
@@ -700,14 +708,13 @@ def test_operator_spellings_reach_their_kind(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "prepare_substrate", capture)
     assert [kind.value for kind in OperatorKind] == ["share", "leak", "max"]
-    runs = [([], [], OperatorKind.LEAKAGE_ADJUSTED)]  # the default
+    runs = [([], OperatorKind.LEAKAGE_ADJUSTED)]  # the default
     for kind in OperatorKind:
-        cfg = tmp_path / f"{kind.value}.yaml"
-        cfg.write_text(f"simulate:\n  operator: {kind.value}\n")
-        runs += [([], ["--operator", kind.value], kind), (["--config", str(cfg)], [], kind)]
-    for head, tail, kind in runs:
+        cfg = args_file(tmp_path / f"{kind.value}.args", "--operator", kind.value)
+        runs += [(["--operator", kind.value], kind), ([cfg], kind)]
+    for tail, kind in runs:
         with pytest.raises(Reached) as caught:
-            main([*head, "simulate", "--synth-nodes", "10", *tail])
+            main(["simulate", "--synth-nodes", "10", *tail])
         assert caught.value.args == (kind,)
 
 
@@ -718,135 +725,98 @@ def test_operator_other_spellings_exit_1(capsys, name):
 
 
 def test_operator_other_spelling_in_a_config_exit_1(tmp_path, capsys):
-    cfg = tmp_path / "operator.yaml"
-    cfg.write_text("simulate:\n  operator: max_row\n")
-    assert main(["--config", str(cfg), "simulate", "--synth-nodes", "10"]) == 1
-    assert capsys.readouterr().err == "error: config option 'operator': bad value 'max_row'\n"
+    cfg = args_file(tmp_path / "operator.args", "--operator", "max_row")
+    assert main(["simulate", "--synth-nodes", "10", cfg]) == 1
+    assert capsys.readouterr().err.endswith("error: argument --operator: invalid OperatorKind value: 'max_row'\n")
 
 
-def test_config_unknown_key_exit_1(substrate_dir, tmp_path, capsys):
-    cfg = tmp_path / "bad.yaml"
-    cfg.write_text("simulate:\n  bogus_key: 1\n")
-    code = main(["--config", str(cfg), "simulate", "--synth-nodes", "10"])
+def test_config_unknown_key_exit_1(tmp_path, capsys):
+    cfg = args_file(tmp_path / "bad.args", "--bogus-key", 1)
+    code = main(["simulate", "--synth-nodes", "10", cfg])
     assert code == 1
-    assert "bogus_key" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --bogus-key 1\n")
 
 
 @pytest.mark.parametrize(
-    "entry,key",
+    "tokens,message",
     [
-        ("replications: 2.5", "replications"),
-        ("json: 1", "json"),
-        ("no_series: 'false'", "no_series"),
-        ("presets: [stable, latent]", "presets"),
-    ],
-    ids=["float-for-int", "int-for-switch", "string-for-switch", "list-for-single"],
-)
-def test_config_wrongly_typed_value_exit_1(substrate_dir, tmp_path, capsys, entry, key):
-    cfg = tmp_path / "typed.yaml"
-    cfg.write_text(f"simulate:\n  {entry}\n")
-    # the config is checked whole before any flag overrides it
-    assert main(["--config", str(cfg), *simulate_args(substrate_dir, tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config option") and repr(key) in err
-
-
-@pytest.mark.parametrize("cell", ['["mine:0.9:1.7"]', '"mine:0.9:1.7"'], ids=["list", "one-string"])
-def test_config_cell_runs(substrate_dir, tmp_path, cell):
-    cfg = tmp_path / "cells.yaml"
-    cfg.write_text(f"simulate:\n  cell: {cell}\n  presets: none\n")
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), *simulate_args(substrate_dir, out)]) == 0
-    assert [r["scenario"] for r in read_rows(out / "scenarios.csv")] == ["mine"]
-    assert len(read_rows(out / "avalanches_mine.csv")) == 4 * 20
-
-    # a --cell on the command line is added to the config's cells
-    out = tmp_path / "both"
-    assert main(["--config", str(cfg), *simulate_args(substrate_dir, out, ["--cell", "yours:0.5:1.0"])]) == 0
-    assert [r["scenario"] for r in read_rows(out / "scenarios.csv")] == ["mine", "yours"]
-
-
-def test_config_unknown_section_exit_1(substrate_dir, tmp_path):
-    cfg = tmp_path / "bad.yaml"
-    cfg.write_text("nosuchcmd:\n  x: 1\n")
-    assert main(["--config", str(cfg), "simulate", "--synth-nodes", "10"]) == 1
-
-
-@pytest.mark.parametrize(
-    "text,flag,message",
-    [
-        (None, "--config", "config file not found: {cfg}\n"),
-        (None, "--config=", "config file not found: {cfg}\n"),
-        ("exposure: [1, 2\n", "--config", "{cfg}: while parsing a flow sequence\n"),
-        ("- exposure\n", "--config", "{cfg}: top level must be a mapping of sections\n"),
-        ("1:\n  top: 3\n", "--config", "{cfg}: section names must be strings, got 1\n"),
-        ("exposure: 3\n", "--config", "{cfg}: section 'exposure' must be a mapping\n"),
-        ("exposure:\n  1: 3\n", "--config", "{cfg}: option names must be strings, got 1\n"),
-        (
-            "exposure:\n  top: {a: 1}\n",
-            "--config",
-            "{cfg}: option exposure.top must be a scalar or a list of scalars, got dict\n",
-        ),
-        ("", "--config", None),
-        ("exposure:\n", "--config=", None),
+        (["--replications", "2.5"], "argument --replications: invalid int value: '2.5'"),
+        (["--json", "1"], "unrecognized arguments: 1"),
+        (["--no-series", "false"], "unrecognized arguments: false"),
+        (["--presets", "stable", "latent"], "unrecognized arguments: latent"),
+        (["--json", ""], "unrecognized arguments: "),
+        (["--replications 3"], "unrecognized arguments: --replications 3"),
     ],
     ids=[
-        "missing", "missing-spelled-with-equals", "yaml-syntax", "list-at-top", "section-name",
-        "section-body", "option-name", "nested-value", "empty-file", "section-without-body",
+        "float-for-int", "int-for-switch", "string-for-switch", "list-for-single",
+        "blank-line", "flag-and-value-on-one-line",
     ],
 )
-def test_config_file_shape(tmp_path, capsys, text, flag, message):
-    cfg = tmp_path / "run.yaml"
-    if text is not None:
-        cfg.write_text(text)
-    config = [f"--config={cfg}"] if flag.endswith("=") else ["--config", str(cfg)]
+def test_config_wrongly_typed_value_exit_1(substrate_dir, tmp_path, capsys, tokens, message):
     out = tmp_path / "out"
-    code = main([*config, "exposure", "--synth-nodes", "10", "--out-dir", str(out)])
+    command, *flags = simulate_args(substrate_dir, out)
+    # a value is checked where it stands, even where a later flag overrides it
+    assert main([command, args_file(tmp_path / "typed.args", *tokens), *flags]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [["--cell", "mine:0.9:1.7"], ["--cell=mine:0.9:1.7"]],
+    ids=["two-lines", "equals"],
+)
+def test_config_cell_runs(substrate_dir, tmp_path, tokens):
+    cfg = args_file(tmp_path / "cells.args", *tokens, "--presets", "none")
+    command, *flags = simulate_args(substrate_dir, tmp_path / "out")
+    assert main([command, cfg, *flags]) == 0
+    assert [r["scenario"] for r in read_rows(tmp_path / "out" / "scenarios.csv")] == ["mine"]
+    assert len(read_rows(tmp_path / "out" / "avalanches_mine.csv")) == 4 * 20
+
+    # the file's cells come before those typed after it
+    command, *flags = simulate_args(substrate_dir, tmp_path / "both", ["--cell", "yours:0.5:1.0"])
+    assert main([command, cfg, *flags]) == 0
+    assert [r["scenario"] for r in read_rows(tmp_path / "both" / "scenarios.csv")] == ["mine", "yours"]
+
+
+@pytest.mark.parametrize(
+    "text,command,message",
+    [
+        (None, ["exposure"], "[Errno 2] No such file or directory: '{cfg}'"),
+        ("@{cfg}.absent\n", ["exposure"], "[Errno 2] No such file or directory: '{cfg}.absent'"),
+        ("nosuchcmd\n", [], "argument command: invalid choice: 'nosuchcmd'"),
+        ("", ["exposure"], None),
+        ("exposure\n", [], None),
+    ],
+    ids=["missing", "missing-nested", "unknown-command", "empty-file", "command-only"],
+)
+def test_config_file_shape(tmp_path, capsys, text, command, message):
+    # an empty file runs as if it were not there; a file may hold the command itself
+    cfg = tmp_path / "run.args"
+    if text is not None:
+        cfg.write_text(text.format(cfg=cfg))
+    out = tmp_path / "out"
+    code = main([f"@{cfg}", *command, "--synth-nodes", "10", "--out-dir", str(out)])
     err = capsys.readouterr().err
     if message is None:
         assert (code, err) == (0, "")
         assert (out / "exposure.csv").exists()
     else:
         assert code == 1
-        assert err.startswith("error: " + message.format(cfg=cfg))
+        assert "hallsand: error: " + message.format(cfg=cfg) in err
         assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command,key",
-    [("simulate", "out_dir"), ("simulate", "replications"), ("exposure", "top"), ("exposure", "json")],
-)
-def test_config_null_leaves_the_flag_at_its_default(tmp_path, monkeypatch, command, key):
-    # a null reads as an absent key: the run writes what it writes without the config
-    argv = [command, "--synth-nodes", "12"]
-    if command == "simulate":
-        argv += ["--presets", "stable", "--t-burn", "0", "--t-stat", "1", "--threads", "1"]
-    cfg = tmp_path / "null.yaml"
-    cfg.write_text(f"{command}:\n  {key}: null\n")
-    written = []
-    for head in (["--config", str(cfg)], []):
-        run_dir = tmp_path / f"run{len(written)}"
-        run_dir.mkdir()
-        monkeypatch.chdir(run_dir)  # the default --out-dir is the working directory
-        assert main([*head, *argv]) == 0
-        written.append({p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()})
-    assert written[0] == written[1]
-    if command == "simulate":
-        assert len(read_rows(tmp_path / "run0" / "avalanches_stable.csv")) == DEFAULT_REPLICATIONS
-
-
-@pytest.mark.parametrize("spelling", [["--conf", "{cfg}"], ["--conf={cfg}"]], ids=["space", "equals"])
-def test_abbreviated_config_flag_exit_1(tmp_path, capsys, spelling):
-    # only the exact --config is applied, so an abbreviation is refused rather than ignored
-    cfg = tmp_path / "c.yaml"
-    cfg.write_text("synth:\n  nodes: 12\n  density: 0.5\n")
-    out = tmp_path / "out"
-    assert main([*(s.format(cfg=cfg) for s in spelling), "synth", "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("usage: hallsand")
-    assert not out.exists()
-    # a command's own flags keep their abbreviations
-    assert main(["synth", "--nod", "12", "--dens", "0.5", "--out-dir", str(out)]) == 0
-    assert "12 nodes" in capsys.readouterr().out
+def test_abbreviated_flags_in_a_file_act_as_typed(tmp_path, capsys):
+    typed = ["--nod", "12", "--dens", "0.5"]
+    for argv in (typed, [args_file(tmp_path / "abbrev.args", *typed)]):
+        out = tmp_path / f"out{len(argv)}"
+        assert main(["synth", *argv, "--out-dir", str(out)]) == 0
+        assert "12 nodes" in capsys.readouterr().out
+    # an abbreviation that fits two flags is refused in both
+    for argv in (["--t", "1"], [args_file(tmp_path / "ambiguous.args", "--t", 1)]):
+        assert main(["simulate", "--synth-nodes", "10", *argv]) == 1
+        assert "error: ambiguous option: --t could match" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1004,24 +974,29 @@ def test_flag_that_reaches_no_output_is_rejected(substrate_dir, tmp_path, capsys
 
 
 def test_parser_defaults_are_the_library_defaults():
-    commands = build_parser()._command_map
+    parser = build_parser()
+    required = {"network-panel": ["--flows", "flows.csv"], "tail-fit": ["avalanches.csv"]}
+    commands = {
+        command: parser.parse_args([command, *required.get(command, [])])
+        for command in ("network-panel", "exposure", "simulate", "phase-grid", "tail-fit")
+    }
     for command, replications, pinned in (
         ("simulate", DEFAULT_REPLICATIONS, 100),
         ("phase-grid", DEFAULT_GRID_REPLICATIONS, 50),
     ):
-        p = commands[command]
+        args = commands[command]
         for f in fields(Params):
-            assert p.get_default(f.name) == f.default, (command, f.name)
-        assert p.get_default("replications") == replications == pinned
-        assert p.get_default("t_burn") == DEFAULT_T_BURN == 50
-        assert p.get_default("t_stat") == DEFAULT_T_STAT == 150
-        assert p.get_default("sigma_b_ratio") == DEFAULT_SIGMA_B_RATIO
+            assert getattr(args, f.name) == f.default, (command, f.name)
+        assert args.replications == replications == pinned
+        assert args.t_burn == DEFAULT_T_BURN == 50
+        assert args.t_stat == DEFAULT_T_STAT == 150
+        assert args.sigma_b_ratio == DEFAULT_SIGMA_B_RATIO
     for command in ("network-panel", "exposure", "simulate", "phase-grid"):
-        assert commands[command].get_default("d_floor") == DEFAULT_FLOOR
-        assert commands[command].get_default("c_floor") == DEFAULT_FLOOR
+        assert commands[command].d_floor == DEFAULT_FLOOR
+        assert commands[command].c_floor == DEFAULT_FLOOR
     for command in ("network-panel", "exposure"):
-        assert commands[command].get_default("exposure_epsilon") == DEFAULT_EPSILON
-    assert commands["tail-fit"].get_default("min_tail") == DEFAULT_MIN_TAIL
+        assert commands[command].exposure_epsilon == DEFAULT_EPSILON
+    assert commands["tail-fit"].min_tail == DEFAULT_MIN_TAIL
 
 
 def test_phase_grid_default_axes_are_the_default_grid(monkeypatch):
@@ -1166,10 +1141,10 @@ def test_column_writer_matches_row_writer(tmp_path):
                 assert (got / mirror).read_bytes() == (want / mirror).read_bytes(), name
 
 
-def test_import_leaves_yaml_out():
-    # only --config runs import yaml; the engine modules, scipy.sparse among them,
-    # load eagerly. csgraph, and the scipy.linalg it pulls in, load only when a
-    # spectral radius meets a matrix that is not strongly connected.
+def test_import_loads_csgraph_only_for_a_matrix_not_strongly_connected():
+    # the engine modules, scipy.sparse among them, load eagerly. csgraph, and the
+    # scipy.linalg it pulls in, load only when a spectral radius meets a matrix
+    # that is not strongly connected.
     env = {**os.environ, "PYTHONPATH": str(Path(hallsand.__file__).parent.parent)}
     code = "\n".join([
         "import sys, hallsand.cli",
@@ -1178,14 +1153,14 @@ def test_import_leaves_yaml_out():
         "from hallsand.operators import spectral_radius",
         "from scipy import sparse",
         "def loaded(): return [m in sys.modules for m in ('scipy.sparse.csgraph', 'scipy.linalg')]",
-        "print('yaml' in sys.modules, 'scipy.sparse' in sys.modules, *loaded())",
+        "print('scipy.sparse' in sys.modules, *loaded())",
         "sub = prepare_substrate(synth_substrate(30, 0.5, 4))",
         "print(sub.operator.spectral_radius > 0, *loaded())",
         "print(spectral_radius(sparse.csr_matrix([[1.0, 1.0], [0.0, 0.5]])), *loaded())",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False True False False", "True False False", "1.0 True True"]
+    assert proc.stdout.splitlines() == ["True False False", "True False False", "1.0 True True"]
 
 
 def test_cli_import_freezes_the_import_heap_and_the_package_import_does_not():

@@ -138,8 +138,7 @@ DYNAMICS_NAMES = """
     gap_field_sensitivity gap_redundancy_sensitivity hall_adjusted_threshold run_batch
 """
 PACKAGE_NAMES = DYNAMICS_NAMES + """
-    config dynamics experiments exposure ingest operators tail
-    ConfigError load_config section_for
+    dynamics experiments exposure ingest operators tail
     PRESETS CellStats RegimeLabel ScenarioResult
     ScenarioSpec SimulationError Substrate child_seed grid_scenarios
     make_cell_stats prepare_substrate preset_scenarios run_scenarios

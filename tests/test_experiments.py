@@ -431,7 +431,7 @@ def test_resolve_threads_precedence(monkeypatch):
         resolve_threads(None)
 
 
-def test_convergence_report_flags(small_substrate):
+def test_cell_stats_convergence_diagnostics(small_substrate):
     specs = grid_scenarios((0.4, 1.8), (0.7, 2.2), master_seed=3)
     results = run_scenarios(specs, small_substrate, Params(), T_burn=10, T_stat=40, replications=4)
     cells = [r.stats for r in results]
@@ -457,7 +457,7 @@ def test_convergence_report_flags(small_substrate):
     "regime, mean_S, se_mean_S",
     [(RegimeLabel.ABSORPTION, 0.01, 0.02), (RegimeLabel.AVALANCHE, 1.0, 0.05)],
 )
-def test_convergence_report_bound_is_strict(regime, mean_S, se_mean_S):
+def test_within_bounds_is_strict(regime, mean_S, se_mean_S):
     # a cell exactly on its bound is out of it; one ulp below is within it
     def cell(se):
         return CellStats(1.0, 1.0, mean_S, se, 0.5, {}, 1.0, 2.0, 3.0, 4, 100, regime)

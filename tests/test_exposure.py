@@ -162,7 +162,7 @@ def test_capacity_bounds():
     assert C[2] == pytest.approx(1.0 - hhi)
 
 
-def test_hall_stress_closed_form():
+def test_compute_exposure_H_closed_form():
     prof = compute_exposure(star_table(k=4), B=1.0)
     for i in range(prof.n):
         want = 1.0 * prof.I[i] / (prof.D[i] * prof.C[i] + DEFAULT_EPSILON)
@@ -173,19 +173,13 @@ def test_hall_stress_closed_form():
     assert not still.H.any() and not still.H_rel.any()
 
 
-def test_hall_stress_scales_with_field():
-    table = synth_substrate(25, 0.3, 2)
-    prof1 = compute_exposure(table, B=1.0)
-    prof3 = compute_exposure(table, B=3.0)
-    np.testing.assert_allclose(prof3.H, 3.0 * prof1.H, rtol=1e-15)
-    np.testing.assert_allclose(prof3.H_rel, prof1.H_rel, rtol=1e-12)
-
-
 def test_exposure_at_another_field():
+    # H scales with B; neither H_rel nor I changes with it
     table = synth_substrate(25, 0.3, 2)
     prof = compute_exposure(table, B=1.0)
     prof2 = compute_exposure(table, B=2.5)
     np.testing.assert_allclose(prof2.H, 2.5 * prof.H / 1.0, rtol=1e-15)
+    np.testing.assert_allclose(prof2.H_rel, prof.H_rel, rtol=1e-12)
     np.testing.assert_allclose(prof2.I, prof.I)
 
 
@@ -209,7 +203,7 @@ def run_exposure(tmp_path, table, top):
     return read_rows(out / "exposure.csv"), read_rows(out / "top_nodes.csv")
 
 
-def test_rank_exposure_order_and_ties(tmp_path):
+def test_top_nodes_order_and_ties(tmp_path):
     # node 2 ships one unit to each other node, so the four spokes tie on H_rel
     dense = np.zeros((5, 5))
     dense[2, [0, 1, 3, 4]] = 1.0
@@ -224,7 +218,7 @@ def test_rank_exposure_order_and_ties(tmp_path):
     assert [{c: r[c] for c in cells} for r in top] == [{c: rows[i][c] for c in cells} for i in (2, 0, 1, 3, 4)]
 
 
-def test_rank_exposure_k_clamped(tmp_path):
+def test_top_nodes_clamped_to_the_node_count(tmp_path):
     # --top past the node count writes one row per node
     rows, top = run_exposure(tmp_path, star_table(k=4), 99)
     assert len(rows) == 5

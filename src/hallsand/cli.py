@@ -98,11 +98,19 @@ def _table(getters: dict, objs, **leading) -> tuple[tuple[str, ...], list]:
     return (*leading, *getters), [*leading.values(), *columns]
 
 
+def _path(text: str) -> Path:
+    """The type of every file and directory argument: an empty path, which a
+    blank line after a flag in an argument file gives, is refused by name."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return Path(text)
+
+
 def _add_substrate_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("substrate")
-    g.add_argument("--flows", help="long-format flows CSV")
+    g.add_argument("--flows", type=_path, help="long-format flows CSV")
     g.add_argument("--year", type=int, help="year to select from the flows file")
-    g.add_argument("--row-use", help="companion gross row-use CSV (default: sibling row_use.csv)")
+    g.add_argument("--row-use", type=_path, help="companion gross row-use CSV (default: sibling row_use.csv)")
     g.add_argument("--synth-nodes", type=int, help="generate a synthetic substrate with this many nodes")
     g.add_argument(
         "--synth-density",
@@ -130,9 +138,9 @@ def _refuse_given(args, dests, substrate: str) -> None:
 
 
 def _load_table(args):
-    if args.flows and args.synth_nodes is not None:
+    if args.flows is not None and args.synth_nodes is not None:
         raise TableError("--flows and --synth-nodes are exclusive: pass one of them")
-    if args.flows:
+    if args.flows is not None:
         _refuse_given(args, _SYNTH_ONLY, "--flows")
         if args.year is None:
             raise TableError("--year is required with --flows")
@@ -198,7 +206,7 @@ def _add_protocol_args(p: argparse.ArgumentParser, replications: int, unit: str)
     g.add_argument("--t-stat", type=int, default=DEFAULT_T_STAT, help="post-burn periods kept")
     g.add_argument("--master-seed", type=int, default=0, help="root of the seed tree")
     g.add_argument("--sigma-b-ratio", type=float, default=DEFAULT_SIGMA_B_RATIO, help="field volatility as a share of B_bar")
-    g.add_argument("--threads", type=int, default=None, help="worker processes (default: HALLSAND_THREADS or CPU count)")
+    g.add_argument("--threads", type=int, default=None, help="worker processes (default: CPU count)")
 
 
 def _protocol(args) -> dict[str, int]:
@@ -207,7 +215,7 @@ def _protocol(args) -> dict[str, int]:
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", default=".", help="output directory")
+    p.add_argument("--out-dir", type=_path, default=Path("."), help="output directory")
     p.add_argument("--json", action="store_true", help="also write JSON mirrors")
 
 
@@ -216,15 +224,22 @@ def _add_operator_arg(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args) -> int:
+    if args.out_dir is not None and args.flows.exists():  # a missing input is named by the read
+        # the copy holds one year: written over an input, it would lose the others.
+        # Without --row-use, the flows file's sibling row_use.csv is read
+        row_use = args.row_use or args.flows.with_name("row_use.csv")
+        for source, name in ((args.flows, "flows.csv"), (row_use, "row_use.csv")):
+            target = args.out_dir / name
+            if target.exists() and source.exists() and target.samefile(source):
+                raise ValueError(f"--out-dir {args.out_dir} would overwrite the input file {source}")
     table = parse_io_table(args.flows, args.year, row_use_path=args.row_use)
     print(
         f"year {table.year}: {table.n} nodes, {table.Z.nnz} flows, "
         f"total {table.total_flow():.6g}, mean leakage {leakage_profile(table).mean():.4f}"
     )
     if args.out_dir is not None:
-        out = Path(args.out_dir)
-        write_io_table(table, out / "flows.csv", out / "row_use.csv")
-        print(f"wrote normalized copy to {out}")
+        write_io_table(table, args.out_dir / "flows.csv", args.out_dir / "row_use.csv")
+        print(f"wrote normalized copy to {args.out_dir}")
     return 0
 
 
@@ -232,10 +247,9 @@ def cmd_synth(args) -> int:
     table = synth_substrate(
         args.nodes, args.density, args.seed, year=args.year, mean_leakage=args.mean_leakage
     )
-    out = Path(args.out_dir)
-    write_io_table(table, out / "flows.csv", out / "row_use.csv")
+    write_io_table(table, args.out_dir / "flows.csv", args.out_dir / "row_use.csv")
     print(
-        f"wrote {out / 'flows.csv'}: {table.n} nodes, {table.Z.nnz} flows, "
+        f"wrote {args.out_dir / 'flows.csv'}: {table.n} nodes, {table.Z.nnz} flows, "
         f"mean leakage {leakage_profile(table).mean():.4f}"
     )
     return 0
@@ -278,7 +292,7 @@ def cmd_network_panel(args) -> int:
         )
         rho = {kind: build_operator(table, kind).spectral_radius for kind in OperatorKind}
         years.append(SimpleNamespace(year=year, rho=rho, leak=leakage_profile(table), H_rel=prof.H_rel))
-    path = _emit(Path(args.out_dir), "panel.csv", *_table(PANEL, years), args.json)
+    path = _emit(args.out_dir, "panel.csv", *_table(PANEL, years), args.json)
     print(f"wrote {path} ({len(years)} year(s))")
     return 0
 
@@ -307,12 +321,11 @@ def cmd_exposure(args) -> int:
         "sector": np.array([nd.sector for nd in table.nodes], dtype=object),
         **{name: getattr(prof, name) for name in EXPOSURE_HEADER[3:]},
     }
-    out = Path(args.out_dir)
-    path = _emit(out, "exposure.csv", EXPOSURE_HEADER, list(columns.values()), args.json)
+    path = _emit(args.out_dir, "exposure.csv", EXPOSURE_HEADER, list(columns.values()), args.json)
     # by H_rel, descending; ties in ascending node index
     top = np.argsort(-prof.H_rel, kind="stable")[: args.top]
     ranked = [np.arange(1, top.size + 1), *(columns[name][top] for name in TOP_NODES_HEADER)]
-    _emit(out, "top_nodes.csv", ("rank", *TOP_NODES_HEADER), ranked, args.json)
+    _emit(args.out_dir, "top_nodes.csv", ("rank", *TOP_NODES_HEADER), ranked, args.json)
     print(f"wrote {path} and top_nodes.csv (top {top.size})")
     return 0
 
@@ -358,7 +371,6 @@ def cmd_simulate(args) -> int:
     if not specs:
         raise ValueError("nothing to run: presets are 'none' and no --cell given")
 
-    out = Path(args.out_dir)
     names, stats = [], []
     for result in run_scenarios(specs, substrate, params, args.sigma_b_ratio, args.threads, **_protocol(args)):
         names.append(result.name)
@@ -370,8 +382,8 @@ def cmd_simulate(args) -> int:
                 np.tile(np.arange(args.t_burn, args.t_burn + T), R),
                 *(a.ravel() for a in (result.series, result.B_realised, result.relax_rounds)),
             ]
-            _emit(out, f"avalanches_{result.name}.csv", AVALANCHE_HEADER, series, args.json)
-    path = _emit(out, "scenarios.csv", *_table(CELL_STATS, stats, scenario=names), args.json)
+            _emit(args.out_dir, f"avalanches_{result.name}.csv", AVALANCHE_HEADER, series, args.json)
+    path = _emit(args.out_dir, "scenarios.csv", *_table(CELL_STATS, stats, scenario=names), args.json)
     print(f"wrote {path} ({len(names)} scenario(s))")
     return 0
 
@@ -408,10 +420,9 @@ def cmd_phase_grid(args) -> int:
     specs = grid_scenarios(B_values, sigmaD_values, args.master_seed)
     results = run_scenarios(specs, substrate, params, args.sigma_b_ratio, args.threads, **_protocol(args))
     cells = [result.stats for result in results]
-    out = Path(args.out_dir)
-    path = _emit(out, "phase_grid.csv", *_table(CELL_STATS, cells), args.json)
+    path = _emit(args.out_dir, "phase_grid.csv", *_table(CELL_STATS, cells), args.json)
     if args.convergence:
-        _emit(out, "convergence.csv", *_table(CONVERGENCE, cells), args.json)
+        _emit(args.out_dir, "convergence.csv", *_table(CONVERGENCE, cells), args.json)
     print(f"wrote {path} ({len(cells)} cells)")
     return 0
 
@@ -441,7 +452,7 @@ def cmd_tail_fit(args) -> int:
     if args.x_min is not None and args.x_min < 1:
         raise TailError(f"--x-min: x_min must be >= 1, got {args.x_min}")
     paths = {}  # by series name
-    for path in map(Path, args.series):
+    for path in args.series:
         name = _series_name(path)
         if name in paths:  # its ccdf file and tail_fits.csv row would be written twice
             raise TailError(f"series name {name!r} given twice: {paths[name]} and {path}")
@@ -457,10 +468,9 @@ def cmd_tail_fit(args) -> int:
         except TailError as err:  # such as too few sizes at or above --x-min
             raise TailError(f"{path}: {err}") from None
         tails.append(positive)
-    out = Path(args.out_dir)
     for name, positive in zip(paths, tails):
-        _emit(out, f"ccdf_{name}.csv", ("x", "prob"), list(ccdf(positive)), args.json)
-    path = _emit(out, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=list(paths)), args.json)
+        _emit(args.out_dir, f"ccdf_{name}.csv", ("x", "prob"), list(ccdf(positive)), args.json)
+    path = _emit(args.out_dir, "tail_fits.csv", *_table(TAIL_FIT, fits, regime=list(paths)), args.json)
     print(f"wrote {path} ({len(fits)} fit(s))")
     return 0
 
@@ -482,10 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("ingest", cmd_ingest, "validate a flows CSV and print a summary")
-    p.add_argument("--flows", required=True, help="long-format flows CSV")
+    p.add_argument("--flows", type=_path, required=True, help="long-format flows CSV")
     p.add_argument("--year", type=int, required=True, help="year to select")
-    p.add_argument("--row-use", help="companion gross row-use CSV")
-    p.add_argument("--out-dir", default=None, help="write a normalized copy here")
+    p.add_argument("--row-use", type=_path, help="companion gross row-use CSV")
+    p.add_argument("--out-dir", type=_path, default=None, help="write a normalized copy here")
 
     p = add("synth", cmd_synth, "generate a synthetic substrate and write it to CSV")
     p.add_argument("--nodes", type=int, default=200, help="node count")
@@ -495,11 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--mean-leakage", type=float, default=DEFAULT_MEAN_LEAKAGE, help="mean leak share (calibrated default)"
     )
     p.add_argument("--year", type=int, default=2014, help="year stamp")
-    p.add_argument("--out-dir", default=".", help="output directory")
+    p.add_argument("--out-dir", type=_path, default=Path("."), help="output directory")
 
     p = add("network-panel", cmd_network_panel, "spectral and leakage panel, one row per year")
-    p.add_argument("--flows", required=True, help="long-format flows CSV")
-    p.add_argument("--row-use", help="companion gross row-use CSV")
+    p.add_argument("--flows", type=_path, required=True, help="long-format flows CSV")
+    p.add_argument("--row-use", type=_path, help="companion gross row-use CSV")
     p.add_argument("--years", help="comma-separated years (default: all in the file)")
     _add_exposure_args(p, epsilon=True)
     _add_output_args(p)
@@ -543,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = add("tail-fit", cmd_tail_fit, "fit cascade-size tail exponents from avalanche series files")
-    p.add_argument("series", nargs="+", help="avalanche CSV files with an S column")
+    p.add_argument("series", type=_path, nargs="+", help="avalanche CSV files with an S column")
     p.add_argument("--x-min", type=int, default=None, help="fixed tail cutoff (default: scan)")
     p.add_argument("--min-tail", type=int, default=DEFAULT_MIN_TAIL, help="minimum tail samples for an informative fit")
     _add_output_args(p)

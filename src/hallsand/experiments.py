@@ -279,24 +279,6 @@ def _worker_task(task: list[Block]):
     return _run_task(*_worker_context, task)
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Worker count: explicit value, else HALLSAND_THREADS, else one per CPU."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        return threads
-    env = os.environ.get("HALLSAND_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"HALLSAND_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"HALLSAND_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
 def run_scenarios(
     specs: list[ScenarioSpec],
     substrate: Substrate,
@@ -319,6 +301,7 @@ def run_scenarios(
     Each task runs its replications together as one batch (see run_batch):
     a spec, a block of a spec's replications when there are fewer specs than
     workers, or a run of consecutive narrow specs (see _plan).
+    threads is the worker count, one per CPU when None.
     With more than one worker, one process pool runs the tasks and receives
     the substrate once per worker through its initializer. Each spec's
     result is yielded as soon as its task is done, so a caller can write or
@@ -331,6 +314,8 @@ def run_scenarios(
         raise ValueError(f"bad protocol: T_burn={T_burn}, T_stat={T_stat}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     params.validate()
     if not 0.0 <= sigma_b_ratio < math.inf:
         raise ValueError(f"sigma_b_ratio must be finite and non-negative, got {sigma_b_ratio}")
@@ -346,7 +331,7 @@ def run_scenarios(
             raise ValueError(f"scenario {spec.name!r}: {err}") from None
     if not specs:
         return iter(())
-    n_workers = resolve_threads(threads)
+    n_workers = threads or os.cpu_count() or 1
     check = contraction_check(params, substrate.operator.spectral_radius)
     if not check.passed:
         warnings.warn(

@@ -105,6 +105,36 @@ def test_ingest_refuses_a_row_use_row_without_its_label(tmp_path, capsys, row_us
     assert capsys.readouterr().err.strip().endswith(f"row_use.csv row 2: missing {column}")
 
 
+@pytest.mark.parametrize("layout", ["flows", "row-use", "sibling", "missing-flows"])
+def test_ingest_refuses_an_out_dir_holding_its_input(tmp_path, capsys, layout):
+    # d holds 2013 and 2014; a copy of 2014 written over d's files would lose 2013
+    for year in ("2013", "2014"):
+        argv = ["synth", "--nodes", "12", "--density", "0.5", "--year", year, "--out-dir", str(tmp_path / year)]
+        assert main(argv) == 0
+    d, e = tmp_path / "d", tmp_path / "e"
+    d.mkdir()
+    e.mkdir()
+    for name in ("flows.csv", "row_use.csv"):
+        first, second = ((tmp_path / year / name).read_text() for year in ("2013", "2014"))
+        (d / name).write_text(first + second.split("\n", 1)[1])
+    (e / "flows.csv").write_bytes((d / "flows.csv").read_bytes())
+    (d / "wiod.csv").write_bytes((d / "flows.csv").read_bytes())
+    flags, message = {
+        "flows": (["--flows", d / "flows.csv"], f"--out-dir {d} would overwrite the input file {d / 'flows.csv'}"),
+        "row-use": (
+            ["--flows", e / "flows.csv", "--row-use", d / "row_use.csv"],
+            f"--out-dir {d} would overwrite the input file {d / 'row_use.csv'}",
+        ),
+        # the sibling row_use.csv of a flows file under another name
+        "sibling": (["--flows", d / "wiod.csv"], f"--out-dir {d} would overwrite the input file {d / 'row_use.csv'}"),
+        "missing-flows": (["--flows", d / "absent.csv"], f"input file not found: {d / 'absent.csv'}"),
+    }[layout]
+    before = {q: q.read_bytes() for q in (*d.iterdir(), *e.iterdir())}
+    assert main(["ingest", *map(str, flags), "--year", "2014", "--out-dir", str(d)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {q: q.read_bytes() for q in (*d.iterdir(), *e.iterdir())} == before
+
+
 def test_bad_flag_exit_1():
     assert main(["simulate", "--no-such-flag"]) == 1
 
@@ -746,19 +776,20 @@ def test_config_unknown_key_exit_1(tmp_path, capsys):
         (["--presets", "stable", "latent"], "unrecognized arguments: latent"),
         (["--json", ""], "unrecognized arguments: "),
         (["--replications 3"], "unrecognized arguments: --replications 3"),
+        (["--out-dir", ""], "argument --out-dir: empty path"),
     ],
     ids=[
         "float-for-int", "int-for-switch", "string-for-switch", "list-for-single",
-        "blank-line", "flag-and-value-on-one-line",
+        "blank-line", "flag-and-value-on-one-line", "blank-line-after-out-dir",
     ],
 )
-def test_config_wrongly_typed_value_exit_1(substrate_dir, tmp_path, capsys, tokens, message):
-    out = tmp_path / "out"
-    command, *flags = simulate_args(substrate_dir, out)
+def test_config_wrongly_typed_value_exit_1(substrate_dir, tmp_path, monkeypatch, capsys, tokens, message):
+    monkeypatch.chdir(tmp_path)
+    command, *flags = simulate_args(substrate_dir, tmp_path / "out")
     # a value is checked where it stands, even where a later flag overrides it
     assert main([command, args_file(tmp_path / "typed.args", *tokens), *flags]) == 1
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
-    assert not out.exists()
+    assert [q.name for q in tmp_path.iterdir()] == ["typed.args"]
 
 
 @pytest.mark.parametrize(
@@ -835,6 +866,40 @@ def test_exit_1_leaves_no_out_dir(tmp_path, capsys, argv):
     assert main([*argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["exposure", "--synth-nodes", "10", "--flows", ""], "--flows"),
+        (["exposure", "--synth-nodes", "10", "--out-dir", ""], "--out-dir"),
+        (["ingest", "--flows", "FLOWS", "--year", "2014", "--row-use", ""], "--row-use"),
+        (["network-panel", "--flows", ""], "--flows"),
+        (["tail-fit", ""], "series"),
+    ],
+    ids=["exposure-flows", "exposure-out-dir", "ingest-row-use", "network-panel-flows", "tail-fit-series"],
+)
+def test_empty_path_is_refused_by_name(substrate_dir, tmp_path, monkeypatch, capsys, argv, flag):
+    # an empty path is not the working directory, and is not taken for an absent flag
+    monkeypatch.chdir(tmp_path)
+    argv = [str(substrate_dir / "flows.csv") if a == "FLOWS" else a for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: empty path\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_threads_is_the_one_worker_count_setting(tmp_path, monkeypatch):
+    # without --threads a run takes one worker per CPU, whatever the environment holds
+    argv = ["simulate", "--synth-nodes", "20", "--presets", "stable", "--replications", "2", "--t-burn", "2", "--t-stat", "8"]
+    written = []
+    for name in ("plain", "junk"):
+        if name == "junk":
+            monkeypatch.setenv("HALLSAND_THREADS", "junk")
+        out = tmp_path / name
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        written.append({q.name: q.read_bytes() for q in out.iterdir()})
+    assert len(written[0]) == 2
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

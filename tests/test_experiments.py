@@ -1,7 +1,6 @@
 import itertools
 import math
 import multiprocessing
-import os
 import re
 import sys
 import warnings
@@ -23,7 +22,6 @@ from hallsand.experiments import (
     make_cell_stats,
     prepare_substrate,
     preset_scenarios,
-    resolve_threads,
     run_scenarios,
 )
 from hallsand.ingest import synth_substrate
@@ -417,18 +415,6 @@ def test_simulation_error_seed_alone_reproduces_the_failure():
         run_batch(hot.operator, hot.exposure, params, [column], 30)
     assert (alone.value.column, alone.value.period) == (0, period)
     assert head.endswith(f" period {period}: {alone.value}")
-
-
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.delenv("HALLSAND_THREADS", raising=False)
-    assert resolve_threads(3) == 3
-    assert resolve_threads(None) >= 1
-    monkeypatch.setenv("HALLSAND_THREADS", "5")
-    assert resolve_threads(None) == 5
-    assert resolve_threads(2) == 2
-    monkeypatch.setenv("HALLSAND_THREADS", "junk")
-    with pytest.raises(ValueError):
-        resolve_threads(None)
 
 
 def test_cell_stats_convergence_diagnostics(small_substrate):

@@ -31,7 +31,7 @@ def test_ccdf_rejects_bad_samples(bad):
         ccdf(bad)
 
 
-def test_hill_alpha_degenerate_is_inf():
+def test_fixed_cutoff_fit_degenerate_is_inf():
     # past 2**53 the half-step shift rounds away, so every log ratio is 0
     assert select_xmin([2**60] * 3, x_min=2**60).alpha == float("inf")
 
@@ -44,13 +44,13 @@ def test_hill_alpha_degenerate_is_inf():
         (6.0, 25, 0.15),
     ],
 )
-def test_fit_alpha_recovery_at_safe_cutoffs(alpha, gen_xmin, tol):
+def test_fixed_cutoff_fit_recovery_at_safe_cutoffs(alpha, gen_xmin, tol):
     rng = np.random.default_rng(int(alpha * 100) + gen_xmin)
     xs = powerlaw_samples(rng, alpha, gen_xmin, 30_000)
     assert abs(select_xmin(xs, x_min=gen_xmin).alpha - alpha) < tol
 
 
-def test_fit_alpha_discretisation_bias_at_unit_cutoff():
+def test_fixed_cutoff_fit_discretisation_bias_at_unit_cutoff():
     # integer binning at x_min = 1 biases the continuous MLE down from 2.5
     # to about 2.1; the scan can pick x_min = 1 too, as it does for the
     # desk's stable preset, so its fits carry the same bias there
@@ -60,7 +60,7 @@ def test_fit_alpha_discretisation_bias_at_unit_cutoff():
     assert 2.0 < est < 2.2
 
 
-def test_fit_alpha_validation():
+def test_fixed_cutoff_fit_validation():
     with pytest.raises(TailError, match=r"^x_min must be >= 1, got 0$"):
         select_xmin([1, 2, 3], x_min=0)
     with pytest.raises(TailError, match=r"^only 1 sample\(s\) at or above x_min=5$"):

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import Params, RelaxationBudgetError, _check_column, contraction_check, run_batch
 from .exposure import DEFAULT_FLOOR, ExposureProfile, compute_exposure
 from .ingest import IOTable
-from .operators import OperatorKind, PropagationOperator, build_operator
+from .operators import OperatorKind, PropagationOperator, _build_into
 
 # Named (B_bar, sigma_D) cells used throughout the scenario analysis.
 PRESETS: dict[str, tuple[float, float]] = {
@@ -157,9 +157,18 @@ def prepare_substrate(
     d_floor: float = DEFAULT_FLOOR,
     c_floor: float = DEFAULT_FLOOR,
 ) -> Substrate:
-    """Build the operator and exposure profile once for reuse across cells."""
-    operator = build_operator(table, kind)
+    """Build the operator and exposure profile once for reuse across cells.
+
+    Takes the table: the exposure is computed first, and the operator's
+    values are then scaled into table.Z's own arrays, so that no second
+    copy of the flows is held. Afterwards table.Z holds the operator's
+    values, and the table no longer holds its flows; build_operator and
+    compute_exposure leave a table as it was. An operator that
+    build_operator made from the same table shares Z's index arrays, which
+    this may compact where it drops a scaled value of 0.
+    """
     exposure = compute_exposure(table, B=1.0, d_floor=d_floor, c_floor=c_floor)
+    operator = _build_into(table, kind, table.Z.data)
     return Substrate(operator=operator, exposure=exposure)
 
 

@@ -27,7 +27,9 @@ _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # Lines per chunk when reading or writing a CSV; bounds what one step
 # holds in memory beyond the columns read.
 _CHUNK_ROWS = 1 << 10
-_SYNTH_BLOCK_ROWS = 256
+# synth_substrate draws a block of whole rows at a time, of about this many
+# entries: a block's draws stay small beside the table it builds
+_SYNTH_BLOCK_ENTRIES = 1 << 16
 # Columns whose cells are numbers; the others repeat from row to row.
 _VALUE_COLUMNS = ("value", "gross_use")
 _LABEL_COLUMNS = FLOWS_COLUMNS[1:5]
@@ -67,10 +69,10 @@ class IOTable:
 
     def __post_init__(self):
         # operators and exposure scale Z's stored entries, one per flow in
-        # column order, so a table holds Z in canonical CSR form
+        # column order, so a table holds Z in canonical float64 CSR form
         Z = self.Z
-        if not (isinstance(Z, sparse.csr_matrix) and Z.has_canonical_format):
-            Z = sparse.csr_matrix(Z, copy=True)
+        if not (isinstance(Z, sparse.csr_matrix) and Z.has_canonical_format and Z.dtype == np.float64):
+            Z = sparse.csr_matrix(Z, dtype=np.float64, copy=True)
             Z.sum_duplicates()
             object.__setattr__(self, "Z", Z)
         # every flow is finite, but their totals can pass the float range
@@ -519,7 +521,7 @@ def synth_substrate(
     Args:
         n: node count, 2 <= n <= 17576.
         density: edge probability in (0, 1] (default 0.1).
-        seed: RNG seed (default 0); same arguments always give a bit-identical table.
+        seed: non-negative integer RNG seed (default 0); same arguments always give a bit-identical table.
     """
     if not 2 <= n <= 26**3:
         raise ValueError(f"n must be in [2, {26**3}], got {n}")
@@ -527,24 +529,30 @@ def synth_substrate(
         raise ValueError(f"density must be in (0, 1], got {density}")
     if not 0.0 < mean_leakage < 1.0:
         raise ValueError(f"mean_leakage must be in (0, 1), got {mean_leakage}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     rng = np.random.default_rng(seed)
-    # Row blocks draw the stream of one n x n draw in the same order, so no
-    # dense n x n float array is ever held: the uniforms become the edge
-    # mask, and of each block of weights only the masked entries are kept.
-    blocks = [slice(lo, min(lo + _SYNTH_BLOCK_ROWS, n)) for lo in range(0, n, _SYNTH_BLOCK_ROWS)]
-    mask = np.empty((n, n), dtype=bool)
-    for rows in blocks:
-        np.less(rng.random((rows.stop - rows.start, n)), density, out=mask[rows])
-    np.fill_diagonal(mask, False)
+    # Blocks of whole rows draw the stream of one n x n draw in the same
+    # order, so no n x n array is ever held: the uniforms become the edge
+    # mask, one bit per entry, and of each block of weights only the masked
+    # entries are kept.
+    step = max(1, _SYNTH_BLOCK_ENTRIES // n)
+    blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    mask = np.empty((n, -(-n // 8)), dtype=np.uint8)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    for rows in blocks:
+        edges = rng.random((rows.stop - rows.start, n)) < density
+        np.fill_diagonal(edges[:, rows], False)
+        indptr[rows.start + 1 : rows.stop + 1] = edges.sum(axis=1)
+        mask[rows] = np.packbits(edges, axis=1)
+    np.cumsum(indptr, out=indptr)
     data = np.empty(indptr[-1], dtype=np.float64)
     indices = np.empty(indptr[-1], dtype=np.int32)
     for rows in blocks:
         weights = rng.lognormal(mean=0.0, sigma=_WEIGHT_SIGMA, size=(rows.stop - rows.start, n))
         part = slice(indptr[rows.start], indptr[rows.stop])
-        flat = np.flatnonzero(mask[rows])
+        flat = np.flatnonzero(np.unpackbits(mask[rows], axis=1, count=n))
         np.take(weights, flat, out=data[part])
         np.remainder(flat, n, out=indices[part], casting="unsafe")
     if not data.size:

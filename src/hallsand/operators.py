@@ -8,6 +8,7 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
+from .exposure import _row_blocks
 from .ingest import IOTable, TableError
 
 
@@ -70,15 +71,18 @@ def _cyclic_components(matrix: sparse.csr_matrix) -> list[np.ndarray]:
     without scipy.sparse.csgraph, whose import loads scipy.linalg.
     """
     struct = matrix
-    if (matrix.data == 0).any():
+    if not matrix.data.all():
         struct = matrix.copy()
         struct.eliminate_zeros()
     if struct.nnz == 0:
         return []
-    # every stored entry is an edge, inf and nan as well
-    edges = sparse.csr_matrix(
-        (np.ones(struct.nnz, dtype=bool), struct.indices, struct.indptr), shape=struct.shape
-    )
+    # every stored entry is an edge, inf and nan as well; a matrix whose
+    # entries are all finite and positive is its own edge matrix
+    edges = struct
+    if not 0.0 < struct.data.min() <= struct.data.max() < np.inf:
+        edges = sparse.csr_matrix(
+            (np.ones(struct.nnz, dtype=bool), struct.indices, struct.indptr), shape=struct.shape
+        )
     if _reaches_all(edges.T) and _reaches_all(edges):
         return [np.arange(struct.shape[0])]
     from scipy.sparse import csgraph
@@ -92,16 +96,17 @@ def _cyclic_components(matrix: sparse.csr_matrix) -> list[np.ndarray]:
 def _reaches_all(edges) -> bool:
     """Whether a breadth-first search from node 0 reaches every node.
 
-    Each step is one boolean product: (edges @ x)[i] is set when row i has
-    an entry in a column that x marks. Through A.T the search follows A's
-    edges forward, through A backward.
+    Each step is one product: (edges @ x)[i] is positive when row i has an
+    entry in a column that x marks, the entries being True or finite and
+    positive. Through A.T the search follows A's edges forward, through A
+    backward.
     """
     n = edges.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     count = 1
     while count < n:
-        reached |= edges @ reached
+        reached |= (edges @ reached) > 0
         grown = int(np.count_nonzero(reached))
         if grown == count:
             return False
@@ -135,9 +140,11 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
     mat = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix, dtype=np.float64)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    if not np.isfinite(mat.data).all():
+    # the checks reduce the entries, and make no array of one value per entry
+    lo, hi = (mat.data.min(), mat.data.max()) if mat.data.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("matrix must be finite")
-    if mat.nnz and mat.data.min() < 0:
+    if lo < 0:
         raise ValueError("matrix must be non-negative")
 
     n = mat.shape[0]
@@ -183,7 +190,20 @@ def build_operator(table: IOTable, kind: OperatorKind) -> PropagationOperator:
     row-share normalizes each row by its own total (zero rows stay zero);
     leakage-adjusted scales each row-share row by the node's leak share;
     max-row divides the whole matrix by the largest row total. The spectral
-    radius is computed once and cached on the operator.
+    radius is computed once and cached on the operator. The table is left
+    as it was.
+    """
+    return _build_into(table, kind, np.empty(table.Z.nnz))
+
+
+def _build_into(table: IOTable, kind: OperatorKind, values: np.ndarray) -> PropagationOperator:
+    """The operator, its values written into values: a fresh array, or
+    table.Z.data itself, which leaves table.Z the operator's matrix.
+
+    Each row is scaled on Z's own sorted structure, a block of rows at a
+    time: the entries of Z * c, or of diags(scale) @ Z, which stores no
+    product that is exactly 0. A fresh matrix shares Z's index arrays unless
+    a 0 has to be dropped from them.
     """
     Z = table.Z
     totals = table.outflow_totals()  # the divisor of each row
@@ -196,24 +216,26 @@ def build_operator(table: IOTable, kind: OperatorKind) -> PropagationOperator:
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     # a row v with total t becomes v * (w / t), or (v / t) * w where w / t
-    # overflows, as it does for a subnormal t
+    # overflows, as it does for a subnormal t; such a row is first copied
+    # through a scale of 1
     with np.errstate(over="ignore"):
         scale = np.divide(weight, totals, out=np.zeros(table.n), where=totals > 0)
     tiny = np.isinf(scale)
-    scale[tiny] = 0.0
-    data = np.repeat(scale, np.diff(Z.indptr))
-    data *= Z.data
+    scale[tiny] = 1.0
+    for a, b in _row_blocks(Z.indptr):
+        lo, hi = Z.indptr[a], Z.indptr[b]
+        np.multiply(np.repeat(scale[a:b], np.diff(Z.indptr[a : b + 1])), Z.data[lo:hi], out=values[lo:hi])
     weights = np.broadcast_to(weight, table.n)
     for i in np.flatnonzero(tiny):
         row = slice(Z.indptr[i], Z.indptr[i + 1])
-        data[row] = Z.data[row] / totals[i] * weights[i]
-    # each row scaled on Z's own sorted structure: the entries of Z * c, or of
-    # diags(scale) @ Z, which stores no product that is exactly 0. The matrix
-    # shares Z's index arrays unless a 0 has to be dropped from them.
-    if kind is OperatorKind.MAX_ROW or data.all():
-        matrix = sparse.csr_matrix((data, Z.indices, Z.indptr), shape=Z.shape)
+        values[row] = values[row] / totals[i] * weights[i]
+    drop = kind is not OperatorKind.MAX_ROW and not values.all()
+    if values is Z.data:
+        matrix = Z
+    elif drop:
+        matrix = sparse.csr_matrix((values, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
     else:
-        matrix = sparse.csr_matrix((data, Z.indices.copy(), Z.indptr.copy()), shape=Z.shape)
+        matrix = sparse.csr_matrix((values, Z.indices, Z.indptr), shape=Z.shape)
+    if drop:
         matrix.eliminate_zeros()
-    rho = spectral_radius(matrix)
-    return PropagationOperator(matrix=matrix, spectral_radius=rho)
+    return PropagationOperator(matrix=matrix, spectral_radius=spectral_radius(matrix))

@@ -1,12 +1,14 @@
 import csv
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hallsand import exposure
 from hallsand.cli import main
+from hallsand.experiments import prepare_substrate
 from hallsand.exposure import (
     DEFAULT_EPSILON,
     DEFAULT_FLOOR,
@@ -63,11 +65,19 @@ def test_flow_share_of_a_total_past_half_the_float_range(dense, want):
 
 def test_substrate_build_makes_no_array_the_size_of_z():
     # the exposure holds a block of squares at a time, and an operator its
-    # values on Z's own index arrays; the table spans many blocks
+    # values on Z's own index arrays; the table spans many blocks.
+    # prepare_substrate scales a copy's flows in place, and synth_substrate
+    # holds its table's values and columns, an edge bit per pair, and a block
+    # of draws.
     table = synth_substrate(1000, 0.3, 3)
     assert table.Z.nnz >= 16 * exposure._BLOCK_ENTRIES
     builds = [(lambda: compute_exposure(table), 0.5)]
     builds += [(lambda kind=kind: build_operator(table, kind), 1.3) for kind in OperatorKind]
+    builds += [
+        (lambda kind=kind, copy=replace(table, Z=table.Z.copy()): prepare_substrate(copy, kind), 0.5)
+        for kind in OperatorKind
+    ]
+    builds.append((lambda: synth_substrate(1000, 0.3, 3), 2.4))
     for build, bound in builds:
         tracemalloc.start()
         try:

@@ -11,7 +11,6 @@ import table_oracle
 from hallsand import ingest
 from hallsand.ingest import (
     _LEAKAGE_KAPPA,
-    _SYNTH_BLOCK_ROWS,
     _WEIGHT_SIGMA,
     DEFAULT_MEAN_LEAKAGE,
     FlowPanel,
@@ -406,6 +405,8 @@ def test_synth_rejects_bad_args():
         synth_substrate(10, 0.0, 0)
     with pytest.raises(ValueError):
         synth_substrate(10, 0.5, 0, mean_leakage=1.0)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        synth_substrate(10, 0.5, -1)
 
 
 def _dense_synth(n, density, seed, mean_leakage=DEFAULT_MEAN_LEAKAGE):
@@ -427,8 +428,8 @@ def _dense_synth(n, density, seed, mean_leakage=DEFAULT_MEAN_LEAKAGE):
 @pytest.mark.parametrize(
     "n, density, seed",
     [
-        (_SYNTH_BLOCK_ROWS + 44, 0.3, 3),  # a last block shorter than the others
-        (2 * _SYNTH_BLOCK_ROWS, 0.05, 4),
+        (300, 0.3, 3),  # a last block shorter than the others
+        (512, 0.05, 4),  # blocks of equal rows
         (300, 1.0, 5),
         (9, 1.0, 6),
         (2, 1e-12, 0),  # an empty mask: the table keeps one unit flow

@@ -1,7 +1,7 @@
 """The operator and exposure constructions against the ones they replaced.
 
 build_operator scales Z's stored values row by row on Z's own structure,
-compute_exposure sums their squares a block of rows at a time and derives D
+prepare_substrate does so in Z's own arrays and gives the same bytes, compute_exposure sums their squares a block of rows at a time and derives D
 and C in one pass, and _cyclic_components decides a strongly connected
 matrix by two reachability sweeps. Each must give the same bytes as its
 reference, kept here: diags(scale) @ Z (row-share, leakage-adjusted) and
@@ -18,6 +18,7 @@ square sums add flows whose squares overflow, full rows and columns, and
 empty ones, summed in blocks of a few entries.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hallsand.exposure import DEFAULT_FLOOR, compute_exposure  # noqa: E402
+from hallsand.experiments import prepare_substrate  # noqa: E402
+from hallsand.exposure import DEFAULT_FLOOR, ExposureProfile, compute_exposure  # noqa: E402
 from hallsand.ingest import IOTable, NodeId  # noqa: E402
 from hallsand import exposure, operators  # noqa: E402
 from hallsand.operators import OperatorKind, _cyclic_components, build_operator, leakage_profile  # noqa: E402
@@ -155,16 +157,23 @@ def test_operators_and_exposure_match_reference_constructions(table, block):
     before = z_bytes(table)
     # The radius is a function of the matrix's bytes, and on these badly scaled
     # tables power iteration can take millions of steps, so it is not computed.
-    with mock.patch.object(operators, "spectral_radius", lambda matrix: 0.0):
-        for kind in OperatorKind:
-            same_csr(build_operator(table, kind).matrix, reference_operator_matrix(table, kind))
-    outflows, inflows = table.outflow_totals(), table.inflow_totals()
-    if table.total_flow() <= 0:
-        return  # no flow shares: compute_exposure refuses the table
-    with mock.patch.object(exposure, "_BLOCK_ENTRIES", block):
+    with mock.patch.object(operators, "spectral_radius", lambda matrix: 0.0), \
+            mock.patch.object(exposure, "_BLOCK_ENTRIES", block):
+        ops = {kind: build_operator(table, kind) for kind in OperatorKind}
+        for kind, op in ops.items():
+            same_csr(op.matrix, reference_operator_matrix(table, kind))
+        if table.total_flow() <= 0:
+            return  # no flow shares: compute_exposure and prepare_substrate refuse the table
         prof = compute_exposure(table)
+        # prepare_substrate takes its table and scales the flows in its arrays
+        for kind, op in ops.items():
+            sub = prepare_substrate(dataclasses.replace(table, Z=table.Z.copy()), kind)
+            same_csr(sub.operator.matrix, op.matrix)
+            for field in dataclasses.fields(ExposureProfile):
+                assert getattr(sub.exposure, field.name).tobytes() == getattr(prof, field.name).tobytes()
     # the operators share Z's index arrays, and nothing writes to them
     assert z_bytes(table) == before
+    outflows, inflows = table.outflow_totals(), table.inflow_totals()
     hhi_out, hhi_in = reference_hhi(outflows, table.Z, 1), reference_hhi(inflows, table.Z, 0)
     assert prof.HHI_out.tobytes() == hhi_out.tobytes()
     assert prof.HHI_in.tobytes() == hhi_in.tobytes()

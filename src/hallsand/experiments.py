@@ -211,58 +211,38 @@ def make_cell_stats(B_bar: float, sigma_D: float, series: np.ndarray) -> CellSta
     )
 
 
-# A block is a contiguous range of one spec's replications: (spec, lo, hi).
-Block = tuple[ScenarioSpec, int, int]
-
-# Blocks share a batch with their neighbours up to this many stress values
-# (columns x nodes): 512 KB per n x k array, so a batch's arrays stay in cache.
+# A batch holds up to this many stress values (columns x nodes): 512 KB per
+# n x k array, so a batch's arrays stay in cache.
 _PACK_VALUES = 1 << 16
-# The widest batch, in stress values: 8 MB per n x k array.
-_MAX_BATCH_VALUES = 1 << 20
 
 
-def _plan(specs: list[ScenarioSpec], replications: int, n_workers: int, n: int) -> list[list[Block]]:
-    """Group the specs' replications into tasks, each run as one batch.
+def _plan(specs: list[ScenarioSpec], replications: int, n_workers: int, n: int) -> list[list[tuple[ScenarioSpec, int]]]:
+    """Cut the run's (spec, replication) columns into tasks, each run as one batch.
 
-    Each spec is one block, or the same number of contiguous blocks when
-    there are fewer specs than workers or the replications are wider than
-    the widest batch. Consecutive blocks share a task up to _PACK_VALUES
-    stress values, and to no more than an even share of the columns per
-    worker, since a batch's cost per column falls with its width until its
-    arrays outgrow the cache. Returns the tasks, in spec order.
+    The columns, in spec and replication order, are cut into contiguous
+    tasks whose widths differ by at most one: as few as keep every task
+    within _PACK_VALUES stress values, since a batch's cost per column falls
+    with its width until its arrays outgrow the cache, and at least one per
+    worker. Returns the tasks, in column order.
     """
-    widest = max(1, _MAX_BATCH_VALUES // n)
-    k = max(-(-n_workers // len(specs)), -(-replications // widest))
-    bounds = sorted({replications * i // k for i in range(k + 1)})
-    blocks = [(spec, lo, hi) for spec in specs for lo, hi in zip(bounds, bounds[1:])]
-    total = len(specs) * replications
-    pack = min(max(1, _PACK_VALUES // n), -(-total // n_workers))  # every worker gets a task
-    tasks: list[list[Block]] = []
-    width = 0
-    for block in blocks:
-        _, lo, hi = block
-        if tasks and width + hi - lo <= pack:
-            tasks[-1].append(block)
-            width += hi - lo
-        else:
-            tasks.append([block])
-            width = hi - lo
-    return tasks
+    columns = [(spec, rep) for spec in specs for rep in range(replications)]
+    total = len(columns)
+    count = min(total, max(n_workers, -(-total // max(1, _PACK_VALUES // n))))
+    return [columns[total * i // count : total * (i + 1) // count] for i in range(count)]
 
 
 def _run_task(
-    substrate: Substrate, params: Params, sigma_b_ratio: float, T_burn: int, T_stat: int, task: list[Block]
+    substrate: Substrate, params: Params, sigma_b_ratio: float, T_burn: int, T_stat: int, task: list[tuple[ScenarioSpec, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a task's blocks as one batch: post-burn S, B_t and rounds, a row per replication."""
-    owners = [(spec, rep) for spec, lo, hi in task for rep in range(lo, hi)]
+    """Run a task's columns as one batch: post-burn S, B_t and rounds, a row per column."""
     columns = [
         (spec.B_bar, sigma_b_ratio * spec.B_bar, spec.sigma_D, child_seed(spec.master_seed, rep))
-        for spec, rep in owners
+        for spec, rep in task
     ]
     try:
         return run_batch(substrate.operator, substrate.exposure, params, columns, T_burn + T_stat, keep_from=T_burn)
     except RelaxationBudgetError as err:
-        spec, rep = owners[err.column]
+        spec, rep = task[err.column]
         raise SimulationError(
             f"scenario {spec.name!r} replication {rep} period {err.period}: {err}"
             f" (seed {columns[err.column][3]})"
@@ -275,7 +255,7 @@ def _run_task(
 _POOL_CONTEXT = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 # (substrate, params, sigma_b_ratio, T_burn, T_stat), set once in each pool worker by _init_worker,
-# so that a task carries only its blocks.
+# so that a task carries only its columns.
 _worker_context: tuple = ()
 
 
@@ -284,7 +264,7 @@ def _init_worker(*context) -> None:
     _worker_context = context
 
 
-def _worker_task(task: list[Block]):
+def _worker_task(task: list[tuple[ScenarioSpec, int]]):
     return _run_task(*_worker_context, task)
 
 
@@ -307,13 +287,12 @@ def run_scenarios(
     Replication r runs on its own stream seeded child_seed(master_seed, r),
     so results are independent of execution order; the fold over
     replications is by index, making serial and parallel runs identical.
-    Each task runs its replications together as one batch (see run_batch):
-    a spec, a block of a spec's replications when there are fewer specs than
-    workers, or a run of consecutive narrow specs (see _plan).
+    The run's columns are cut into tasks of even width, each run as one
+    batch (see run_batch and _plan); a spec's replications may span tasks.
     threads is the worker count, one per CPU when None.
     With more than one worker, one process pool runs the tasks and receives
     the substrate once per worker through its initializer. Each spec's
-    result is yielded as soon as its task is done, so a caller can write or
+    result is yielded as soon as its tasks are done, so a caller can write or
     reduce it before later specs' series are held; a failing task raises
     before any of its specs is yielded. The inputs are validated and the
     contraction check runs once per call, here, when it is made, not in the

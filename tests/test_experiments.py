@@ -458,11 +458,11 @@ def test_within_bounds_is_strict(regime, mean_S, se_mean_S):
 def plan_widths(specs, replications, n_workers, n):
     tasks = experiments._plan(specs, replications, n_workers, n)
     # every replication of every spec runs once, in spec and replication order
-    flat = [(spec.name, rep) for task in tasks for spec, lo, hi in task for rep in range(lo, hi)]
+    flat = [(spec.name, rep) for task in tasks for spec, rep in task]
     assert flat == [(spec.name, rep) for spec in specs for rep in range(replications)]
-    # every spec is cut into the same number of blocks
-    assert len(specs) * len({lo for task in tasks for _, lo, _ in task}) == sum(len(task) for task in tasks)
-    return [sum(hi - lo for _, lo, hi in task) for task in tasks]
+    widths = [len(task) for task in tasks]
+    assert max(widths) - min(widths) <= 1
+    return widths
 
 
 def grid_cells(count):
@@ -472,13 +472,16 @@ def grid_cells(count):
 @pytest.mark.parametrize(
     "specs,replications,n_workers,n,widths",
     [
+        # n200-serial, grid and n2464 are the calls of the engine workloads in bench/
         (preset_scenarios(0), 25, 1, 200, [100]),
         (preset_scenarios(0), 25, 2, 200, [50, 50]),
         (grid_cells(90), 2, 2, 200, [90, 90]),
         (preset_scenarios(0), 4, 2, 2464, [8, 8]),
-        (preset_scenarios(0), 100, 2, 2464, [100] * 4),  # the paper protocol
+        (preset_scenarios(0), 100, 2, 2464, [25] * 16),  # the paper protocol
+        (grid_cells(90), 50, 2, 200, [321, 321, 322, 321, 322, 321, 322] * 2),
+        (preset_scenarios(0), 100, 2, 17_576, ([2] + [3] * 66) * 2),
     ],
-    ids=["n200-serial", "n200-two-workers", "grid", "n2464", "paper"],
+    ids=["n200-serial", "n200-two-workers", "grid", "n2464", "paper", "default-grid", "n17576"],
 )
 def test_plan_packs_blocks_up_to_the_value_bound(specs, replications, n_workers, n, widths):
     assert plan_widths(specs, replications, n_workers, n) == widths
@@ -489,19 +492,22 @@ def test_plan_keeps_every_task_within_the_bounds():
         (5, 200, 700, 2464, 70_000), (1, 2, 3), (1, 2, 25, 100, 700)
     ):
         specs = grid_cells(6)
-        tasks = experiments._plan(specs, replications, n_workers, n)
-        for task, width in zip(tasks, plan_widths(specs, replications, n_workers, n)):
-            if len(task) > 1:  # packed blocks stay within the cache-sized bound
-                assert width * n <= experiments._PACK_VALUES
-            assert width == 1 or width * n <= experiments._MAX_BATCH_VALUES
+        widths = plan_widths(specs, replications, n_workers, n)
+        assert len(widths) >= min(n_workers, len(specs) * replications)
+        assert max(widths) <= max(1, experiments._PACK_VALUES // n)  # one column per task at n 70,000
 
 
 @pytest.mark.filterwarnings("ignore:contraction check failed")
-@pytest.mark.parametrize("hot", [False, True], ids=["runs", "budget-failure"])
-def test_packing_bound_changes_no_output(monkeypatch, hot):
-    # one task per block against the default packing, which packs all three into
-    # one batch: the same bytes, or the same error; hot, "early" fails at an
-    # earlier period of the batch it shares with "late"
+@pytest.mark.parametrize(
+    "hot, threads",
+    [(False, 1), (True, 1), (False, 2), (True, 2)],
+    ids=["runs", "budget-failure", "runs-pool", "budget-failure-pool"],
+)
+def test_packing_bound_changes_no_output(monkeypatch, hot, threads):
+    # one task per column, serial or split across the pool, against the default
+    # serial plan, which runs all nine columns as one batch: the same bytes, or
+    # the same error; hot, "early" fails at an earlier period of the batch it
+    # shares with "late"
     table = synth_substrate(30, 0.2, 7, mean_leakage=0.22)
     if hot:
         sub = prepare_substrate(table, kind=OperatorKind.ROW_SHARE)
@@ -514,18 +520,18 @@ def test_packing_bound_changes_no_output(monkeypatch, hot):
         ScenarioSpec("wide", 1.2, 2.0, master_seed=9),
     ]
 
-    def outcome():
+    def outcome(threads):
         try:
             return [
                 (r.stats, [a.tobytes() for a in (*r.series, *r.B_realised, *r.relax_rounds)])
-                for r in run_scenarios(specs, sub, params, threads=1, T_burn=0, T_stat=30, replications=3)
+                for r in run_scenarios(specs, sub, params, threads=threads, T_burn=0, T_stat=30, replications=3)
             ]
         except SimulationError as err:
             return str(err)
 
-    packed = outcome()
+    packed = outcome(1)
     assert len(experiments._plan(specs, 3, 1, sub.operator.n)) == 1
     monkeypatch.setattr(experiments, "_PACK_VALUES", 1)
-    assert len(experiments._plan(specs, 3, 1, sub.operator.n)) == len(specs)
-    assert outcome() == packed
+    assert len(experiments._plan(specs, 3, threads, sub.operator.n)) == 3 * len(specs)
+    assert outcome(threads) == packed
     assert packed.startswith("scenario 'late' replication 0 ") if hot else len(packed) == 3

@@ -238,12 +238,20 @@ def test_reader_holds_tens_of_bytes_per_row_and_a_chunk_of_text(tmp_path):
     assert panel.table(2014).total_flow() == sum(i + 10**5 + 0.25 for i in range(12_288))
 
 
-def test_table_build_makes_under_90_bytes_per_flow(tmp_path):
+@pytest.fixture(scope="module")
+def table_99k(tmp_path_factory):
+    """synth_substrate's 99,533-flow table on 2,464 nodes, and its flows file."""
+    table = synth_substrate(2464, 0.0165, 3)
+    path = tmp_path_factory.mktemp("table_99k") / "flows.csv"
+    write_io_table(table, path)
+    return table, path
+
+
+def test_table_build_makes_under_90_bytes_per_flow(table_99k):
     # about 100k flows on 2,464 nodes, a tenth of the flows a WIOD year's
     # table can have; the peak counts Z and every temporary of the build
-    table = synth_substrate(2464, 0.0165, 3)
-    write_io_table(table, tmp_path / "flows.csv")
-    panel = FlowPanel(tmp_path / "flows.csv")
+    table, path = table_99k
+    panel = FlowPanel(path)
     tracemalloc.start()
     try:
         built = panel.table(table.year)
@@ -252,15 +260,6 @@ def test_table_build_makes_under_90_bytes_per_flow(tmp_path):
         tracemalloc.stop()
     assert built.Z.nnz == table.Z.nnz > 95_000
     assert peak <= 90 * built.Z.nnz
-
-
-@pytest.fixture(scope="module")
-def table_99k(tmp_path_factory):
-    """synth_substrate's 99,533-flow table on 2,464 nodes, and its flows file."""
-    table = synth_substrate(2464, 0.0165, 3)
-    path = tmp_path_factory.mktemp("table_99k") / "flows.csv"
-    write_io_table(table, path)
-    return table, path
 
 
 def test_reader_holds_a_wiod_like_row_in_15_bytes(tmp_path):

@@ -45,6 +45,7 @@ from .ingest import (
     TableError,
     parse_io_table,
     read_sizes,
+    row_use_file,
     synth_substrate,
     write_io_table,
 )
@@ -225,12 +226,11 @@ def _add_operator_arg(p: argparse.ArgumentParser) -> None:
 
 def cmd_ingest(args) -> int:
     if args.out_dir is not None and args.flows.exists():  # a missing input is named by the read
-        # the copy holds one year: written over an input, it would lose the others.
-        # Without --row-use, the flows file's sibling row_use.csv is read
-        row_use = args.row_use or args.flows.with_name("row_use.csv")
+        # the copy holds one year: written over an input, it would lose the others
+        row_use = row_use_file(args.flows, args.row_use)
         for source, name in ((args.flows, "flows.csv"), (row_use, "row_use.csv")):
             target = args.out_dir / name
-            if target.exists() and source.exists() and target.samefile(source):
+            if source is not None and target.exists() and source.exists() and target.samefile(source):
                 raise ValueError(f"--out-dir {args.out_dir} would overwrite the input file {source}")
     table = parse_io_table(args.flows, args.year, row_use_path=args.row_use)
     print(

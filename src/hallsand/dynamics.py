@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .exposure import ExposureProfile
+from .exposure import DEFAULT_EPSILON, ExposureProfile
 from .operators import PropagationOperator
 
 try:  # scipy's private kernels of A[J].T @ E, which a scipy release may rename or drop
@@ -34,7 +34,7 @@ class Params:
     beta: float = 0.40
     gamma: float = 0.50
     theta: float = 1.00
-    epsilon: float = 1e-6
+    epsilon: float = DEFAULT_EPSILON
     sigma_x: float = 0.20
     redistribution_fraction: float = 0.5
     theta_reset: float = 0.0

@@ -63,8 +63,8 @@ class RegimeLabel(str, Enum):
 class Substrate:
     """A table's propagation operator and exposure profile, precomputed.
 
-    The table itself is not kept: the operator's matrix shares Z's index
-    arrays where it can, and Z's values are freed once the table is dropped.
+    The table itself is not kept: the operator's matrix is its Z, whose
+    values prepare_substrate scales in place.
     """
 
     operator: PropagationOperator

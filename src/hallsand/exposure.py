@@ -133,9 +133,9 @@ def compute_exposure(
     total = table.total_flow()
     if total <= 0:
         raise TableError("all-zero table: flow shares undefined")
-    for floor in (d_floor, c_floor):
+    for name, floor in (("d_floor", d_floor), ("c_floor", c_floor)):
         if not 0.0 < floor < 1.0:
-            raise ValueError(f"floor must be in (0, 1), got {floor}")
+            raise ValueError(f"{name} must be in (0, 1), got {floor}")
     if not 0.0 <= B < np.inf:
         raise ValueError(f"field intensity B must be finite and non-negative, got {B}")
     Z, n = table.Z, table.n

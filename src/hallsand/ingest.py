@@ -332,6 +332,15 @@ def _missing(table: _Rows, column: str, rows: np.ndarray) -> np.ndarray:
     return np.equal(distinct, None)[codes[rows]]
 
 
+def row_use_file(path: str | Path, row_use_path: str | Path | None = None) -> Path | None:
+    """The row-use file read with the flows file at path: row_use_path when
+    given, else path's sibling row_use.csv if present, else None."""
+    if row_use_path is not None:
+        return Path(row_use_path)
+    sibling = Path(path).with_name("row_use.csv")
+    return sibling if sibling.exists() else None
+
+
 class FlowPanel:
     """A flows CSV and its row-use companion, each read at most once.
 
@@ -345,10 +354,7 @@ class FlowPanel:
         self.path = Path(path)
         self._flows = _read_rows(self.path, FLOWS_COLUMNS)
         self._years = _Converted(*self._flows.coded["year"])
-        if row_use_path is None:
-            sibling = self.path.with_name("row_use.csv")
-            row_use_path = sibling if sibling.exists() else None
-        self.row_use_path = None if row_use_path is None else Path(row_use_path)
+        self.row_use_path = row_use_file(self.path, row_use_path)
         self._row_use: tuple[_Rows, _Converted] | None = None
 
     def years(self) -> list[int]:

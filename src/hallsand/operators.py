@@ -18,6 +18,12 @@ class OperatorKind(Enum):
     MAX_ROW = "max"
 
 
+# power iteration stops when its eigenpair residual is at most
+# _TOL * max(1, estimate), and gives up after _MAX_ITER products
+_TOL = 1e-10
+_MAX_ITER = 100_000
+
+
 class SpectralConvergenceError(RuntimeError):
     """Power iteration failed to converge within the iteration budget."""
 
@@ -27,7 +33,7 @@ class SpectralConvergenceError(RuntimeError):
         super().__init__(
             f"power iteration did not converge in {max_iter} iterations; "
             f"last estimates {last_estimates[0]:.12g}, {last_estimates[1]:.12g} "
-            "(near-degenerate spectrum? raise max_iter)"
+            "(near-degenerate spectrum?)"
         )
 
 
@@ -76,14 +82,7 @@ def _cyclic_components(matrix: sparse.csr_matrix) -> list[np.ndarray]:
         struct.eliminate_zeros()
     if struct.nnz == 0:
         return []
-    # every stored entry is an edge, inf and nan as well; a matrix whose
-    # entries are all finite and positive is its own edge matrix
-    edges = struct
-    if not 0.0 < struct.data.min() <= struct.data.max() < np.inf:
-        edges = sparse.csr_matrix(
-            (np.ones(struct.nnz, dtype=bool), struct.indices, struct.indptr), shape=struct.shape
-        )
-    if _reaches_all(edges.T) and _reaches_all(edges):
+    if _reaches_all(struct.T) and _reaches_all(struct):
         return [np.arange(struct.shape[0])]
     from scipy.sparse import csgraph
 
@@ -97,9 +96,10 @@ def _reaches_all(edges) -> bool:
     """Whether a breadth-first search from node 0 reaches every node.
 
     Each step is one product: (edges @ x)[i] is positive when row i has an
-    entry in a column that x marks, the entries being True or finite and
-    positive. Through A.T the search follows A's edges forward, through A
-    backward.
+    entry in a column that x marks, the entries being finite and positive.
+    An inf, nan or negative entry can only make a row look unreached, so
+    such a matrix is at worst called not strongly connected. Through A.T
+    the search follows A's edges forward, through A backward.
     """
     n = edges.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -114,29 +114,18 @@ def _reaches_all(edges) -> bool:
     return True
 
 
-def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> float:
+def spectral_radius(matrix) -> float:
     """Dominant eigenvalue magnitude of a non-negative matrix by power iteration.
 
-    Starts from the all-ones vector and iterates on the shifted matrix
-    A + 0.5*max_row_sum*I, which leaves the dominant root recoverable exactly
-    and keeps cyclic structures from oscillating. A stalled scalar estimate
-    only gates the convergence test; the deciding test is the eigenpair
-    residual ||(A + shift)v - est*v||_inf <= tol * max(1, est), which a
-    transient dip in the estimate sequence cannot fake. A nonzero matrix
-    whose edge structure has no cycle has radius exactly 0 and
-    short-circuits, avoiding the slow defective-eigenvalue tail. Only a
-    strongly connected matrix is iterated whole; any other gets the largest
-    radius among its cyclic strongly connected components, each iterated on
-    its own.
+    Each cyclic strongly connected component is iterated on its own, or the
+    matrix whole when it is strongly connected, and the largest radius is
+    returned. A matrix whose edges close no cycle has radius exactly 0, and
+    is not iterated.
 
-    Raises ValueError for a non-finite or negative entry, and
-    SpectralConvergenceError (carrying the last two estimates) if the budget
-    runs out.
+    Raises ValueError for a non-square matrix or a non-finite or negative
+    entry, and SpectralConvergenceError (carrying the last two estimates) if
+    the iteration budget runs out.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 2:
-        raise ValueError(f"max_iter must be at least 2, got {max_iter}")
     mat = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix, dtype=np.float64)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
@@ -146,42 +135,44 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 100_000) -> floa
         raise ValueError("matrix must be finite")
     if lo < 0:
         raise ValueError("matrix must be non-negative")
-
-    n = mat.shape[0]
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    max_row = float(row_sums.max()) if n else 0.0
-    if max_row == 0.0:
-        return 0.0
-    components = _cyclic_components(mat)
-    if len(components) == 1 and components[0].size == n:
-        return _power_iteration(mat, max_row, tol, max_iter)
     # Each component's dominant root is simple. On the whole matrix, two
     # components that share the largest root form a Jordan block, where
-    # power iteration closes in like 1/k and never meets tol; and the
+    # power iteration closes in like 1/k and never meets _TOL; and the
     # eigenvalue 0 of nodes on no cycle sits at the shift, which a root far
     # below it cannot be told from.
-    return max((spectral_radius(mat[nodes][:, nodes], tol, max_iter) for nodes in components), default=0.0)
-
-
-def _power_iteration(mat, max_row: float, tol: float, max_iter: int) -> float:
     n = mat.shape[0]
-    shift = 0.5 * max_row
+    parts = (mat if nodes.size == n else mat[nodes][:, nodes] for nodes in _cyclic_components(mat))
+    return max(map(_power_iteration, parts), default=0.0)
+
+
+def _power_iteration(mat) -> float:
+    """The dominant root of a strongly connected non-negative matrix.
+
+    Starts from the all-ones vector and iterates on the shifted matrix
+    A + 0.5*max_row_sum*I, which leaves the dominant root recoverable exactly
+    and keeps cyclic structures from oscillating. A stalled scalar estimate
+    only gates the convergence test; the deciding test is the eigenpair
+    residual ||(A + shift)v - est*v||_inf <= _TOL * max(1, est), which a
+    transient dip in the estimate sequence cannot fake.
+    """
+    n = mat.shape[0]
+    shift = 0.5 * float(np.asarray(mat.sum(axis=1)).max())
     v = np.full(n, 1.0 / n)
     eps = float(np.finfo(np.float64).eps)
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w = mat @ v + shift * v
         est = float(w.sum())
-        if prev is not None and abs(est - prev) < max(tol, 8.0 * eps * abs(est)):
+        if prev is not None and abs(est - prev) < max(_TOL, 8.0 * eps * abs(est)):
             # The scalar sequence can dip spuriously when a rotating
             # subdominant component crosses alignment; the vector residual
             # cannot, so it is the deciding test.
             resid = float(np.abs(w - est * v).max())
-            if resid <= tol * max(1.0, abs(est)):
+            if resid <= _TOL * max(1.0, abs(est)):
                 return max(est - shift, 0.0)
         v = w / est
         prev = est
-    raise SpectralConvergenceError(max_iter, (float(prev), float(est)))
+    raise SpectralConvergenceError(_MAX_ITER, (float(prev), float(est)))
 
 
 def build_operator(table: IOTable, kind: OperatorKind) -> PropagationOperator:

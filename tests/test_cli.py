@@ -135,6 +135,26 @@ def test_ingest_refuses_an_out_dir_holding_its_input(tmp_path, capsys, layout):
     assert {q: q.read_bytes() for q in (*d.iterdir(), *e.iterdir())} == before
 
 
+def test_ingest_out_dir_writes_the_named_year_only(tmp_path, capsys):
+    # flows.csv and row_use.csv hold 2013 and 2014
+    for year in ("2013", "2014"):
+        argv = ["synth", "--nodes", "12", "--density", "0.5", "--year", year, "--out-dir", str(tmp_path / year)]
+        assert main(argv) == 0
+    src, out, want = tmp_path / "src", tmp_path / "out", tmp_path / "want"
+    src.mkdir()
+    for name in ("flows.csv", "row_use.csv"):
+        first, second = ((tmp_path / year / name).read_text() for year in ("2013", "2014"))
+        (src / name).write_text(first + second.split("\n", 1)[1])
+    capsys.readouterr()
+    assert main(["ingest", "--flows", str(src / "flows.csv"), "--year", "2014", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote normalized copy to {out}\n")
+    ingest.write_io_table(ingest.parse_io_table(src / "flows.csv", 2014), want / "flows.csv", want / "row_use.csv")
+    for name in ("flows.csv", "row_use.csv"):
+        assert (out / name).read_bytes() == (want / name).read_bytes()
+        assert {row["year"] for row in read_rows(src / name)} == {"2013", "2014"}
+        assert {row["year"] for row in read_rows(out / name)} == {"2014"}
+
+
 def test_bad_flag_exit_1():
     assert main(["simulate", "--no-such-flag"]) == 1
 
@@ -522,6 +542,37 @@ def test_tail_fit_constant_series_uninformative(tmp_path):
     assert main(["tail-fit", str(series), "--out-dir", str(out)]) == 0
     row = read_rows(out / "tail_fits.csv")[0]
     assert row["informative"] == "false"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["exposure", "--flows", "{d}/empty.csv"], "--year is required with --flows"),
+        (["exposure"], "no substrate given: pass --flows with --year, or --synth-nodes"),
+        (["simulate", "--synth-nodes", "10", "--presets", "none"], "nothing to run: presets are 'none' and no --cell given"),
+        (["tail-fit", "{d}/avalanches_a b.csv"], "cannot derive a clean series name from 'avalanches_a b.csv'"),
+        (["tail-fit", "{d}/avalanches_zero.csv"], "{d}/avalanches_zero.csv: no positive cascade sizes to fit"),
+        (["tail-fit", "{d}/empty.csv"], "{d}/empty.csv: empty file, expected header S"),
+        (
+            ["exposure", "--flows", "{d}/empty.csv", "--year", "2014"],
+            "{d}/empty.csv: empty file, expected header year,src_country,src_sector,dst_country,dst_sector,value",
+        ),
+        (["simulate", "--synth-nodes", "10", "--d-floor", "0"], "d_floor must be in (0, 1), got 0.0"),
+        (["exposure", "--synth-nodes", "10", "--c-floor", "1.5"], "c_floor must be in (0, 1), got 1.5"),
+    ],
+    ids=[
+        "year-missing", "no-substrate", "nothing-to-run", "series-name", "no-positive-size", "empty-series",
+        "empty-flows", "d_floor", "c_floor",
+    ],
+)
+def test_refusal_exit_1_writes_nothing(tmp_path, capsys, argv, message):
+    (tmp_path / "empty.csv").write_bytes(b"")
+    (tmp_path / "avalanches_zero.csv").write_text("replication,period,S\n0,0,0\n0,1,0\n")
+    (tmp_path / "avalanches_a b.csv").write_text("S\n1\n")
+    out = tmp_path / "out"
+    assert main([*(a.format(d=tmp_path) for a in argv), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(d=tmp_path)}\n"
+    assert not out.exists()
 
 
 def test_tail_fit_refuses_a_repeated_series_name(tmp_path, capsys):

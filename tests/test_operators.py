@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hallsand import operators
 from hallsand.ingest import TableError, synth_substrate
 from hallsand.operators import (
     OperatorKind,
@@ -74,11 +75,6 @@ def test_spectral_radius_zero_matrix():
 
 
 def test_spectral_radius_validation():
-    m = table_from_dense(np.eye(2)).Z
-    with pytest.raises(ValueError):
-        spectral_radius(m, tol=0.0)
-    with pytest.raises(ValueError):
-        spectral_radius(m, max_iter=1)
     with pytest.raises(ValueError):
         spectral_radius(table_from_dense([[0.0, 1.0], [1.0, 0.0]]).Z[:1, :])
     neg = table_from_dense([[0.0, 1.0], [1.0, 0.0]]).Z.copy()
@@ -94,11 +90,13 @@ def test_spectral_radius_refuses_a_non_finite_entry_before_iterating(bad):
         spectral_radius(np.array([[0.0, bad], [1.0, 0.0]]))
 
 
-def test_spectral_radius_budget_error_carries_estimates():
+def test_spectral_radius_budget_error_carries_estimates(monkeypatch):
     rng_local = np.random.default_rng(0)
     m = table_from_dense(rng_local.random((12, 12))).Z
+    monkeypatch.setattr(operators, "_MAX_ITER", 2)
+    monkeypatch.setattr(operators, "_TOL", 1e-16)
     with pytest.raises(SpectralConvergenceError) as exc:
-        spectral_radius(m, tol=1e-16, max_iter=2)
+        spectral_radius(m)
     assert exc.value.max_iter == 2
     assert len(exc.value.last_estimates) == 2
 
